@@ -335,38 +335,55 @@ def apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
 
 
 def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
+    # Validate before applying: every entry must name a master of this
+    # site and pass the guard its own oid was exported behind, or nothing
+    # is touched.
+    masters = [_authorized_master(site, entry.obi_id, "put") for entry in package.entries]
     versions: dict[str, int] = {}
     # Every entry decodes under the same unswizzling policy, so one
     # decoder serves the whole package (each decode() is its own frame).
     decoder = Decoder(
         site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
     )
-    for entry in package.entries:
-        site.charge_serialization(len(entry.payload))
-        master = site.master_object_for(entry.obi_id)
-        if master is None:
-            raise UnknownReplicaError(
-                f"put targets object {entry.obi_id!r} which is not mastered at "
-                f"site {site.name!r}"
-            )
-        state = decoder.decode(entry.payload)
-        if is_obiwan(state) and type(state) is type(master):
-            # A compiled put entry decodes straight to an instance; its
-            # schema admits only scalar fields, so lifting the dict links
-            # the master to fresh values, never to the decoded copy.
-            state = dict(vars(state))
-        if not isinstance(state, dict):
-            raise ReplicationError("put payload must decode to a state dict")
-        preserved_id = vars(master).get("_obi_id")
-        vars(master).clear()
-        vars(master).update(state)
-        if preserved_id is not None:
-            vars(master)["_obi_id"] = preserved_id
-        versions[entry.obi_id] = site.bump_master_version(entry.obi_id)
-        # A full put replaces the whole state: poison the delta history so
-        # refreshes spanning this version go through the full-state path.
-        site.change_log.record(entry.obi_id, versions[entry.obi_id], None)
+    # A full put replaces the whole state: poison the delta history
+    # (``fields=None``) so refreshes spanning this version go through the
+    # full-state path.
+    applied: list[tuple[str, int, None]] = []
+    try:
+        for entry, master in zip(package.entries, masters):
+            site.charge_serialization(len(entry.payload))
+            state = decoder.decode(entry.payload)
+            if is_obiwan(state) and type(state) is type(master):
+                # A compiled put entry decodes straight to an instance; its
+                # schema admits only scalar fields, so lifting the dict links
+                # the master to fresh values, never to the decoded copy.
+                state = dict(vars(state))
+            if not isinstance(state, dict):
+                raise ReplicationError("put payload must decode to a state dict")
+            preserved_id = vars(master).get("_obi_id")
+            vars(master).clear()
+            vars(master).update(state)
+            if preserved_id is not None:
+                vars(master)["_obi_id"] = preserved_id
+            versions[entry.obi_id] = site.bump_master_version(entry.obi_id)
+            applied.append((entry.obi_id, versions[entry.obi_id], None))
+    finally:
+        # One journal batch per put — also when an entry failed midway, so
+        # no applied entry is ever left unjournaled.
+        site.change_log.record_many(applied)
     return versions
+
+
+def _authorized_master(site: "Site", oid: str, verb: str) -> object:
+    """The master a put entry targets, once the caller may write it."""
+    master = site.master_object_for(oid)
+    if master is None:
+        raise UnknownReplicaError(
+            f"{verb} targets object {oid!r} which is not mastered at "
+            f"site {site.name!r}"
+        )
+    site.authorize_put(oid)
+    return master
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +433,8 @@ def apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] |
     """Master-side delta ``put``: validate everything, then merge.
 
     All-or-nothing: every entry must find its master (else a typed
-    :class:`UnknownReplicaError`), match the master's current version
+    :class:`UnknownReplicaError`), pass the guard its oid was exported
+    behind (else :class:`SecurityError`), match the master's current version
     exactly, and — after decoding — predict a post-merge state whose
     fingerprint equals the consumer's.  Any version or fingerprint
     mismatch answers :class:`NeedFull` with *nothing* applied, so the
@@ -434,12 +452,7 @@ def _apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] 
     staged: list[tuple[str, object, dict[str, object]]] = []
     for entry in package.entries:
         site.charge_serialization(len(entry.payload))
-        master = site.master_object_for(entry.obi_id)
-        if master is None:
-            raise UnknownReplicaError(
-                f"delta put targets object {entry.obi_id!r} which is not mastered "
-                f"at site {site.name!r}"
-            )
+        master = _authorized_master(site, entry.obi_id, "delta put")
         current = site.master_version(master)
         if current != entry.base_version:
             return NeedFull(
@@ -457,10 +470,14 @@ def _apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] 
             )
         staged.append((entry.obi_id, master, fields))
     versions: dict[str, int] = {}
-    for oid, master, fields in staged:
-        vars(master).update(fields)
-        versions[oid] = site.bump_master_version(oid)
-        site.change_log.record(oid, versions[oid], frozenset(fields))
+    applied: list[tuple[str, int, frozenset[str]]] = []
+    try:
+        for oid, master, fields in staged:
+            vars(master).update(fields)
+            versions[oid] = site.bump_master_version(oid)
+            applied.append((oid, versions[oid], frozenset(fields)))
+    finally:
+        site.change_log.record_many(applied)
     return versions
 
 

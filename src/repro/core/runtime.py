@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.core import cluster as cluster_ops
@@ -64,6 +65,7 @@ from repro.core.telemetry import FeedStats, SerialPathStats, SyncPathStats
 from repro.core.versions import ChangeLog, DirtyTracker, DirtySnapshot
 from repro.obs.context import NULL_TRACER, Tracer
 from repro.obs.spans import SpanCollector
+from repro.rmi.acl import AccessGuard, authorize
 from repro.rmi.endpoint import RmiEndpoint
 from repro.rmi.protocol import NeedFull
 from repro.rmi.refs import RemoteRef
@@ -189,6 +191,16 @@ class ReplicaRecord:
     invalidated: bool = field(default=False)
     lease_expires_at: float | None = field(default=None)
     seq: int = field(default_factory=_record_seq.__next__)
+
+
+@dataclass(slots=True)
+class _WriteBack:
+    """One replica on its way through :meth:`Site.put_back_many`."""
+
+    oid: str
+    replica: object
+    record: ReplicaRecord
+    snap: DirtySnapshot | None = None
 
 
 class Site:
@@ -336,8 +348,6 @@ class Site:
         caller's site identity; local use of the object is unrestricted.
         Must be called before any unguarded export of the same object.
         """
-        from repro.rmi.acl import AccessGuard
-
         oid = obi_id_of(obj)
         idx = self._stripe_of(oid)
         with self._stripe_locks[idx]:
@@ -400,62 +410,124 @@ class Site:
     def put_back(self, replica: object) -> int:
         """Push a replica's state onto its master; returns the new version.
 
-        With :attr:`delta_sync` on, ships only the dirty fields through
-        ``put_delta`` when possible: a clean replica syncs without any
-        network traffic, and a ``NEED_FULL`` answer (or an unversioned
-        provider) transparently downgrades to the legacy full-state put.
+        The one-element case of :meth:`put_back_many`.
         """
-        cluster_ops.check_individually_updatable(self, replica)
-        info = self._replica_record(replica)
-        oid = obi_id_of(replica)
-        with self.tracer.span("put_back", name=oid) as span:
-            snap = self.dirty_tracker.capture(replica) if self.delta_sync else None
+        return self.put_back_many([replica])[obi_id_of(replica)]
+
+    def put_back_many(self, replicas: Iterable[object]) -> dict[str, int]:
+        """Push several replicas onto their masters; returns their versions.
+
+        One round trip per provider *site*, whatever the number of
+        replicas: their states travel as the entries of one ``put``, which
+        the master authorises per entry, validates before it applies, and
+        journals as one batch.
+
+        With :attr:`delta_sync` on, each replica still takes its own
+        cheapest path: a clean one syncs without any network traffic,
+        dirty fields ship through one ``put_delta`` per site when the peer
+        speaks it, and a ``NEED_FULL`` answer (or an unversioned provider)
+        transparently downgrades those replicas to the full-state put.
+        """
+        by_site: dict[str, list[_WriteBack]] = {}
+        for replica in replicas:
+            cluster_ops.check_individually_updatable(self, replica)
+            info = self._replica_record(replica)
+            by_site.setdefault(info.provider.site_id, []).append(
+                _WriteBack(obi_id_of(replica), replica, info)
+            )
+        versions: dict[str, int] = {}
+        for items in by_site.values():
+            with self.tracer.span(
+                "put_back", name=items[0].oid, replicas=len(items)
+            ) as span:
+                paths = self._put_back_site(items, versions)
+                span.set(path="+".join(sorted(paths)))
+        return versions
+
+    def _put_back_site(
+        self, items: list[_WriteBack], versions: dict[str, int]
+    ) -> set[str]:
+        """Write back replicas that share one provider site, through the
+        first one's proxy-in.  Records each new version in ``versions``
+        and on the replica's record; returns the paths taken (``noop`` /
+        ``delta`` / ``full``)."""
+        provider = items[0].record.provider
+        paths: set[str] = set()
+        delta: list[_WriteBack] = []
+        full: list[_WriteBack] = []
+        for item in items:
+            snap = item.snap = (
+                self.dirty_tracker.capture(item.replica) if self.delta_sync else None
+            )
             if snap is not None and snap.clean:
-                self.sync_stats.add(oid=oid, puts_noop=1)
-                span.set(path="noop")
-                return info.version
-            if snap is not None and not snap.whole and self._delta_peer_ok(info.provider):
-                versions = self._try_put_delta(info.provider, [(replica, snap)])
-                if versions is not None:
-                    version = versions.get(oid)
-                    if version is None:
-                        raise UnknownReplicaError(
-                            f"master returned no version for {oid!r} after delta put"
-                        )
-                    info.version = version
-                    span.set(path="delta")
-                    return version
-            provider = info.provider
+                self.sync_stats.add(oid=item.oid, puts_noop=1)
+                versions[item.oid] = item.record.version
+                paths.add("noop")
+            elif snap is not None and not snap.whole and self._delta_peer_ok(provider):
+                delta.append(item)
+            else:
+                full.append(item)
+        if delta:
+            acked = self._try_put_delta(
+                provider, [(item.replica, item.snap) for item in delta]
+            )
+            if acked is None:
+                full.extend(delta)
+            else:
+                _commit_versions(acked, delta, versions, "delta put")
+                paths.add("delta")
+        if full:
+            pushed = [item.replica for item in full]
             if self._codec_peer_ok(provider):
-                package = build_put(self, [replica], compiled=True)
-                versions = probe(
+                package = build_put(self, pushed, compiled=True)
+                acked = probe(
                     self.peer_caps,
                     provider.site_id,
                     COMPILED_CODEC,
                     lambda: self.endpoint.invoke(provider, "put", (package,)),
                 )
-                if versions is UNSUPPORTED:
+                if acked is UNSUPPORTED:
                     # A pre-codec master choked on the OBJECT_SCHEMA tag:
                     # the site is now cached as unsupported; retry
                     # reflectively.  Put is last-writer-wins, so the
                     # retry is idempotent even if the first attempt
                     # half-landed (it cannot: decode precedes any
                     # mutation on the master side).
-                    package = build_put(self, [replica], compiled=False)
-                    versions = self.endpoint.invoke(provider, "put", (package,))
+                    package = build_put(self, pushed, compiled=False)
+                    acked = self.endpoint.invoke(provider, "put", (package,))
             else:
-                package = build_put(self, [replica], compiled=False)
-                versions = self.endpoint.invoke(provider, "put", (package,))
-            version = versions.get(oid)
-            if version is None:
-                raise UnknownReplicaError(
-                    f"master returned no version for {oid!r} after put"
+                package = build_put(self, pushed, compiled=False)
+                acked = self.endpoint.invoke(provider, "put", (package,))
+            _commit_versions(acked, full, versions, "put")
+            self._rebaseline_after_full_put(pushed, [item.snap for item in full])
+            self.sync_stats.add(oid=full[0].oid, puts_full=1)
+            paths.add("full")
+        return paths
+
+    def master_versions(self, records: Iterable[ReplicaRecord]) -> dict[str, int]:
+        """The current master version behind each replica record.
+
+        One batched round trip per provider *site*; each ``get_version``
+        is still dispatched through its own provider reference, so
+        per-object access guards apply exactly as for a single call.  A
+        probe that failed re-raises its typed error.
+        """
+        by_site: dict[str, list[tuple[str, RemoteRef]]] = {}
+        for record in records:
+            by_site.setdefault(record.provider.site_id, []).append(
+                (obi_id_of(record.obj), record.provider)
+            )
+        versions: dict[str, int] = {}
+        for site_id, probes in by_site.items():
+            with self.tracer.span("master_versions", dst=site_id, probes=len(probes)):
+                outcomes = self.endpoint.invoke_batch(
+                    site_id, [(ref, "get_version", ()) for _oid, ref in probes]
                 )
-            info.version = version
-            self._rebaseline_after_full_put([replica], [snap])
-            self.sync_stats.add(oid=oid, puts_full=1)
-            span.set(path="full")
-            return version
+            for (oid, _ref), outcome in zip(probes, outcomes):
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                versions[oid] = outcome
+        return versions
 
     def put_back_cluster(self, root: object) -> dict[str, int]:
         """Push a whole cluster's state through its root's provider.
@@ -815,6 +887,24 @@ class Site:
         with self._read_guard(idx):
             record = self._masters[idx].get(oid)
         return record.obj if record is not None else None
+
+    @snapshot_read
+    def authorize_put(self, oid: str) -> None:
+        """Check a remote write of master ``oid`` against the guard it was
+        exported behind (see :meth:`export_guarded`).
+
+        A ``put`` names masters by oid and may arrive through *any*
+        proxy-in of this site, so the receiving export's policy alone does
+        not protect its neighbours: every entry is checked against its own
+        export, for the caller being served and the method ``put``.
+        Masters with no export of their own (cluster members, feed
+        mirrors) stay governed by the proxy-in that received the call.
+        """
+        idx = self._stripe_of(oid)
+        with self._read_guard(idx):
+            ref = self._provider_refs[idx].get(oid)
+        if ref is not None:
+            authorize(self.endpoint.objects.get(ref.object_id), "put")
 
     @snapshot_read
     def master_version(self, master: object) -> int:
@@ -1350,6 +1440,20 @@ class World:
 
     def __repr__(self) -> str:
         return f"World({type(self.network).__name__}, sites={sorted(self.sites)})"
+
+
+def _commit_versions(
+    acked: dict[str, int], sent: list[_WriteBack], versions: dict[str, int], verb: str
+) -> None:
+    """Record the master's new version of every replica sent, in
+    ``versions`` and on its replica record; an omitted one is an error."""
+    for item in sent:
+        version = acked.get(item.oid)
+        if version is None:
+            raise UnknownReplicaError(
+                f"master returned no version for {item.oid!r} after {verb}"
+            )
+        item.record.version = versions[item.oid] = version
 
 
 def _own_state_size(obj: object) -> int:

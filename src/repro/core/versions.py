@@ -38,7 +38,7 @@ from repro.serial.delta import IMMUTABLE_SCALARS
 from repro.util.errors import RetentionGapError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
     from repro.serial.delta import Fingerprinter
 
@@ -246,12 +246,12 @@ class ChangeLog:
     log no longer covers returns ``None``, which the protocol maps to
     ``NEED_FULL``.
 
-    Beyond the per-oid field log, every :meth:`record` also appends a
+    Beyond the per-oid field log, every recorded change also appends a
     serial-numbered :class:`FeedEvent` to a site-wide *journal* (its own,
-    larger retention window) and notifies subscribed observers — the
-    substrate of the change feed.  The journal carries an *epoch* number
-    that advances on failover promotion so frames from a deposed primary
-    are recognizably stale.
+    larger retention window), and every :meth:`record_many` batch notifies
+    subscribed observers once — the substrate of the change feed.  The
+    journal carries an *epoch* number that advances on failover promotion
+    so frames from a deposed primary are recognizably stale.
     """
 
     def __init__(self, *, retention: int = 64, journal_retention: int = 512):
@@ -260,25 +260,48 @@ class ChangeLog:
         self._journal: deque[FeedEvent] = deque(maxlen=journal_retention)
         self._next_serial = 1
         self._epoch = 0
-        self._observers: list[Callable[[FeedEvent], None]] = []
+        self._observers: list[Callable[[list[FeedEvent]], None]] = []
         self._lock = threading.Lock()
 
     def record(self, oid: str, version: int, fields: frozenset[str] | None) -> int:
         """Record a local change; returns the serial it was journaled at."""
+        return self.record_many([(oid, version, fields)])[0]
+
+    def record_many(
+        self, changes: "Sequence[tuple[str, int, frozenset[str] | None]]"
+    ) -> list[int]:
+        """Record several local changes — one multi-entry put — as a batch.
+
+        ``changes`` holds ``(oid, version, fields)`` triples.  The lock is
+        taken once, the events get dense consecutive serials, and each
+        observer is called **once with the whole list**, so a feed
+        primary ships one put as one batch and a follower never observes
+        half of it.  Returns the serials, aligned with ``changes``.
+        """
+        if not changes:
+            return []
+        events: list[FeedEvent] = []
         with self._lock:
-            entries = self._log.get(oid)
-            if entries is None:
-                entries = deque(maxlen=self._retention)
-                self._log[oid] = entries
-            entries.append((version, fields))
-            event = FeedEvent(self._next_serial, oid, version, fields)
-            self._next_serial += 1
-            self._journal.append(event)
+            for oid, version, fields in changes:
+                self._append_field_entry_locked(oid, version, fields)
+                event = FeedEvent(self._next_serial, oid, version, fields)
+                self._next_serial += 1
+                self._journal.append(event)
+                events.append(event)
             observers = list(self._observers)
         # Observers push on the network; never call them under the lock.
         for observer in observers:
-            observer(event)
-        return event.serial
+            observer(events)
+        return [event.serial for event in events]
+
+    def _append_field_entry_locked(
+        self, oid: str, version: int, fields: frozenset[str] | None
+    ) -> None:
+        entries = self._log.get(oid)
+        if entries is None:
+            entries = deque(maxlen=self._retention)
+            self._log[oid] = entries
+        entries.append((version, fields))
 
     def record_mirror(self, serial: int, oid: str, version: int, fields: frozenset[str] | None) -> None:
         """Journal an event *applied from a feed* at its original serial.
@@ -289,11 +312,7 @@ class ChangeLog:
         observers — mirrored events are not local writes.
         """
         with self._lock:
-            entries = self._log.get(oid)
-            if entries is None:
-                entries = deque(maxlen=self._retention)
-                self._log[oid] = entries
-            entries.append((version, fields))
+            self._append_field_entry_locked(oid, version, fields)
             self._journal.append(FeedEvent(serial, oid, version, fields))
             if serial >= self._next_serial:
                 self._next_serial = serial + 1
@@ -334,15 +353,16 @@ class ChangeLog:
             self._epoch += 1
             return self._epoch
 
-    def subscribe(self, observer: "Callable[[FeedEvent], None]") -> None:
-        """Call ``observer(event)`` after every local :meth:`record`.
+    def subscribe(self, observer: "Callable[[list[FeedEvent]], None]") -> None:
+        """Call ``observer(events)`` after every local :meth:`record_many`
+        batch (a single :meth:`record` is a one-event batch).
 
         Observers run outside the log's lock, on the recording thread.
         """
         with self._lock:
             self._observers.append(observer)
 
-    def unsubscribe(self, observer: "Callable[[FeedEvent], None]") -> None:
+    def unsubscribe(self, observer: "Callable[[list[FeedEvent]], None]") -> None:
         with self._lock:
             if observer in self._observers:
                 self._observers.remove(observer)

@@ -3,8 +3,10 @@
 A :class:`FeedPrimary` attaches to a site's
 :class:`~repro.core.versions.ChangeLog` as an observer: every local
 change (full put, delta put, ``touch``) is already journaled with a
-dense serial, and the observer turns each event into a
-:class:`~repro.core.packages.FeedFrame` pushed to every live subscriber.
+dense serial, and the observer turns each journal batch — all the events
+of one put — into one :class:`~repro.core.packages.FeedBatch` (a
+:class:`~repro.core.packages.FeedFrame` per event) pushed to every live
+subscriber.
 
 Delivery discipline:
 
@@ -91,7 +93,7 @@ class FeedPrimary:
         ensure_feed_service(site)
         site.feed_role = self
         self._seed_journal()
-        site.change_log.subscribe(self._on_event)
+        site.change_log.subscribe(self._on_events)
         site.feed_stats.set_gauges(role="primary", epoch=self.epoch, lag_serials=0)
 
     def _seed_journal(self) -> None:
@@ -106,36 +108,56 @@ class FeedPrimary:
         history, so promotion does not re-journal the world.
         """
         site = self.site
-        for oid, record in site.iter_masters():
-            if not site.change_log.has_history(oid):
-                site.change_log.record(oid, site.master_version(record.obj), None)
+        site.change_log.record_many(
+            [
+                (oid, site.master_version(record.obj), None)
+                for oid, record in site.iter_masters()
+                if not site.change_log.has_history(oid)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # journal observer → push
     # ------------------------------------------------------------------
-    def _on_event(self, event: "FeedEvent") -> None:
+    def _on_events(self, events: "list[FeedEvent]") -> None:
+        """Push one journal batch — one put's events — as one ``FeedBatch``,
+        so a follower never observes half of a multi-entry put."""
         if not self._active:
             return
-        master = self.site.master_object_for(event.oid)
-        if master is None:
-            return  # dropped between record and push
-        with self.site.tracer.span("feed.push", oid=event.oid, serial=event.serial):
-            frame = self._frame_for(master, serial=event.serial)
+        site = self.site
+        with site.tracer.span(
+            "feed.push", events=len(events), serial=events[-1].serial
+        ):
+            encoder = self._frame_encoder()
+            frames = []
+            for event in events:
+                master = site.master_object_for(event.oid)
+                if master is not None:  # else: dropped between record and push
+                    frames.append(
+                        self._frame_for(master, serial=event.serial, encoder=encoder)
+                    )
+            if not frames:
+                return
             batch = FeedBatch(
                 epoch=self.epoch,
-                primary_id=self.site.name,
-                latest_serial=self.site.change_log.latest_serial,
-                frames=[frame],
+                primary_id=site.name,
+                latest_serial=site.change_log.latest_serial,
+                frames=frames,
             )
             self._deliver(batch)
 
-    def _frame_for(self, master: object, *, serial: int) -> FeedFrame:
+    def _frame_encoder(self) -> Encoder:
+        """An encoder to share across the frames of one batch (each
+        ``encode()`` call is an independent frame)."""
+        site = self.site
+        return Encoder(
+            site.registry, PackagingSwizzler(site, member_ids=set()), stats=site.serial_stats
+        )
+
+    def _frame_for(self, master: object, *, serial: int, encoder: Encoder) -> FeedFrame:
         site = self.site
         oid = obi_id_of(master)
         provider, _created = site.ensure_provider_for(master)
-        encoder = Encoder(
-            site.registry, PackagingSwizzler(site, member_ids=set()), stats=site.serial_stats
-        )
         payload = encoder.encode(dict(vars(master)))
         site.charge_serialization(len(payload))
         return FeedFrame(
@@ -202,7 +224,7 @@ class FeedPrimary:
     def _demote(self, new_epoch: int) -> None:
         """The group moved on without us: stop pushing, stop accepting."""
         self._active = False
-        self.site.change_log.unsubscribe(self._on_event)
+        self.site.change_log.unsubscribe(self._on_events)
         self.site.change_log.adopt_epoch(new_epoch)
         self.site.feed_stats.set_gauges(role="demoted", epoch=new_epoch)
 
@@ -259,12 +281,13 @@ class FeedPrimary:
         newest: dict[str, int] = {}
         for event in events:
             newest[event.oid] = max(event.serial, newest.get(event.oid, 0))
+        encoder = self._frame_encoder()
         frames = []
         for oid, serial in sorted(newest.items(), key=lambda pair: pair[1]):
             master = self.site.master_object_for(oid)
             if master is None:
                 continue  # dropped since; nothing to converge to
-            frames.append(self._frame_for(master, serial=serial))
+            frames.append(self._frame_for(master, serial=serial, encoder=encoder))
         return frames
 
     def handle_events(self, batch: FeedBatch) -> FeedAck:
@@ -301,9 +324,11 @@ class FeedPrimary:
             )
         with site.tracer.span("feed.snapshot", follower=request.site_id):
             serial = site.change_log.latest_serial
-            frames = []
-            for _oid, record in site.iter_masters():
-                frames.append(self._frame_for(record.obj, serial=serial))
+            encoder = self._frame_encoder()
+            frames = [
+                self._frame_for(record.obj, serial=serial, encoder=encoder)
+                for _oid, record in site.iter_masters()
+            ]
             site.feed_stats.add(snapshots_served=1)
             return FeedSnapshotReply(
                 epoch=self.epoch,
@@ -360,7 +385,7 @@ class FeedPrimary:
     def detach(self) -> None:
         """Stop observing the journal (simulates primary death in tests)."""
         self._active = False
-        self.site.change_log.unsubscribe(self._on_event)
+        self.site.change_log.unsubscribe(self._on_events)
         self.site.feed_stats.set_gauges(role="none")
 
     def __repr__(self) -> str:

@@ -11,6 +11,7 @@ latency entirely).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.core import graphwalk
@@ -49,38 +50,25 @@ class Hoard:
     def prefetch(self, root: object, *, max_faults: int = 0) -> int:
         """Resolve pending proxy-outs reachable from ``root`` eagerly.
 
-        Walks the local graph and demands every unresolved proxy-out it
-        meets, repeating until none remain (or ``max_faults`` were
-        resolved; 0 = unbounded).  Returns the number of faults resolved.
+        Walks the local graph once for the pending frontier, then demands
+        each frontier proxy-out and walks on only from the replica it
+        resolved to — every object is visited once, however many faults
+        it takes — until none remain (or ``max_faults`` were resolved;
+        0 = unbounded).  Returns the number of faults resolved.
         """
         resolved = 0
-        while True:
-            pending = self._pending_proxies(root)
-            if not pending:
-                return resolved
-            for proxy in pending:
+        seen: dict[int, object] = {}
+        frontier = deque(_pending_proxies(root, seen))
+        while frontier:
+            proxy = frontier.popleft()
+            if proxy._obi_resolved is None:
                 if max_faults and resolved >= max_faults:
-                    return resolved
+                    break
                 self.site.resolve_fault(proxy)
                 resolved += 1
-
-    def _pending_proxies(self, root: object) -> list[ProxyOutBase]:
-        pending: list[ProxyOutBase] = []
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, ProxyOutBase):
-                if node._obi_resolved is None:
-                    pending.append(node)
-                else:
-                    stack.append(node._obi_resolved)
-                continue
-            stack.extend(graphwalk.direct_references(node))
-        return pending
+            # else: a sibling or coalesced demand already brought it in.
+            frontier.extend(_pending_proxies(proxy._obi_resolved, seen))
+        return resolved
 
     # ------------------------------------------------------------------
     # using the hoard
@@ -101,10 +89,32 @@ class Hoard:
         replica = self._pinned.get(name)
         if replica is None:
             return False
-        return not self._pending_proxies(replica)
+        return not _pending_proxies(replica, {})
 
     def __contains__(self, name: str) -> bool:
         return name in self._pinned
 
     def __len__(self) -> int:
         return len(self._pinned)
+
+
+def _pending_proxies(root: object, seen: dict[int, object]) -> list[ProxyOutBase]:
+    """Unresolved proxy-outs reachable from ``root`` through local objects
+    not yet in ``seen`` — the nodes already walked, by id.  ``seen`` holds
+    the nodes themselves so that a spliced-out proxy cannot be collected
+    between walks and lend its id to an object that was never visited."""
+    pending: list[ProxyOutBase] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, ProxyOutBase):
+            if node._obi_resolved is None:
+                pending.append(node)
+            else:
+                stack.append(node._obi_resolved)
+            continue
+        stack.extend(graphwalk.direct_references(node))
+    return pending

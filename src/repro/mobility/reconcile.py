@@ -109,33 +109,47 @@ class Reconciler:
     def reconcile(
         self, *, on_conflict: ConflictResolver | None = None
     ) -> ReconcileReport:
-        """Run a full pass over tracked replicas (call when back online)."""
-        report = ReconcileReport()
+        """Run a full pass over tracked replicas (call when back online).
+
+        Costs two round trips per provider *site* — one batched version
+        probe, one put carrying every PUSHED replica — plus one per
+        PULLED object and whatever the resolver spends on a CONFLICT.  A
+        failed probe raises before anything is pushed or pulled.
+        """
+        site = self.site
+        tracked = []
         for oid in sorted(self._baselines):
-            record = self.site.replica_info(oid)
+            record = site.replica_info(oid)
             if record is None or record.provider is None:
                 continue  # evicted, or cluster member handled via its root
+            tracked.append((oid, record))
+        master_versions = site.master_versions(record for _oid, record in tracked)
+
+        report = ReconcileReport()
+        pushed = []
+        for oid, record in tracked:
             replica = record.obj
-            master_version = self.site.endpoint.invoke(record.provider, "get_version", ())
-            master_moved = master_version != record.version
+            master_moved = master_versions[oid] != record.version
             dirty = self.is_dirty(replica)
 
             if not dirty and not master_moved:
                 report.actions[oid] = ReconcileAction.UP_TO_DATE
             elif not dirty and master_moved:
-                self.site.refresh(replica)
+                site.refresh(replica)
                 self.track(replica)
                 report.actions[oid] = ReconcileAction.PULLED
             elif dirty and not master_moved:
-                record.version = self.site.put_back(replica)
-                self.track(replica)
+                pushed.append(replica)
                 report.actions[oid] = ReconcileAction.PUSHED
             else:
                 if on_conflict is None:
                     report.actions[oid] = ReconcileAction.CONFLICT
                 else:
-                    report.actions[oid] = on_conflict(self.site, replica)
+                    report.actions[oid] = on_conflict(site, replica)
                     self.track(replica)
+        site.put_back_many(pushed)
+        for replica in pushed:
+            self.track(replica)
         return report
 
     # ------------------------------------------------------------------

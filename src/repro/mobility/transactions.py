@@ -77,28 +77,33 @@ class MobileTransaction:
         Raises :class:`TransactionAborted` — after rolling local replicas
         back — when any touched object's master version moved past the
         version this transaction was based on (a concurrent committer).
+        Two round trips per provider site: one batched version probe for
+        everything touched, one put carrying everything written.
         """
         self._require_active()
-        conflicts = []
-        for oid, touched in self._touched.items():
+        records = []
+        for oid in self._touched:
             info = self.site.replica_info(oid)
             if info is None or info.provider is None:
                 raise ReplicationError(
                     f"transaction touched {oid!r} which has no individual provider"
                 )
-            current = self.site.endpoint.invoke(info.provider, "get_version", ())
-            if current != touched.version_seen:
-                conflicts.append((oid, touched.version_seen, current))
+            records.append(info)
+        current = self.site.master_versions(records)
+        conflicts = [
+            (oid, touched.version_seen, current[oid])
+            for oid, touched in self._touched.items()
+            if current[oid] != touched.version_seen
+        ]
         if conflicts:
             self.rollback()
             raise TransactionAborted(
                 f"validation failed for {len(conflicts)} object(s)", conflicts=conflicts
             )
 
-        versions: dict[str, int] = {}
-        for oid, touched in self._touched.items():
-            if touched.written:
-                versions[oid] = self.site.put_back(touched.replica)
+        versions = self.site.put_back_many(
+            touched.replica for touched in self._touched.values() if touched.written
+        )
         self.state = TxState.COMMITTED
         return versions
 

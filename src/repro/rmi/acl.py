@@ -109,13 +109,29 @@ class AccessGuard:
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
-        caller = self._endpoint.current_caller
-        if not self._policy.allows(caller, name):
-            self.__dict__["denials"] += 1
-            raise SecurityError(
-                f"site {caller!r} is not allowed to call {name!r} on this object"
-            )
+        self._authorize(name)
         return getattr(self._target, name)
+
+    def _authorize(self, method: str) -> None:
+        caller = self._endpoint.current_caller
+        if not self._policy.allows(caller, method):
+            self.denials += 1
+            raise SecurityError(
+                f"site {caller!r} is not allowed to call {method!r} on this object"
+            )
 
     def __repr__(self) -> str:
         return f"<AccessGuard around {type(self._target).__name__}, {self.denials} denials>"
+
+
+def authorize(exported: object, method: str) -> None:
+    """Check ``method`` against ``exported``'s policy for the remote caller
+    being served on this thread; a no-op for unguarded exports.
+
+    For work that reaches an object *without* dispatching through its own
+    export — a multi-entry ``put`` names masters by oid — so the guard a
+    master was exported behind still decides who may write it.  Raises
+    :class:`SecurityError` and counts the denial on the guard.
+    """
+    if isinstance(exported, AccessGuard):
+        exported._authorize(method)

@@ -9,8 +9,10 @@ stubs and replicas, never raw frames.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 
@@ -141,7 +143,8 @@ class Network(ABC):
         self.stats = NetworkStats()
         self._links: dict[tuple[str, str], Link] = {}
         self._handlers: dict[str, Handler] = {}
-        self._topology_listeners: list[Callable[[str, str], None]] = []
+        #: Held weakly (see :meth:`add_topology_listener`).
+        self._topology_listeners: list[weakref.WeakMethod] = []
         self._rng = random.Random(seed)
         self._closed = False
 
@@ -156,12 +159,23 @@ class Network(ABC):
         and outside any transport lock.  Sites use this to invalidate
         per-peer capability caches when a peer's connection churns — a
         re-attached peer may be a restarted (older or newer) build.
+
+        ``listener`` must be a bound method and is held *weakly*: the
+        network outlives the sites attached to it, and a listener must
+        not keep a detached site (and every replica it holds) reachable.
         """
-        self._topology_listeners.append(listener)
+        self._topology_listeners.append(weakref.WeakMethod(listener))
 
     def _notify_topology(self, event: str, site_id: str) -> None:
-        for listener in list(self._topology_listeners):
-            listener(event, site_id)
+        for ref in list(self._topology_listeners):
+            listener = ref()
+            if listener is not None:
+                listener(event, site_id)
+                continue
+            # The owner was collected; a concurrent notify may already
+            # have dropped the entry.
+            with contextlib.suppress(ValueError):
+                self._topology_listeners.remove(ref)
 
     def attach(self, site_id: str, handler: Handler) -> "Endpoint":
         """Register ``site_id`` with its inbound-frame handler."""

@@ -64,7 +64,29 @@ class TestObservers:
         log, seen = ChangeLog(), []
         log.subscribe(seen.append)
         log.record("oid:1", 1, frozenset({"x"}))
-        assert seen == [FeedEvent(1, "oid:1", 1, frozenset({"x"}))]
+        assert seen == [[FeedEvent(1, "oid:1", 1, frozenset({"x"}))]]
+
+    def test_a_batch_gets_dense_serials_and_one_notification(self):
+        log, seen = ChangeLog(), []
+        log.subscribe(seen.append)
+        log.record("oid:0", 1, None)
+        serials = log.record_many(
+            [("oid:1", 2, None), ("oid:2", 5, frozenset({"x"})), ("oid:1", 3, None)]
+        )
+        assert serials == [2, 3, 4]
+        assert log.latest_serial == 4
+        assert [[event.serial for event in batch] for batch in seen] == [[1], [2, 3, 4]]
+        assert seen[1][1] == FeedEvent(3, "oid:2", 5, frozenset({"x"}))
+        assert [event.serial for event in log.events_since(1)] == [2, 3, 4]
+        # The per-oid field log is fed too.
+        assert log.changed_fields("oid:2", 4, 5) == frozenset({"x"})
+        assert log.changed_fields("oid:1", 1, 3) is None
+
+    def test_an_empty_batch_is_silent(self):
+        log, seen = ChangeLog(), []
+        log.subscribe(seen.append)
+        assert log.record_many([]) == []
+        assert seen == [] and log.latest_serial == 0
 
     def test_mirrored_events_do_not_notify(self):
         log, seen = ChangeLog(), []

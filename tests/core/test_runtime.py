@@ -1,9 +1,13 @@
 """Tests for Site and World runtime behaviour."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.costs import CostModel
 from repro.core.meta import obi_id_of
+from repro.core.negotiation import DELTA_SYNC
 from repro.core.runtime import World
 from repro.rmi.refs import RemoteRef
 from repro.util.errors import NameNotFoundError, ReplicationError
@@ -28,6 +32,26 @@ class TestWorld:
 
     def test_world_clock_is_network_clock(self, zero_world):
         assert zero_world.clock is zero_world.network.clock
+
+    def test_detached_site_is_collectable(self, zero_world):
+        """The network must not pin a site that has left it: a spent
+        mobile site would otherwise keep every replica it ever held."""
+        provider = zero_world.create_site("p")
+        provider.export(Counter(5), name="counter")
+        visitors = []
+        for name in ("c1", "c2"):
+            site = zero_world.create_site(name)
+            site.replicate("counter")
+            visitors.append(weakref.ref(site))
+            site.endpoint.close()
+            del zero_world.sites[name]
+        del site
+        gc.collect()
+        assert [ref() for ref in visitors] == [None, None]
+        # The survivors still hear about topology changes.
+        provider.peer_caps.mark_unsupported("c3", DELTA_SYNC)
+        zero_world.create_site("c3")
+        assert provider.peer_caps.assume("c3", DELTA_SYNC)
 
     def test_threaded_world_end_to_end(self):
         with World.threaded() as world:

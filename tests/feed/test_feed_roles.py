@@ -90,6 +90,73 @@ class TestPush:
         assert f1.site.feed_stats.snapshot()["frames_applied"] == applied_before
 
 
+class TestOneBatchPerPut:
+    """A put's events reach each follower as one ``FeedBatch``."""
+
+    @pytest.fixture
+    def wide_group(self, group):
+        """The group plus two more exported boxes, and a tap on the
+        batches each follower is handed."""
+        world, primary, f1, f2, box = group
+        boxes = [box, Box(2), Box(3)]
+        for i, extra in enumerate(boxes[1:]):
+            primary.site.export(extra, name=f"box{i + 2}")
+            primary.site.touch(extra)
+        received = {}
+        for follower in (f1, f2):
+            batches = received[follower.site.name] = []
+            handle = follower.handle_events
+
+            def tapped(batch, batches=batches, handle=handle):
+                batches.append(batch)
+                return handle(batch)
+
+            follower.handle_events = tapped
+        return world, primary, (f1, f2), boxes, received
+
+    def test_three_entry_put_is_one_three_frame_batch_per_follower(self, wide_group):
+        world, primary, followers, boxes, received = wide_group
+        writer = world.create_site("W")
+        replicas = [writer.replicate(name) for name in ("box", "box2", "box3")]
+        for replica in replicas:
+            replica.set(replica.get() * 100)
+        head = primary.site.change_log.latest_serial
+        before = world.network.stats.total_messages
+        versions = writer.put_back_many(replicas)
+        # One put, fanned out as one feed_events round trip per follower.
+        assert world.network.stats.total_messages - before == 2 + 2 * len(followers)
+        assert [b.get() for b in boxes] == [100, 200, 300]
+        assert sorted(versions) == sorted(obi_id_of(b) for b in boxes)
+        latest = primary.site.change_log.latest_serial
+        assert latest == head + 3
+        for follower in followers:
+            (batch,) = received[follower.site.name]
+            assert [frame.serial for frame in batch.frames] == [head + 1, head + 2, head + 3]
+            assert batch.latest_serial == latest
+            assert follower.last_applied_serial == latest
+            assert [mirror_of(follower, b).get() for b in boxes] == [100, 200, 300]
+        assert primary.subscriber_serials() == {"F1": latest, "F2": latest}
+
+    def test_put_through_still_acks_on_its_own_echo(self, wide_group):
+        _world, primary, (f1, f2), boxes, received = wide_group
+        mirror = mirror_of(f1, boxes[1])
+        mirror.set("through")
+        versions = f1.put_through(mirror)
+        assert boxes[1].get() == "through"
+        assert mirror_of(f2, boxes[1]).get() == "through"
+        assert f1.site.master_version(mirror) == versions[obi_id_of(boxes[1])]
+        assert [len(batch.frames) for batch in received["F1"]] == [1]
+
+    def test_seeding_pushes_unjournaled_masters_as_one_batch(self, wide_group):
+        world, primary, (f1, _f2), _boxes, received = wide_group
+        late = [Box(f"late{i}") for i in range(3)]
+        for i, box in enumerate(late):
+            primary.site.export(box, name=f"late{i}")  # exported, never written
+        world.create_site("F3").feed_follow("P")  # a subscription seeds the journal
+        assert [len(batch.frames) for batch in received["F1"]] == [3]
+        assert [mirror_of(f1, box).get() for box in late] == ["late0", "late1", "late2"]
+
+
 class TestCatchUpAndBootstrap:
     def test_reconnect_catches_up_from_cursor(self, group):
         world, primary, f1, _f2, box = group

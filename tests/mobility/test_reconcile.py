@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.core.costs import CostModel
+from repro.core.meta import obi_id_of
+from repro.core.runtime import World
+from repro.mobility.node import MobileNode
 from repro.mobility.reconcile import (
     ReconcileAction,
     Reconciler,
+    ReconcileReport,
     keep_local,
     keep_master,
 )
-from repro.util.errors import ConsistencyError
+from repro.util.errors import ConsistencyError, ProtocolError
+from tests.models import Counter
 
 
 @pytest.fixture
@@ -127,3 +133,153 @@ class TestEndToEndScenario:
         assert report.conflicts != []
         final = node.reconciler.reconcile(on_conflict=keep_local)
         assert master.value == 5
+
+
+# ----------------------------------------------------------------------
+# the batched pass: O(sites) round trips, per-object semantics
+# ----------------------------------------------------------------------
+def _office_with(world, name, count):
+    """A provider site exporting ``count`` counters as ``<name>-<i>``."""
+    site = world.create_site(name)
+    masters = [Counter(i) for i in range(count)]
+    for i, master in enumerate(masters):
+        site.export(master, name=f"{name}-{i}")
+    return site, masters
+
+
+def _hoard_all(node, name, count):
+    return [node.hoard(f"{name}-{i}") for i in range(count)]
+
+
+def _reconcile_per_object(reconciler, on_conflict=None):
+    """Reference: the semantics table of ``reconcile.py`` applied one
+    object at a time, each with its own probe and its own put."""
+    site = reconciler.site
+    report = ReconcileReport()
+    for oid in sorted(reconciler._baselines):
+        record = site.replica_info(oid)
+        if record is None or record.provider is None:
+            continue
+        replica = record.obj
+        moved = site.endpoint.invoke(record.provider, "get_version", ()) != record.version
+        dirty = reconciler.is_dirty(replica)
+        if not dirty and not moved:
+            report.actions[oid] = ReconcileAction.UP_TO_DATE
+        elif not dirty:
+            site.refresh(replica)
+            reconciler.track(replica)
+            report.actions[oid] = ReconcileAction.PULLED
+        elif not moved:
+            site.put_back(replica)
+            reconciler.track(replica)
+            report.actions[oid] = ReconcileAction.PUSHED
+        elif on_conflict is None:
+            report.actions[oid] = ReconcileAction.CONFLICT
+        else:
+            report.actions[oid] = on_conflict(site, replica)
+            reconciler.track(replica)
+    return report
+
+
+class TestBatchedPass:
+    @pytest.fixture
+    def fleet(self):
+        """(world, node, {site name: (site, masters, replicas)}) with eight
+        tracked counters on each of two provider sites."""
+        with World.loopback(costs=CostModel.zero()) as world:
+            world.create_site("NS")
+            offices = {name: _office_with(world, name, 8) for name in ("hq", "branch")}
+            node = MobileNode(world.create_site("pda"))
+            fleet = {
+                name: (site, masters, _hoard_all(node, name, 8))
+                for name, (site, masters) in offices.items()
+            }
+            yield world, node, fleet
+
+    def test_one_site_costs_two_round_trips(self, fleet):
+        world, node, fleet = fleet
+        _hq, _masters, replicas = fleet["hq"]
+        for replica in fleet["branch"][2]:
+            node.site.evict(replica)  # leave one provider site tracked
+        for replica in replicas[:3]:
+            replica.increment(10)
+        before = world.network.stats.total_messages
+        report = node.reconciler.reconcile()
+        # 8 tracked / 3 dirty: one batched probe + one 3-entry put.
+        assert world.network.stats.total_messages - before == 4
+        assert report.count(ReconcileAction.PUSHED) == 3
+        assert report.count(ReconcileAction.UP_TO_DATE) == 5
+
+    def test_two_sites_cost_two_round_trips_each(self, fleet):
+        world, node, fleet = fleet
+        for _site, _masters, replicas in fleet.values():
+            replicas[0].increment(10)
+            replicas[5].increment(10)
+        stats = world.network.stats
+        before = stats.total_messages
+        before_link = {name: stats.link("pda", name).messages for name in fleet}
+        report = node.reconciler.reconcile()
+        assert stats.total_messages - before == 8
+        for name in fleet:
+            assert stats.link("pda", name).messages == before_link[name] + 2
+        assert report.count(ReconcileAction.PUSHED) == 4
+        for _site, masters, _replicas in fleet.values():
+            assert [m.value for m in masters] == [10, 1, 2, 3, 4, 15, 6, 7]
+
+    def test_clean_pass_never_puts(self, fleet):
+        world, node, _fleet = fleet
+        before = world.network.stats.total_messages
+        report = node.reconciler.reconcile()
+        assert world.network.stats.total_messages - before == 4  # probes only
+        assert report.count(ReconcileAction.UP_TO_DATE) == 16
+
+    @pytest.mark.parametrize("resolver", [None, keep_local, keep_master])
+    def test_mixed_pass_matches_the_per_object_table(self, resolver):
+        def scenario(reconcile):
+            with World.loopback(costs=CostModel.zero()) as world:
+                world.create_site("NS")
+                office, masters = _office_with(world, "hq", 8)
+                node = MobileNode(world.create_site("pda"))
+                replicas = _hoard_all(node, "hq", 8)
+                # 0-1 up to date, 2-3 pulled, 4-5 pushed, 6-7 in conflict
+                for i in (4, 5, 6, 7):
+                    replicas[i].increment(100)
+                for i in (2, 3, 6, 7):
+                    masters[i].value += 1000
+                    office.touch(masters[i])
+                report = reconcile(node.reconciler, on_conflict=resolver)
+                oids = [obi_id_of(r) for r in replicas]
+                return (
+                    [report.actions[oid] for oid in oids],
+                    [m.value for m in masters],
+                    [r.value for r in replicas],
+                    [office.version_of(m) for m in masters],
+                    [node.site.replica_info(oid).version for oid in oids],
+                    [node.reconciler.is_dirty(r) for r in replicas],
+                )
+
+        batched = scenario(Reconciler.reconcile)
+        assert batched == scenario(_reconcile_per_object)
+        actions = batched[0]
+        assert actions[:6] == [ReconcileAction.UP_TO_DATE] * 2 + [
+            ReconcileAction.PULLED
+        ] * 2 + [ReconcileAction.PUSHED] * 2
+        expected = {
+            None: ReconcileAction.CONFLICT,
+            keep_local: ReconcileAction.PUSHED,
+            keep_master: ReconcileAction.PULLED,
+        }[resolver]
+        assert actions[6:] == [expected] * 2
+
+    def test_failed_probe_raises_before_anything_moves(self, fleet):
+        world, node, fleet = fleet
+        hq, masters, replicas = fleet["hq"]
+        replicas[0].increment(10)  # would be PUSHED
+        masters[1].value = 77
+        hq.touch(masters[1])  # would be PULLED
+        hq.drop_master(obi_id_of(masters[4]))  # its probe now fails
+        with pytest.raises(ProtocolError, match="no exported object"):
+            node.reconciler.reconcile()
+        assert masters[0].value == 0
+        assert replicas[1].value == 1
+        assert node.reconciler.is_dirty(replicas[0])

@@ -60,6 +60,43 @@ class TestCommit:
         assert replica.read() == 0  # rolled back
         assert master.value == 1  # the other writer's value survives
 
+    def test_commit_costs_two_round_trips_per_provider_site(self, tx_setup):
+        world, office, node, _master, _replica = tx_setup
+        masters = [Counter(i) for i in range(5)]
+        for i, m in enumerate(masters):
+            office.export(m, name=f"c{i}")
+        replicas = [node.site.replicate(f"c{i}") for i in range(5)]
+        tx = node.transaction()
+        for replica in replicas[:4]:
+            tx.write(replica, "increment", 10)
+        tx.read(replicas[4], "read")
+        before = world.network.stats.total_messages
+        versions = tx.commit()
+        # One batched validation probe, one 4-entry put.
+        assert world.network.stats.total_messages - before == 4
+        assert [m.value for m in masters] == [10, 11, 12, 13, 4]
+        assert sorted(versions.values()) == [2, 2, 2, 2]
+
+    def test_abort_names_every_conflict_and_writes_nothing(self, tx_setup):
+        world, office, node, _master, _replica = tx_setup
+        masters = [Counter(i) for i in range(3)]
+        for i, m in enumerate(masters):
+            office.export(m, name=f"c{i}")
+        replicas = [node.site.replicate(f"c{i}") for i in range(3)]
+        tx = node.transaction()
+        for replica in replicas:
+            tx.write(replica, "increment", 10)
+        for m in masters[1:]:
+            office.touch(m)  # concurrent committers on two of the three
+        with pytest.raises(TransactionAborted) as info:
+            tx.commit()
+        assert sorted((seen, now) for _oid, seen, now in info.value.conflicts) == [
+            (1, 2),
+            (1, 2),
+        ]
+        assert [m.value for m in masters] == [0, 1, 2]
+        assert [r.read() for r in replicas] == [0, 1, 2]  # rolled back
+
     def test_commit_twice_rejected(self, tx_setup):
         _w, _office, node, _master, replica = tx_setup
         tx = node.transaction()

@@ -1,7 +1,14 @@
 """Tests for access control on exported objects."""
 
+# obilint: disable-file=OBI204 -- TestPutAuthorisedPerEntry forges raw puts through a chosen proxy-in; the replicas come from the fixture
+# obilint: disable-file=OBI304 -- the forged put_delta must reach the master's authorisation, not a client-side fallback
+
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.meta import obi_id_of
+from repro.core.replication import build_put, build_put_delta
 from repro.rmi.acl import AccessGuard, AccessPolicy
 from repro.util.errors import ReplicationError, SecurityError
 from tests.models import Counter
@@ -130,6 +137,79 @@ class TestGuardedExport:
             with pytest.raises(SecurityError):
                 stranger.replicate("sealed")
         assert guard.denials == 3
+
+
+class TestPutAuthorisedPerEntry:
+    """A ``put`` names masters by oid, so every entry answers to the guard
+    its *own* oid was exported behind — whichever proxy-in received it."""
+
+    @pytest.fixture
+    def doors(self, zsites):
+        """Master ``a`` exported read-only beside an unguarded ``b``."""
+        provider, consumer = zsites
+        a, b = Counter(1), Counter(10)
+        ref_a = provider.export_guarded(a, AccessPolicy.read_only(), name="a")
+        provider.export(b, name="b")
+        replica_b = consumer.replicate("b")
+        return SimpleNamespace(
+            provider=provider,
+            consumer=consumer,
+            a=a,
+            b=b,
+            replica_a=consumer.replicate("a"),
+            replica_b=replica_b,
+            provider_of_b=consumer.replica_info(obi_id_of(replica_b)).provider,
+            guard_of_a=provider.endpoint.objects.get(ref_a.object_id),
+        )
+
+    def test_guarded_master_not_writable_through_unguarded_neighbour(self, doors):
+        d = doors
+        d.replica_a.increment()
+        with pytest.raises(SecurityError):
+            d.consumer.put_back(d.replica_a)  # the front door was always shut
+        assert d.guard_of_a.denials == 1
+        journal_head = d.provider.change_log.latest_serial
+        with pytest.raises(SecurityError, match="not allowed to call 'put'"):
+            d.consumer.endpoint.invoke(
+                d.provider_of_b, "put", (build_put(d.consumer, [d.replica_a]),)
+            )
+        assert d.a.value == 1
+        assert d.provider.version_of(d.a) == 1
+        assert d.provider.change_log.latest_serial == journal_head
+        assert d.guard_of_a.denials == 2  # counted on the guard of the entry's oid
+
+    def test_one_denied_entry_rejects_the_whole_put(self, doors):
+        d = doors
+        d.replica_a.increment()
+        d.replica_b.increment()
+        package = build_put(d.consumer, [d.replica_b, d.replica_a])
+        with pytest.raises(SecurityError):
+            d.consumer.endpoint.invoke(d.provider_of_b, "put", (package,))
+        assert (d.a.value, d.b.value) == (1, 10)  # nothing applied, not even b
+
+    def test_delta_put_is_authorised_the_same_way(self, doors):
+        d = doors
+        d.replica_a.increment()
+        package = build_put_delta(d.consumer, [(d.replica_a, frozenset({"value"}))])
+        with pytest.raises(SecurityError):
+            d.consumer.endpoint.invoke(d.provider_of_b, "put_delta", (package,))
+        assert d.a.value == 1
+        assert d.guard_of_a.denials == 1
+
+    def test_authorised_caller_writes_through_either_door(self, zero_world):
+        provider = zero_world.create_site("S2")
+        friend = zero_world.create_site("friend")
+        a, b = Counter(1), Counter(10)
+        provider.export_guarded(a, AccessPolicy.sites_only("friend"), name="a")
+        provider.export(b, name="b")
+        replica_a = friend.replicate("a")
+        provider_of_b = friend.replica_info(obi_id_of(friend.replicate("b"))).provider
+        replica_a.increment()
+        friend.put_back(replica_a)
+        assert a.value == 2
+        replica_a.increment()
+        friend.endpoint.invoke(provider_of_b, "put", (build_put(friend, [replica_a]),))
+        assert a.value == 3
 
 
 class TestGuardOverLiveTransport:
