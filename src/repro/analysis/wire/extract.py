@@ -10,13 +10,16 @@ alike):
 * **registrations** — ``global_registry.register(Cls, name="wire.Name",
   get_state=..., ...)`` calls, both the direct form and the
   loop-over-pairs idiom ``for _cls, _name in ((A, "a"), ...):``;
-* **state shapes** — for each registered class, the getter
+* **state shapes** — a ``@dataclass(slots=True)`` registered without
+  state hooks *declares* its schema: its annotated fields, in order, are
+  the positional frame :mod:`repro.serial.compiled` generates
+  (``struct``).  For any other registered class the getter
   (``__getstate__`` or the ``get_state=`` function) yields the field
   list in wire order; the *longest* tuple return is the full shape, the
   setter's unpacking (``*rest`` / ``len(state)`` branching) decides how
   many fields are required, and an ``if base.F`` test anywhere in the
   getter records ``F`` as its own emission guard — the only-widen-when-
-  set discipline ``ReplicationMode`` and ``InvokeRequest`` follow;
+  set discipline ``ReplicationMode`` follows;
 * **verbs** — every literal RMI verb the flow layer sees
   (:func:`repro.analysis.flow.protocol.verb_events_of`), with its
   fallback edges: the invoke sits inside a
@@ -85,7 +88,7 @@ class RegisteredClass:
     module: "ModuleSource"
     node: ast.Call  # the register(...) call
     classdef: ast.ClassDef | None
-    state: str  # "tuple" | "passthrough" | "dict"
+    state: str  # "struct" | "tuple" | "passthrough" | "dict"
     custom_state: bool
     optional_tail: bool
     fields: list[FieldShape] = field(default_factory=list)
@@ -305,7 +308,11 @@ def _state_shape(
         else _method(classdef, "__setstate__")
     )
     if getter is None:
-        # Default reflective state: the instance dict, keyed by name.
+        if setter is None and _is_slots_dataclass(classdef):
+            # The declaration is the schema: one positional slot per field.
+            return _Shape("struct", False, _declared_fields(classdef), None, None)
+        # Default state: the instance dict (its schema, if any, is read
+        # off __init__ at run time and guarded by a hash on the wire).
         return _Shape("dict", False, [], None, setter)
     base = _first_param(getter)
     returns = [
@@ -342,6 +349,34 @@ def _state_shape(
         for index, name in enumerate(names)
     ]
     return _Shape("tuple", optional_tail, fields, getter, setter)
+
+
+def _is_slots_dataclass(classdef: ast.ClassDef | None) -> bool:
+    if classdef is None:
+        return False
+    for decorator in classdef.decorator_list:
+        if (
+            isinstance(decorator, ast.Call)
+            and _callee_tail(decorator.func) == "dataclass"
+            and any(
+                kw.arg == "slots"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value is True
+                for kw in decorator.keywords
+            )
+        ):
+            return True
+    return False
+
+
+def _declared_fields(classdef: ast.ClassDef) -> list[FieldShape]:
+    return [
+        FieldShape(name=stmt.target.id, optional=False, guard=None, node=stmt)
+        for stmt in classdef.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
 
 
 def _first_param(func: ast.FunctionDef) -> str:
@@ -405,8 +440,8 @@ def _setter_shape(setter: ast.FunctionDef | None, *, fallback: int) -> tuple[int
 def _guard_attrs(getter: ast.FunctionDef, base: str) -> set[str]:
     """Attributes of ``base`` referenced by any If test in the getter.
 
-    Both widening disciplines land here: ``if mode.codec: return
-    <wide>`` and ``if self.trace is None: return <narrow>``.
+    Both widening spellings land here: ``if mode.prefetch: return
+    <wide>`` and ``if self.extra is None: return <narrow>``.
     """
     out: set[str] = set()
     for node in ast.walk(getter):
@@ -431,7 +466,7 @@ def _callee_tail(node: ast.expr) -> str | None:
 
 
 def _capability_name(node: ast.expr) -> str:
-    """``DELTA_SYNC`` / ``negotiation.COMPILED_CODEC`` → lower-cased name."""
+    """``DELTA_SYNC`` / ``negotiation.FEED`` → lower-cased name."""
     tail = _callee_tail(node)
     if tail is not None:
         return tail.lower()

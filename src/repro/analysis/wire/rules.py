@@ -289,7 +289,7 @@ class UnguardedWidenedTupleRule(_WireRule):
     rationale = (
         "The widened-tail idiom only keeps old peers working because the "
         "getter emits the extra fields *only when set* (ReplicationMode "
-        "returns a 3-tuple until prefetch/codec are non-zero).  A getter "
+        "returns a 3-tuple until prefetch is non-zero).  A getter "
         "that always emits the wide tuple ships bytes every pre-widening "
         "peer must ignore — and frames stop being byte-identical across "
         "versions, which the negotiation layer relies on."
@@ -321,11 +321,13 @@ class SchemaInputDriftRule(_WireRule):
     rationale = (
         "obicodec derives the wire schema by walking every self.X "
         "assignment in __init__ — including ones inside if/for/try blocks.  "
-        "An instance that skipped the branch has no such attribute, so the "
-        "compiled encoder and the reflective path disagree about the "
-        "state's shape: the schema hash covers a field half the instances "
-        "lack.  Assign every schema field unconditionally (a sentinel "
-        "default), then narrow inside the branch."
+        "An instance that skipped the branch has no such attribute, so it "
+        "never matches the schema its class compiled: every such instance "
+        "drops to the generic OBJECT frame (field names on the wire, a "
+        "reflective walk per value) and the schema hash covers a field "
+        "half the instances lack.  Assign every schema field "
+        "unconditionally (a sentinel default), then narrow inside the "
+        "branch."
     )
 
     def check_wire(self, extraction: Extraction, cache: dict) -> Iterator[Finding]:
@@ -364,7 +366,7 @@ class SchemaInputDriftRule(_WireRule):
                         f"{classdef.name}.{attr} enters the compiled wire "
                         "schema (derive_schema walks the whole __init__) but "
                         "is only assigned on one branch; instances that skip "
-                        "it break the schema-hash contract — assign a default "
+                        "it fall off the compiled codec — assign a default "
                         "unconditionally first",
                     )
 

@@ -65,9 +65,11 @@ class WireClass:
 
     cls: str  # Python class name
     module: str  # posix display path of the defining module
-    #: "tuple" (positional state), "passthrough" (the state *is* one
-    #: attribute), or "dict" (default reflective instance-dict state,
-    #: keyed by field name — positional order does not matter).
+    #: "struct" (a slots dataclass: its declared fields are the frame's
+    #: positional slots), "tuple" (positional state from a getter),
+    #: "passthrough" (the state *is* one attribute), or "dict" (default
+    #: instance-dict state — its schema is inferred at run time and
+    #: hash-guarded on the wire, so it is not part of this contract).
     state: str = "tuple"
     #: Registered with custom get_state/set_state/factory hooks.
     custom_state: bool = False

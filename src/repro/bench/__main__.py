@@ -292,39 +292,6 @@ def cmd_delta_sync() -> None:
     save_json("delta_sync", report)
 
 
-def cmd_codec_throughput() -> None:
-    from repro.bench.codec_throughput import codec_throughput_report
-
-    print("P7 — obicodec schema-compiled serialization fast path")
-    report = codec_throughput_report()
-    micro = report["micro"]
-    print(
-        render_table(
-            ["codec", "encode MB/s", "decode MB/s", "B/frame"],
-            [
-                [
-                    r["label"],
-                    f"{r['encode_mb_s']:.1f}",
-                    f"{r['decode_mb_s']:.1f}",
-                    r["frame_bytes"] // r["objects"],
-                ]
-                for r in (micro["reflective"], micro["compiled"])
-            ],
-        )
-    )
-    print(
-        f"  encode {micro['encode_speedup']:.1f}x, decode "
-        f"{micro['decode_speedup']:.1f}x, combined {micro['combined_speedup']:.1f}x"
-    )
-    walk, sync = report["fault_batching_e2e"], report["delta_sync_e2e"]
-    print(
-        f"  e2e: fault batching {walk['overhead_pct']:+.2f}% wall clock, "
-        f"delta-sync full puts {sync['reflective_ms']:.0f} -> "
-        f"{sync['compiled_ms']:.0f} ms ({sync['bytes_reduction']:.2f}x bytes)"
-    )
-    save_json("codec_throughput", report)
-
-
 def cmd_tracing_overhead() -> None:
     from repro.bench.tracing_overhead import tracing_overhead_report
 
@@ -412,7 +379,6 @@ COMMANDS = {
     "fault-batching": cmd_fault_batching,
     "delta-sync": cmd_delta_sync,
     "tracing-overhead": cmd_tracing_overhead,
-    "codec-throughput": cmd_codec_throughput,
     "connection-scale": cmd_connection_scale,
 }
 

@@ -108,22 +108,17 @@ def run_sync(
     refresh_rounds: int = DEFAULT_REFRESH_ROUNDS,
     seed: int = DEFAULT_SEED,
     link: Link = LAN_10MBPS,
-    compiled_codec: bool = False,
 ) -> SyncResult:
     """Run the put/refresh workload on one sync path.
 
     The mutation schedule is drawn from a seeded generator, so both
-    paths replay the identical sequence of writes.  ``compiled_codec``
-    turns on obicodec negotiation on both sites; :class:`SyncRecord` is
-    all-scalar, so its full-state frames then travel compiled.
+    paths replay the identical sequence of writes.
     """
     world = World.loopback(link=link)
     provider = world.create_site("master")
     consumer = world.create_site("mobile")
     provider.delta_sync = delta_sync
     consumer.delta_sync = delta_sync
-    provider.compiled_codec = compiled_codec
-    consumer.compiled_codec = compiled_codec
 
     masters = [SyncRecord(index=i, blob=b"\xa5" * blob_size) for i in range(objects)]
     for i, master in enumerate(masters):
@@ -209,7 +204,6 @@ def delta_sync_report(
     put_rounds: int = DEFAULT_PUT_ROUNDS,
     refresh_rounds: int = DEFAULT_REFRESH_ROUNDS,
     seed: int = DEFAULT_SEED,
-    compiled_codec: bool = False,
 ) -> dict:
     """Before/after comparison for the PR-4 acceptance numbers."""
     kwargs = dict(
@@ -218,7 +212,6 @@ def delta_sync_report(
         put_rounds=put_rounds,
         refresh_rounds=refresh_rounds,
         seed=seed,
-        compiled_codec=compiled_codec,
     )
     baseline = run_sync(False, **kwargs)
     delta = run_sync(True, **kwargs)

@@ -61,20 +61,11 @@ def run_walk(
     length: int = DEFAULT_LENGTH,
     object_size: int = DEFAULT_OBJECT_SIZE,
     link: Link = LAN_10MBPS,
-    compiled_codec: bool = False,
 ) -> WalkResult:
-    """Traverse the full list under chunk-1 incremental replication.
-
-    ``compiled_codec`` turns on obicodec negotiation on both sites.  The
-    list node carries an object reference, so its frames stay reflective
-    either way — the knob measures pure negotiation overhead here (the
-    widened mode tuple on each demand), which PR 7 requires to be noise.
-    """
+    """Traverse the full list under chunk-1 incremental replication."""
     world = World.loopback(link=link)
     provider = world.create_site("S2")
     consumer = world.create_site("S1")
-    provider.compiled_codec = compiled_codec
-    consumer.compiled_codec = compiled_codec
     provider.export(make_linked_list(ListSpec(length, object_size)), name="list")
 
     stats = world.network.stats
@@ -112,15 +103,10 @@ def fault_batching_report(
     *,
     length: int = DEFAULT_LENGTH,
     object_size: int = DEFAULT_OBJECT_SIZE,
-    compiled_codec: bool = False,
 ) -> dict:
     """Before/after comparison for the PR-2 acceptance numbers."""
-    baseline = run_walk(
-        0, length=length, object_size=object_size, compiled_codec=compiled_codec
-    )
-    batched = run_walk(
-        prefetch, length=length, object_size=object_size, compiled_codec=compiled_codec
-    )
+    baseline = run_walk(0, length=length, object_size=object_size)
+    batched = run_walk(prefetch, length=length, object_size=object_size)
     return {
         "workload": f"{length} objects x {object_size} B, chunk 1",
         "baseline": baseline.jsonable(),

@@ -128,9 +128,9 @@ def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
         )
         return _integrate_demand(site, proxy, package)
 
-    calls = [(proxy._obi_provider, "demand", (site.outgoing_mode(mode),))]
+    calls = [(proxy._obi_provider, "demand", (mode,))]
     calls.extend(
-        (sibling._obi_provider, "demand", (site.outgoing_mode(sibling._obi_mode),))
+        (sibling._obi_provider, "demand", (sibling._obi_mode,))
         for sibling, _handle in siblings
     )
     try:
@@ -155,9 +155,7 @@ def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
 
 def _invoke_demand(site: "Site", proxy: ProxyOutBase, mode: ReplicationMode) -> object:
     try:
-        return site.endpoint.invoke(
-            proxy._obi_provider, "demand", (site.outgoing_mode(mode),)
-        )
+        return site.endpoint.invoke(proxy._obi_provider, "demand", (mode,))
     except DisconnectedError:
         raise  # the mobility layer reacts to disconnections specifically
     except ObjectFaultError:

@@ -67,29 +67,18 @@ class ReplicationMode:
         transfer-scheduling knob: per-object-pair mode still gives every
         prefetched member its own proxy-in, and clustered fetches never
         widen (cluster membership is a semantic boundary).
-    codec:
-        Serialization-codec negotiation (PR 7).  ``0`` (the default)
-        requests the reflective wire format.  ``1`` announces that the
-        consumer decodes obicodec ``OBJECT_SCHEMA`` frames, so a
-        codec-enabled provider may use the compiled fast path for the
-        payload.  Like ``prefetch``, the field travels only when set, so
-        frames stay byte-identical to pre-codec peers — and pre-codec
-        peers ignore it on receipt.
     """
 
     chunk: int = 1
     depth: int = UNBOUNDED
     clustered: bool = False
     prefetch: int = 0
-    codec: int = 0
 
     def __post_init__(self) -> None:
         if self.chunk < 0 or self.depth < 0:
             raise ClusterError("mode bounds must be >= 0 (0 means unbounded)")
         if self.prefetch < 0:
             raise ClusterError("prefetch must be >= 0 (0 disables read-ahead)")
-        if self.codec not in (0, 1):
-            raise ClusterError("codec must be 0 (reflective) or 1 (obicodec)")
         if self.chunk == UNBOUNDED and self.depth == UNBOUNDED and self.clustered:
             # A whole-graph cluster is legal; nothing to check.
             pass
@@ -155,14 +144,11 @@ def Cluster(size: int = UNBOUNDED, *, depth: int = UNBOUNDED) -> ReplicationMode
 
 def _mode_state(mode: object) -> object:
     assert isinstance(mode, ReplicationMode)
-    if mode.codec:
-        return (mode.chunk, mode.depth, mode.clustered, mode.prefetch, mode.codec)
     if mode.prefetch:
         return (mode.chunk, mode.depth, mode.clustered, mode.prefetch)
-    # With the newer knobs unset the 3-tuple keeps frames byte-identical
-    # to the original wire format (and to peers that predate the knobs);
-    # peers that predate a knob unpack the extras into ``*rest`` and
-    # ignore what they don't know.
+    # With prefetch unset the 3-tuple keeps frames byte-identical to the
+    # original wire format (and to peers that predate the knob, which
+    # unpack the extra into ``*rest`` and ignore it).
     return (mode.chunk, mode.depth, mode.clustered)
 
 
@@ -172,7 +158,6 @@ def _mode_set_state(mode: object, state: object) -> None:
     object.__setattr__(mode, "depth", depth)
     object.__setattr__(mode, "clustered", clustered)
     object.__setattr__(mode, "prefetch", rest[0] if rest else 0)
-    object.__setattr__(mode, "codec", rest[1] if len(rest) > 1 else 0)
 
 
 global_registry.register(

@@ -43,7 +43,7 @@ def is_obiwan(obj: object) -> bool:
     Proxy-outs are *not* obiwan objects in this sense — they are platform
     stand-ins; use ``isinstance(obj, ProxyOutBase)`` for those.
     """
-    return is_compiled_class(type(obj))
+    return OBI_INTERFACE_ATTR in vars(type(obj))
 
 
 def interface_of(target: object) -> Interface:

@@ -3,10 +3,9 @@
 Every wire-protocol extension since the seed negotiates the same way —
 optimistically use the new verb or frame against a peer, and if the
 failure *shape* says "this peer predates the extension", remember that
-per provider site and fall back to the legacy path forever after.  PR 4
-(delta sync) and PR 7 (obicodec) each grew their own copy of that
-try/classify/remember dance plus their own cache set; this module is the
-single shared implementation.
+per provider site and fall back to the legacy path forever after.  This
+module is the single shared implementation of that
+try/classify/remember dance and its cache.
 
 A :class:`Capability` bundles what makes each extension's probe distinct:
 the exception types a probe may legitimately raise, and the predicate
@@ -16,7 +15,7 @@ peer site under one lock, and :func:`probe` runs one negotiated attempt,
 returning the :data:`UNSUPPORTED` sentinel (after caching the verdict)
 when the peer lacks the capability.
 
-The third negotiation — prefetch — is probe-free by design (the widened
+One more negotiation — prefetch — is probe-free by design (the widened
 mode tuple travels only when set, so pre-prefetch peers never see it) and
 needs no entry here; OBI305 machine-checks that its guard discipline
 stays that way.
@@ -29,12 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TypeVar
 
-from repro.util.errors import (
-    ProtocolError,
-    RemoteError,
-    ReplicationError,
-    SerializationError,
-)
+from repro.util.errors import ProtocolError, RemoteError
 
 T = TypeVar("T")
 
@@ -156,42 +150,12 @@ def _delta_unsupported(exc: BaseException) -> bool:
     return False
 
 
-def _codec_unsupported(exc: BaseException) -> bool:
-    """True when a put failure means "this master predates obicodec".
-
-    A pre-codec decoder fails on the first OBJECT_SCHEMA byte with
-    ``unknown wire tag``; a peer that somehow decodes the frame but
-    cannot treat an instance payload as state reports the legacy
-    state-dict complaint.  The RMI layer reconstructs well-known
-    middleware exceptions as their own local type (and flattens unknown
-    ones into :class:`RemoteError`), so both shapes are checked.
-    Anything else is a genuine failure.
-    """
-    if isinstance(exc, SerializationError) or (
-        isinstance(exc, RemoteError) and exc.remote_type == "SerializationError"
-    ):
-        return "unknown wire tag" in str(exc)
-    if isinstance(exc, ReplicationError) or (
-        isinstance(exc, RemoteError) and exc.remote_type == "ReplicationError"
-    ):
-        return "must decode to a state dict" in str(exc)
-    return False
-
-
 #: PR 4's delta verbs: ``put_delta`` / ``get_delta`` against a peer whose
 #: skeleton predates them.
 DELTA_SYNC = Capability(
     name="delta_sync",
     probe_errors=(ProtocolError, RemoteError),
     unsupported=_delta_unsupported,
-)
-
-#: PR 7's compiled put frames: an OBJECT_SCHEMA payload shipped to a
-#: master whose decoder predates the tag.
-COMPILED_CODEC = Capability(
-    name="compiled_codec",
-    probe_errors=(SerializationError, ReplicationError, RemoteError),
-    unsupported=_codec_unsupported,
 )
 
 
@@ -230,7 +194,7 @@ def _pipelined_unsupported(exc: BaseException) -> bool:  # pragma: no cover
 
 
 #: PR 9's pipelined correlation-ID framing (obireactor).  Unlike delta
-#: and codec, this extension cannot probe by failure shape: a frame kind
+#: sync, this extension cannot probe by failure shape: a frame kind
 #: an old peer has never heard of does not produce a classifiable error —
 #: it kills the peer's connection-serving thread outright.  The reactor
 #: therefore negotiates *in band*: the first exchange to a peer is a

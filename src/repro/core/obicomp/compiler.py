@@ -4,11 +4,10 @@ Equivalent to running the paper's ``obicomp`` tool on class ``A``:
 
 1. derive interface ``IA`` from the public methods;
 2. synthesize the ``AProxyOut`` class (every method faults);
-3. register ``A`` with the wire-type registry so replicas can travel;
-4. attempt an obicodec schema compile for ``A`` (a scalar field schema
-   derived from ``__init__`` yields a specialized wire codec; anything
-   the schema cannot prove silently stays on the reflective codec);
-5. record everything in the compiled-class registry that all sites share
+3. register ``A`` with the wire-type registry so replicas can travel —
+   which derives ``A``'s field schema from ``__init__`` and generates its
+   wire codec (:mod:`repro.serial.compiled`);
+4. record everything in the compiled-class registry that all sites share
    (the deployment analogue of shipping obicomp output everywhere).
 
 The proxy-in side needs no per-class generation at run time — the generic
@@ -27,7 +26,6 @@ from repro.core.meta import (
 from repro.core.obicomp.interface import derive_interface
 from repro.core.proxy_out import make_proxy_out_class
 from repro.core.versions import note_write
-from repro.serial.compiled import maybe_compile_codec
 from repro.serial.registry import global_registry
 from repro.util.errors import ReplicationError
 
@@ -81,11 +79,7 @@ def compile_class(cls: type | None = None, *, interface_name: str | None = None)
         proxy_out_cls = make_proxy_out_class(interface)
         setattr(target, OBI_INTERFACE_ATTR, interface)
         _install_write_hook(target)
-        entry = global_registry.register(target)
-        # Schema-compile the wire codec as part of the obicomp pass (the
-        # registry already tried on first registration; this is idempotent
-        # and keeps the derivation an explicit compile step).
-        maybe_compile_codec(entry)
+        global_registry.register(target)
         compiled_registry.add(CompiledEntry(target, interface, proxy_out_cls))
         return target
 

@@ -9,6 +9,11 @@ Graph payloads are pre-serialized into ``bytes`` by the replication engine
 with a context-specific swizzler, so packages travel through the ordinary
 RMI codec without any endpoint-level hooks, and their exact wire size is
 available to the cost model.
+
+Every class here is a slots dataclass: its declared fields, in order, are
+its wire schema (:mod:`repro.serial.compiled` generates the positional
+codec at registration), so adding, removing or reordering a field is a
+wire change — ``obiwire check`` pins the layout.
 """
 
 from __future__ import annotations
@@ -36,12 +41,6 @@ class ObjectMeta:
     #: member; ``None`` otherwise.
     cluster_root: str | None = None
 
-    def __getstate__(self) -> object:
-        return (self.obi_id, self.interface, self.version, self.provider, self.cluster_root)
-
-    def __setstate__(self, state: object) -> None:
-        (self.obi_id, self.interface, self.version, self.provider, self.cluster_root) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class ReplicaPackage:
@@ -55,12 +54,6 @@ class ReplicaPackage:
     #: package (frontier pairs plus, in per-object mode, member pairs) —
     #: reported so benchmarks can assert the paper's pair-count claims.
     pairs_created: int = 0
-
-    def __getstate__(self) -> object:
-        return (self.root_id, self.payload, self.meta, self.mode, self.pairs_created)
-
-    def __setstate__(self, state: object) -> None:
-        (self.root_id, self.payload, self.meta, self.mode, self.pairs_created) = state  # type: ignore[misc]
 
     @property
     def object_count(self) -> int:
@@ -77,24 +70,12 @@ class PutEntry:
     #: for staleness/conflict detection; the core ignores it.
     version_seen: int = 0
 
-    def __getstate__(self) -> object:
-        return (self.obi_id, self.payload, self.version_seen)
-
-    def __setstate__(self, state: object) -> None:
-        self.obi_id, self.payload, self.version_seen = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class PutPackage:
     """The consumer's ``put``: one entry per object being written back."""
 
     entries: list[PutEntry] = field(default_factory=list)
-
-    def __getstate__(self) -> object:
-        return self.entries
-
-    def __setstate__(self, state: object) -> None:
-        self.entries = state  # type: ignore[assignment]
 
 
 @dataclass(slots=True)
@@ -114,12 +95,6 @@ class PutDeltaEntry:
     payload: bytes = b""
     fingerprint: str = ""
 
-    def __getstate__(self) -> object:
-        return (self.obi_id, self.base_version, self.payload, self.fingerprint)
-
-    def __setstate__(self, state: object) -> None:
-        self.obi_id, self.base_version, self.payload, self.fingerprint = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class PutDeltaPackage:
@@ -133,12 +108,6 @@ class PutDeltaPackage:
 
     entries: list[PutDeltaEntry] = field(default_factory=list)
 
-    def __getstate__(self) -> object:
-        return self.entries
-
-    def __setstate__(self, state: object) -> None:
-        self.entries = state  # type: ignore[assignment]
-
 
 @dataclass(slots=True)
 class RefreshDeltaRequest:
@@ -146,12 +115,6 @@ class RefreshDeltaRequest:
 
     obi_id: str = ""
     base_version: int = 0
-
-    def __getstate__(self) -> object:
-        return (self.obi_id, self.base_version)
-
-    def __setstate__(self, state: object) -> None:
-        self.obi_id, self.base_version = state  # type: ignore[misc]
 
 
 @dataclass(slots=True)
@@ -169,12 +132,6 @@ class RefreshDeltaReply:
     version: int = 0
     payload: bytes = b""
     fingerprint: str = ""
-
-    def __getstate__(self) -> object:
-        return (self.obi_id, self.version, self.payload, self.fingerprint)
-
-    def __setstate__(self, state: object) -> None:
-        self.obi_id, self.version, self.payload, self.fingerprint = state  # type: ignore[misc]
 
 
 # ----------------------------------------------------------------------
@@ -199,12 +156,6 @@ class FeedFrame:
     payload: bytes = b""
     provider: RemoteRef | None = None
 
-    def __getstate__(self) -> object:
-        return (self.serial, self.epoch, self.oid, self.interface, self.version, self.payload, self.provider)
-
-    def __setstate__(self, state: object) -> None:
-        (self.serial, self.epoch, self.oid, self.interface, self.version, self.payload, self.provider) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class FeedBatch:
@@ -219,12 +170,6 @@ class FeedBatch:
     latest_serial: int = 0
     frames: list[FeedFrame] = field(default_factory=list)
 
-    def __getstate__(self) -> object:
-        return (self.epoch, self.primary_id, self.latest_serial, self.frames)
-
-    def __setstate__(self, state: object) -> None:
-        (self.epoch, self.primary_id, self.latest_serial, self.frames) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class FeedAck:
@@ -238,12 +183,6 @@ class FeedAck:
     applied_serial: int = 0
     accepted: bool = True
 
-    def __getstate__(self) -> object:
-        return (self.epoch, self.applied_serial, self.accepted)
-
-    def __setstate__(self, state: object) -> None:
-        (self.epoch, self.applied_serial, self.accepted) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class FeedSubscribeRequest:
@@ -251,12 +190,6 @@ class FeedSubscribeRequest:
 
     site_id: str = ""
     last_serial: int = 0
-
-    def __getstate__(self) -> object:
-        return (self.site_id, self.last_serial)
-
-    def __setstate__(self, state: object) -> None:
-        (self.site_id, self.last_serial) = state  # type: ignore[misc]
 
 
 @dataclass(slots=True)
@@ -278,24 +211,12 @@ class FeedSubscribeReply:
     providers: dict[str, RemoteRef] = field(default_factory=dict)
     names: dict[str, str] = field(default_factory=dict)
 
-    def __getstate__(self) -> object:
-        return (self.epoch, self.latest_serial, self.snapshot_needed, self.frames, self.providers, self.names)
-
-    def __setstate__(self, state: object) -> None:
-        (self.epoch, self.latest_serial, self.snapshot_needed, self.frames, self.providers, self.names) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class FeedSnapshotRequest:
     """Full-state bootstrap request (``site_id`` identifies the follower)."""
 
     site_id: str = ""
-
-    def __getstate__(self) -> object:
-        return (self.site_id,)
-
-    def __setstate__(self, state: object) -> None:
-        (self.site_id,) = state  # type: ignore[misc]
 
 
 @dataclass(slots=True)
@@ -315,12 +236,6 @@ class FeedSnapshotReply:
     providers: dict[str, RemoteRef] = field(default_factory=dict)
     names: dict[str, str] = field(default_factory=dict)
 
-    def __getstate__(self) -> object:
-        return (self.epoch, self.serial, self.frames, self.providers, self.names)
-
-    def __setstate__(self, state: object) -> None:
-        (self.epoch, self.serial, self.frames, self.providers, self.names) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class PromoteRequest:
@@ -328,12 +243,6 @@ class PromoteRequest:
 
     epoch: int = 0
     reason: str = ""
-
-    def __getstate__(self) -> object:
-        return (self.epoch, self.reason)
-
-    def __setstate__(self, state: object) -> None:
-        (self.epoch, self.reason) = state  # type: ignore[misc]
 
 
 @dataclass(slots=True)
@@ -343,12 +252,6 @@ class PromoteReply:
     epoch: int = 0
     serial: int = 0
     site_id: str = ""
-
-    def __getstate__(self) -> object:
-        return (self.epoch, self.serial, self.site_id)
-
-    def __setstate__(self, state: object) -> None:
-        (self.epoch, self.serial, self.site_id) = state  # type: ignore[misc]
 
 
 for _pkg_cls, _wire_name in (

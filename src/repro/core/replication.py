@@ -66,11 +66,15 @@ PROXY_OUT_KIND = "obiwan.proxy-out"
 # provider side
 # ----------------------------------------------------------------------
 class PackagingSwizzler:
-    """Encoder hook used while building a replica package."""
+    """Encoder hook used while building a replica package.
+
+    ``member_ids`` are the ``id()`` s of the objects that travel by state;
+    every other OBIWAN reference leaves as a proxy-out descriptor.
+    """
 
     def __init__(self, site: "Site", member_ids: set[int]):
         self._site = site
-        self._member_ids = member_ids
+        self.member_ids = member_ids
         self.pairs_created = 0
 
     def swizzle(self, value: object) -> SwizzleDescriptor | None:
@@ -81,13 +85,12 @@ class PackagingSwizzler:
                 PROXY_OUT_KIND,
                 (value._obi_target_id, value._obi_interface.name, value._obi_provider),
             )
-        if is_obiwan(value) and id(value) not in self._member_ids:
+        if is_obiwan(value) and id(value) not in self.member_ids:
             ref, created = self._site.ensure_provider_for(value)
             if created:
                 self.pairs_created += 1
-            return SwizzleDescriptor(
-                PROXY_OUT_KIND, (obi_id_of(value), interface_of(value).name, ref)
-            )
+            # (The reference was exported under the object's interface name.)
+            return SwizzleDescriptor(PROXY_OUT_KIND, (obi_id_of(value), ref.interface, ref))
         return None
 
     def unswizzle(self, descriptor: SwizzleDescriptor) -> object:  # pragma: no cover
@@ -140,16 +143,7 @@ def _build_package(site: "Site", root: object, mode: ReplicationMode) -> Replica
         )
 
     swizzler = PackagingSwizzler(site, member_ids)
-    # The obicodec fast path runs only when this provider has it enabled
-    # AND the consumer's mode announced it can decode OBJECT_SCHEMA
-    # frames — the same probe-free negotiation prefetch uses.
-    encoder = Encoder(
-        site.registry,
-        swizzler,
-        compiled=bool(mode.codec) and site.compiled_codec,
-        stats=site.serial_stats,
-    )
-    payload = encoder.encode(root)
+    payload = Encoder(site.registry, swizzler, stats=site.serial_stats).encode(root)
     pairs_created += swizzler.pairs_created
 
     site.charge_serialization(len(payload))
@@ -290,40 +284,62 @@ def _collect_arrivals(decoded_root: object, package: ReplicaPackage) -> dict[str
 # ----------------------------------------------------------------------
 # write-back (put)
 # ----------------------------------------------------------------------
-def build_put(site: "Site", replicas: list[object], *, compiled: bool = False) -> PutPackage:
+class OwnStateEncoder:
+    """Encodes one object at a time as its *instance frame*.
+
+    The frame carries the object's own state by value; every OBIWAN
+    reference in that state — to another replica, to a proxy-out, even to
+    an object created locally — travels as a proxy-out descriptor naming
+    a provider.  The receiver decodes an instance of the same class and
+    lifts its state (:func:`own_state_of`).  One swizzler/encoder pair
+    serves a whole batch: each frame is independent, and ``pairs_created``
+    accumulates so the cost model is charged once.
+
+    What is encoded is a shallow copy, so a reference the object holds to
+    *itself* is, to the swizzler, a reference to some other object and
+    leaves as a proxy-out like the rest: the receiver re-links it to its
+    own object, not to the temporary it decoded.
+    """
+
+    def __init__(self, site: "Site"):
+        self.swizzler = PackagingSwizzler(site, member_ids=set())
+        self._encoder = Encoder(site.registry, self.swizzler, stats=site.serial_stats)
+
+    def encode(self, obj: object) -> bytes:
+        cls = type(obj)
+        copy = cls.__new__(cls)
+        vars(copy).update(vars(obj))
+        self.swizzler.member_ids = {id(copy)}
+        return self._encoder.encode(copy)
+
+
+def own_state_of(decoded: object, cls: type) -> dict[str, object] | None:
+    """The state dict an instance frame of ``cls`` carried, or None when
+    the frame decoded to anything else."""
+    return dict(vars(decoded)) if type(decoded) is cls else None
+
+
+def build_put(site: "Site", replicas: list[object]) -> PutPackage:
     """Build the ``put`` package for one or more local replicas.
 
-    Each entry carries one object's own state.  Every OBIWAN reference in
-    that state — to another replica, to a proxy-out, even to an object the
-    consumer created locally — travels as a proxy-out descriptor naming a
-    provider: the destination re-links references it can resolve locally
-    and keeps proxy-outs for the rest.  A consumer-created object thus
-    stays mastered at the consumer ("objects can be replicated freely
-    among sites").
-
-    With ``compiled=True`` (negotiated per provider by the site) an
-    all-scalar replica travels as one self-contained ``OBJECT_SCHEMA``
-    frame instead of the reflective state dict; anything the schema
-    cannot express keeps the dict frame, entry by entry.
+    Each entry carries one object's own state as an instance frame; the
+    destination re-links the references it can resolve locally and keeps
+    proxy-outs for the rest.  A consumer-created object thus stays
+    mastered at the consumer ("objects can be replicated freely among
+    sites").
     """
     entries: list[PutEntry] = []
     total_bytes = 0
-    # One swizzler/encoder pair serves every entry: each encode() call is
-    # an independent frame, and the swizzler accumulates pairs_created
-    # across entries so the cost model is charged once for the batch.
-    swizzler = PackagingSwizzler(site, member_ids=set())
-    encoder = Encoder(site.registry, swizzler, stats=site.serial_stats)
+    encoder = OwnStateEncoder(site)
     for replica in replicas:
         oid = obi_id_of(replica)
         info = site.replica_info(oid)
-        payload = encoder.encode_compiled(replica) if compiled else None
-        if payload is None:
-            payload = encoder.encode(dict(vars(replica)))
+        payload = encoder.encode(replica)
         total_bytes += len(payload)
         entries.append(
             PutEntry(obi_id=oid, payload=payload, version_seen=info.version if info else 0)
         )
-    site.charge_pairs(swizzler.pairs_created)
+    site.charge_pairs(encoder.swizzler.pairs_created)
     site.charge_serialization(total_bytes)
     return PutPackage(entries=entries)
 
@@ -352,14 +368,12 @@ def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
     try:
         for entry, master in zip(package.entries, masters):
             site.charge_serialization(len(entry.payload))
-            state = decoder.decode(entry.payload)
-            if is_obiwan(state) and type(state) is type(master):
-                # A compiled put entry decodes straight to an instance; its
-                # schema admits only scalar fields, so lifting the dict links
-                # the master to fresh values, never to the decoded copy.
-                state = dict(vars(state))
-            if not isinstance(state, dict):
-                raise ReplicationError("put payload must decode to a state dict")
+            state = own_state_of(decoder.decode(entry.payload), type(master))
+            if state is None:
+                raise ReplicationError(
+                    f"put payload for {entry.obi_id!r} must decode to an instance "
+                    f"of {type(master).__name__}"
+                )
             preserved_id = vars(master).get("_obi_id")
             vars(master).clear()
             vars(master).update(state)
@@ -405,7 +419,7 @@ def build_put_delta(
     entries: list[PutDeltaEntry] = []
     total_bytes = 0
     swizzler = PackagingSwizzler(site, member_ids=set())
-    encoder = Encoder(site.registry, swizzler)
+    encoder = Encoder(site.registry, swizzler, stats=site.serial_stats)
     for replica, fields in items:
         oid = obi_id_of(replica)
         info = site.replica_info(oid)
@@ -448,7 +462,9 @@ def apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] |
 
 
 def _apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] | NeedFull":
-    decoder = Decoder(site.registry, SiteUnswizzler(site, ReplicationMode()))
+    decoder = Decoder(
+        site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
+    )
     staged: list[tuple[str, object, dict[str, object]]] = []
     for entry in package.entries:
         site.charge_serialization(len(entry.payload))
@@ -509,7 +525,7 @@ def build_refresh_delta(
         # deletion, so hand the consumer full state.
         return NeedFull(f"fields of {oid!r} were removed since version {base_version}")
     swizzler = PackagingSwizzler(site, member_ids=set())
-    encoder = Encoder(site.registry, swizzler)
+    encoder = Encoder(site.registry, swizzler, stats=site.serial_stats)
     payload = encode_field_delta(
         encoder,
         FieldDelta(
@@ -533,7 +549,9 @@ def apply_refresh_delta(site: "Site", replica: object, reply: RefreshDeltaReply)
     """
     site.charge_serialization(len(reply.payload))
     if reply.payload:
-        decoder = Decoder(site.registry, SiteUnswizzler(site, ReplicationMode()))
+        decoder = Decoder(
+            site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
+        )
         fields = decode_field_delta(decoder, reply.payload)
         fields.pop("_obi_id", None)
         vars(replica).update(fields)

@@ -24,7 +24,7 @@ import itertools
 import threading
 import weakref
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core import cluster as cluster_ops
 from repro.core import faults
@@ -38,7 +38,6 @@ from repro.core.meta import (
     obi_id_of,
 )
 from repro.core.negotiation import (
-    COMPILED_CODEC,
     DELTA_SYNC,
     UNSUPPORTED,
     PeerCapabilities,
@@ -253,17 +252,10 @@ class Site:
         self.dirty_tracker = DirtyTracker(self.fingerprinter)
         #: Master-side history of which fields each version changed.
         self.change_log = ChangeLog()
-        #: Opt-in knob for the obicodec fast path (PR 7).  When ``True``,
-        #: outgoing modes announce ``codec=1`` (so codec-enabled providers
-        #: answer with compiled frames), provider-side ``get`` handling
-        #: honours the announcement, and ``put_back`` ships all-scalar
-        #: replicas as compiled frames — downgrading per provider site the
-        #: first time a pre-codec master rejects the unknown wire tag.
-        self.compiled_codec = False
         #: One shared verdict cache for every negotiated extension: a
         #: provider site that failed a delta-verb probe (unversioned
-        #: peer) or rejected a compiled put frame (pre-codec peer) is
-        #: remembered here so later calls skip the probe and go legacy.
+        #: peer) is remembered here so later calls skip the probe and go
+        #: legacy.
         self.peer_caps = PeerCapabilities()
         #: Local pub/sub used by the consistency and mobility layers.
         #: Topics: ``replica_registered``, ``replica_refreshed``,
@@ -389,7 +381,7 @@ class Site:
             package = self.endpoint.invoke(
                 ref,
                 "get",
-                (self.outgoing_mode(mode if mode is not None else Incremental(1)),),
+                (mode if mode is not None else Incremental(1),),
             )
             replica = integrate_package(self, package)
             span.set(provider=ref.site_id, objects=package.object_count)
@@ -478,26 +470,7 @@ class Site:
                 paths.add("delta")
         if full:
             pushed = [item.replica for item in full]
-            if self._codec_peer_ok(provider):
-                package = build_put(self, pushed, compiled=True)
-                acked = probe(
-                    self.peer_caps,
-                    provider.site_id,
-                    COMPILED_CODEC,
-                    lambda: self.endpoint.invoke(provider, "put", (package,)),
-                )
-                if acked is UNSUPPORTED:
-                    # A pre-codec master choked on the OBJECT_SCHEMA tag:
-                    # the site is now cached as unsupported; retry
-                    # reflectively.  Put is last-writer-wins, so the
-                    # retry is idempotent even if the first attempt
-                    # half-landed (it cannot: decode precedes any
-                    # mutation on the master side).
-                    package = build_put(self, pushed, compiled=False)
-                    acked = self.endpoint.invoke(provider, "put", (package,))
-            else:
-                package = build_put(self, pushed, compiled=False)
-                acked = self.endpoint.invoke(provider, "put", (package,))
+            acked = self.endpoint.invoke(provider, "put", (build_put(self, pushed),))
             _commit_versions(acked, full, versions, "put")
             self._rebaseline_after_full_put(pushed, [item.snap for item in full])
             self.sync_stats.add(oid=full[0].oid, puts_full=1)
@@ -622,7 +595,7 @@ class Site:
                         # the full refresh below overwrites the partial merge.
                         self.sync_stats.add(need_full_downgrades=1)
             package = self.endpoint.invoke(
-                info.provider, "get", (self.outgoing_mode(Incremental(1)),)
+                info.provider, "get", (Incremental(1),)
             )
             refreshed = integrate_package(self, package)
             self.sync_stats.add(refreshes_full=1)
@@ -640,7 +613,7 @@ class Site:
         info = self._replica_record(root)
         with self.tracer.span("refresh_cluster", name=obi_id_of(root)):
             package = self.endpoint.invoke(
-                info.provider, "get", (self.outgoing_mode(info.mode),)
+                info.provider, "get", (info.mode,)
             )
             refreshed = integrate_package(self, package)
         self.events.publish("replica_refreshed", site=self, replica=refreshed)
@@ -1150,28 +1123,6 @@ class Site:
     def charge_replicas(self, count: int) -> None:
         if count:
             self.clock.advance(count * self.costs.replica_create_s)
-
-    # ------------------------------------------------------------------
-    # obicodec negotiation (PR 7)
-    # ------------------------------------------------------------------
-    def outgoing_mode(self, mode: ReplicationMode) -> ReplicationMode:
-        """Stamp the codec announcement onto a consumer-outgoing mode.
-
-        Every ``get``-family request funnels through here so a provider
-        learns, per request, whether this consumer decodes compiled
-        frames.  Pre-codec providers unpack the extra tuple slot into
-        ``*rest`` and ignore it.
-        """
-        want = 1 if self.compiled_codec else 0
-        if mode.codec == want:
-            return mode
-        return replace(mode, codec=want)
-
-    def _codec_peer_ok(self, provider: RemoteRef | None) -> bool:
-        """True when puts to this provider's site may use compiled frames."""
-        if not self.compiled_codec or provider is None:
-            return False
-        return self.peer_caps.assume(provider.site_id, COMPILED_CODEC)
 
     # ------------------------------------------------------------------
     # delta-sync plumbing (PR 4)

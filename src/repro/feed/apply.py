@@ -1,8 +1,8 @@
 """Applying one feed frame to a follower's local tables.
 
-A frame carries the primary's full state for one object, encoded with
-the packaging swizzler (references travel as proxy-out descriptors, so
-they re-link to local mirrors when present and fault lazily otherwise).
+A frame carries the primary's full state for one object as an instance
+frame (references travel as proxy-out descriptors, so they re-link to
+local mirrors when present and fault lazily otherwise).
 Application is **version-monotonic**: a frame older than the local
 mirror is dropped.  That guard is what lets a snapshot bootstrap run
 concurrently with live pushes — whichever lands second per object is a
@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.interfaces import ReplicationMode
-from repro.core.meta import compiled_registry, is_obiwan, obi_id_of
-from repro.core.replication import SiteUnswizzler
+from repro.core.meta import compiled_registry, obi_id_of
+from repro.core.replication import SiteUnswizzler, own_state_of
 from repro.serial.decoder import Decoder
 from repro.util.errors import FeedError
 
@@ -47,18 +47,17 @@ def apply_feed_frame(site: "Site", frame: "FeedFrame") -> bool:
         site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
     )
     site.charge_serialization(len(frame.payload))
-    state = decoder.decode(frame.payload)
-    if is_obiwan(state):
-        state = dict(vars(state))
-    if not isinstance(state, dict):
+    cls = type(local) if local is not None else compiled_registry.by_interface(frame.interface).cls
+    decoded = decoder.decode(frame.payload)
+    state = own_state_of(decoded, cls)
+    if state is None:
         raise FeedError(
-            f"feed frame for {frame.oid!r} must decode to a state dict, "
-            f"got {type(state).__name__}"
+            f"feed frame for {frame.oid!r} must decode to an instance of "
+            f"{cls.__name__}, got {type(decoded).__name__}"
         )
 
     if local is None:
-        entry = compiled_registry.by_interface(frame.interface)
-        local = entry.cls.__new__(entry.cls)
+        local = cls.__new__(cls)
         vars(local).update(state)
         vars(local)["_obi_id"] = frame.oid
         if obi_id_of(local) != frame.oid:

@@ -46,9 +46,8 @@ from repro.core.packages import (
     PromoteReply,
     PromoteRequest,
 )
-from repro.core.replication import PackagingSwizzler
+from repro.core.replication import OwnStateEncoder
 from repro.feed.service import ensure_feed_service, feed_ref
-from repro.serial.encoder import Encoder
 from repro.util.errors import (
     FeedError,
     RemoteError,
@@ -146,19 +145,18 @@ class FeedPrimary:
             )
             self._deliver(batch)
 
-    def _frame_encoder(self) -> Encoder:
+    def _frame_encoder(self) -> OwnStateEncoder:
         """An encoder to share across the frames of one batch (each
         ``encode()`` call is an independent frame)."""
-        site = self.site
-        return Encoder(
-            site.registry, PackagingSwizzler(site, member_ids=set()), stats=site.serial_stats
-        )
+        return OwnStateEncoder(self.site)
 
-    def _frame_for(self, master: object, *, serial: int, encoder: Encoder) -> FeedFrame:
+    def _frame_for(
+        self, master: object, *, serial: int, encoder: OwnStateEncoder
+    ) -> FeedFrame:
         site = self.site
         oid = obi_id_of(master)
         provider, _created = site.ensure_provider_for(master)
-        payload = encoder.encode(dict(vars(master)))
+        payload = encoder.encode(master)
         site.charge_serialization(len(payload))
         return FeedFrame(
             serial=serial,

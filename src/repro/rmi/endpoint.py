@@ -56,8 +56,7 @@ class RmiEndpoint:
         self.network = network
         self.registry = registry if registry is not None else global_registry
         self.objects = ObjectTable(site_id)
-        self._swizzler: Swizzler | None = None
-        self._unswizzler: Unswizzler | None = None
+        self.set_swizzle_hooks(None, None)
         self._caller = threading.local()
         #: Causal tracer shared with the owning site; ``NULL_TRACER``
         #: (pure no-ops) until ``Site.enable_tracing`` swaps a live one in.
@@ -71,14 +70,11 @@ class RmiEndpoint:
     # swizzle hooks (installed by the replication layer)
     # ------------------------------------------------------------------
     def set_swizzle_hooks(self, swizzler: Swizzler | None, unswizzler: Unswizzler | None) -> None:
-        self._swizzler = swizzler
-        self._unswizzler = unswizzler
-
-    def _encoder(self) -> Encoder:
-        return Encoder(self.registry, self._swizzler)
-
-    def _decoder(self) -> Decoder:
-        return Decoder(self.registry, self._unswizzler)
+        """(Re)build the endpoint's one encoder/decoder pair.  Both are
+        stateless between frames, so every thread of the endpoint shares
+        them."""
+        self._encoder = Encoder(self.registry, swizzler)
+        self._decoder = Decoder(self.registry, unswizzler)
 
     # ------------------------------------------------------------------
     # server side
@@ -97,7 +93,7 @@ class RmiEndpoint:
         return getattr(self._caller, "site", None)
 
     def _handle_frame(self, message: Message) -> bytes | None:
-        body = self._decoder().decode(message.payload)
+        body = self._decoder.decode(message.payload)
         self._caller.site = message.src
         try:
             if isinstance(body, InvokeRequest):
@@ -116,7 +112,7 @@ class RmiEndpoint:
                 )
         finally:
             self._caller.site = None
-        return self._encoder().encode(result)
+        return self._encoder.encode(result)
 
     def _dispatch_traced(self, request: InvokeRequest, *, caller: str) -> object:
         """Dispatch one inbound request under its wire trace context.
@@ -163,9 +159,9 @@ class RmiEndpoint:
                 "rmi.invoke", name=method, dst=ref.site_id
             ) as span:
                 request.trace = current()
-                payload = self._encoder().encode(request)
+                payload = self._encoder.encode(request)
                 response_payload = self._endpoint.call(ref.site_id, payload)
-                result = self._decoder().decode(response_payload)
+                result = self._decoder.decode(response_payload)
                 if isinstance(result, InvokeFailure):
                     span.set(error=result.error_name)
         if isinstance(result, InvokeSuccess):
@@ -196,7 +192,7 @@ class RmiEndpoint:
             return InvokeFuture._settled(self, self.objects.dispatch(request), method, ref)
         with self.tracer.span("rmi.invoke", name=method, dst=ref.site_id):
             request.trace = current()
-            payload = self._encoder().encode(request)
+            payload = self._encoder.encode(request)
             pending = self._endpoint.submit(ref.site_id, payload)
         return InvokeFuture(self, pending, method, ref)
 
@@ -242,9 +238,9 @@ class RmiEndpoint:
                 if context is not None:
                     for request in requests:
                         request.trace = context
-                payload = self._encoder().encode(InvokeBatchRequest(requests=requests))
+                payload = self._encoder.encode(InvokeBatchRequest(requests=requests))
                 response_payload = self._endpoint.call(site_id, payload)
-                decoded = self._decoder().decode(response_payload)
+                decoded = self._decoder.decode(response_payload)
             if not isinstance(decoded, InvokeBatchResponse) or len(decoded.results) != len(requests):
                 raise ProtocolError(
                     f"batched invocation on {site_id!r} returned unexpected body "
@@ -282,13 +278,13 @@ class RmiEndpoint:
             for request in requests:
                 if context is not None:
                     request.trace = context
-                encoder_payloads.append(self._encoder().encode(request))
+                encoder_payloads.append(self._encoder.encode(request))
             pendings = [
                 self._endpoint.submit(site_id, payload) for payload in encoder_payloads
             ]
             results = []
             for pending in pendings:
-                results.append(self._decoder().decode(pending.result()))
+                results.append(self._decoder.decode(pending.result()))
         return results
 
     def invoke_oneway(self, ref: RemoteRef, method: str, args: tuple = (), kwargs: dict | None = None) -> None:
@@ -307,7 +303,7 @@ class RmiEndpoint:
             "rmi.oneway", name=method, dst=ref.site_id
         ):
             request.trace = current()
-            payload = self._encoder().encode(request)
+            payload = self._encoder.encode(request)
             self._endpoint.cast(ref.site_id, payload)
 
     def stub(self, ref: RemoteRef, methods: Sequence[str], *, interface_name: str | None = None) -> Stub:
@@ -388,7 +384,7 @@ class InvokeFuture:
         if self._pending is None:
             body = self._local_result
         else:
-            body = self._rmi._decoder().decode(self._pending.result(timeout))
+            body = self._rmi._decoder.decode(self._pending.result(timeout))
         if isinstance(body, InvokeSuccess):
             return body.value
         if isinstance(body, InvokeFailure):

@@ -1,6 +1,7 @@
 """The invocation protocol: what travels inside transport payloads.
 
-Five frame bodies, all ordinary registered classes:
+Five frame bodies, each a slots dataclass whose declared fields are its
+positional wire schema (:mod:`repro.serial.compiled`):
 
 * :class:`InvokeRequest` — target object id, method name, arguments;
 * :class:`InvokeSuccess` — the return value;
@@ -31,11 +32,8 @@ class InvokeRequest:
     """A method call on an exported object.
 
     ``trace`` is optional causal-trace context — the caller's
-    ``(trace_id, span_id)`` from :mod:`repro.obs.context` — and follows
-    the prefetch wire-compat precedent: requests without it serialize to
-    the legacy 4-tuple (byte-identical to pre-tracing peers), requests
-    carrying it widen to a 5-tuple that old decoders never see because
-    untraced callers never stamp it.
+    ``(trace_id, span_id)`` from :mod:`repro.obs.context`; an untraced
+    caller never stamps it and it costs one ``NONE`` byte on the wire.
     """
 
     object_id: str
@@ -44,36 +42,12 @@ class InvokeRequest:
     kwargs: dict = field(default_factory=dict)
     trace: tuple | None = None
 
-    def __getstate__(self) -> object:
-        if self.trace is None:
-            return (self.object_id, self.method, self.args, self.kwargs)
-        return (self.object_id, self.method, self.args, self.kwargs, self.trace)
-
-    def __setstate__(self, state: object) -> None:
-        if len(state) == 4:  # type: ignore[arg-type]
-            self.object_id, self.method, self.args, self.kwargs = state  # type: ignore[misc]
-            self.trace = None
-        else:
-            (
-                self.object_id,
-                self.method,
-                self.args,
-                self.kwargs,
-                self.trace,
-            ) = state  # type: ignore[misc]
-
 
 @dataclass(slots=True)
 class InvokeSuccess:
     """A normal return."""
 
     value: object = None
-
-    def __getstate__(self) -> object:
-        return self.value
-
-    def __setstate__(self, state: object) -> None:
-        self.value = state
 
 
 @dataclass(slots=True)
@@ -83,12 +57,6 @@ class InvokeFailure:
     error_name: str = ""
     message: str = ""
     remote_traceback: str = ""
-
-    def __getstate__(self) -> object:
-        return (self.error_name, self.message, self.remote_traceback)
-
-    def __setstate__(self, state: object) -> None:
-        self.error_name, self.message, self.remote_traceback = state  # type: ignore[misc]
 
     @classmethod
     def from_exception(cls, exc: BaseException, traceback_text: str = "") -> "InvokeFailure":
@@ -124,12 +92,6 @@ class InvokeBatchRequest:
 
     requests: list[InvokeRequest] = field(default_factory=list)
 
-    def __getstate__(self) -> object:
-        return self.requests
-
-    def __setstate__(self, state: object) -> None:
-        self.requests = state  # type: ignore[assignment]
-
 
 @dataclass(slots=True)
 class InvokeBatchResponse:
@@ -138,12 +100,6 @@ class InvokeBatchResponse:
     request list."""
 
     results: list = field(default_factory=list)
-
-    def __getstate__(self) -> object:
-        return self.results
-
-    def __setstate__(self, state: object) -> None:
-        self.results = state  # type: ignore[assignment]
 
 
 @dataclass(slots=True)
@@ -159,12 +115,6 @@ class NeedFull:
     """
 
     reason: str = ""
-
-    def __getstate__(self) -> object:
-        return self.reason
-
-    def __setstate__(self, state: object) -> None:
-        self.reason = state  # type: ignore[assignment]
 
 
 #: Middleware exception types that cross the wire losslessly.

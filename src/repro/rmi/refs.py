@@ -26,26 +26,4 @@ class RemoteRef:
         return f"{self.object_id}@{self.site_id}{suffix}"
 
 
-def _ref_state(ref: object) -> object:
-    assert isinstance(ref, RemoteRef)
-    return (ref.site_id, ref.object_id, ref.interface)
-
-
-def _ref_factory() -> object:
-    return RemoteRef.__new__(RemoteRef)
-
-
-def _ref_set_state(ref: object, state: object) -> None:
-    site_id, object_id, interface = state  # type: ignore[misc]
-    object.__setattr__(ref, "site_id", site_id)
-    object.__setattr__(ref, "object_id", object_id)
-    object.__setattr__(ref, "interface", interface)
-
-
-global_registry.register(
-    RemoteRef,
-    name="rmi.RemoteRef",
-    get_state=_ref_state,
-    set_state=_ref_set_state,
-    factory=_ref_factory,
-)
+global_registry.register(RemoteRef, name="rmi.RemoteRef")

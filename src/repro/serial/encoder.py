@@ -16,15 +16,16 @@ Wire grammar (one tag byte, then type-specific body)::
     BYTEARRAY <u32 len> <raw>               (identity-memoized, mutable)
     LIST/TUPLE/SET/FROZENSET  <u32 count> <items>
     DICT     <u32 count> <key value>*
-    OBJECT   <str name> <state value>
     SWIZZLED <str kind> <data value>
     REF      <u32 memo index>
-    OBJECT_SCHEMA <str name> <u32 schema hash> <compiled body>
+    OBJECT_SCHEMA <str name> [<u32 schema hash>] <compiled body>
+    OBJECT   <str name> <state value>
 
-The last tag is the obicodec fast path (:mod:`repro.serial.compiled`):
-a schema-compiled frame emitted only when ``compiled=True`` *and* the
-class has a derivable scalar schema; everything else — and every frame
-when the flag is off — stays byte-identical to pre-obicodec encoders.
+Every registered class with a schema travels as ``OBJECT_SCHEMA``
+(:mod:`repro.serial.compiled` — positional fields, no names);
+``OBJECT`` is what is left for state no schema describes: custom
+``__getstate__`` or registration hooks, and a live instance whose shape
+drifted from its class's schema.
 """
 
 from __future__ import annotations
@@ -33,21 +34,27 @@ import struct
 import sys
 
 from repro.serial import tags
-from repro.serial.compiled import codec_for
 from repro.serial.registry import TypeRegistry, global_registry
-from repro.serial.swizzle import NullSwizzler, Swizzler
+from repro.serial.swizzle import Swizzler
 from repro.util.clock import perf_ns
 from repro.util.errors import SerializationError
 
-_U32 = struct.Struct("!I")
-_F64 = struct.Struct("!d")
+_TAG_U32 = struct.Struct("!BI").pack
+_TAG_F64 = struct.Struct("!Bd").pack
+
+#: The whole frame of every one-byte integer, pre-encoded.
+_SMALL_INTS = {
+    value: bytes([tags.INT, 1]) + value.to_bytes(1, "big", signed=True)
+    for value in range(-128, 128)
+}
 
 
 class Encoder:
     """Encodes Python values into the wire format.
 
-    One encoder instance is reusable; each :meth:`encode` call is an
-    independent frame with its own memo table.
+    One encoder is reusable and may be shared between threads: each
+    :meth:`encode` call is an independent frame whose whole state (output
+    buffer, memo table, counters) lives in the call.
     """
 
     def __init__(
@@ -56,227 +63,170 @@ class Encoder:
         swizzler: Swizzler | None = None,
         *,
         max_depth: int = 50_000,
-        compiled: bool = False,
         stats: object | None = None,
     ):
         self.registry = registry if registry is not None else global_registry
-        self.swizzler = swizzler if swizzler is not None else NullSwizzler()
+        self.swizzler = swizzler
         self.max_depth = max_depth
-        # Opt-in obicodec fast path; off by default so shared encoders
-        # (RMI endpoint, fingerprints) stay byte-identical across peers.
-        self.compiled = compiled
         self.stats = stats
-        self._fast_hits = 0
-        self._fallbacks = 0
-        # One preallocated buffer reused across frames.  Claimed with an
-        # atomic pop / returned with setdefault, so concurrent encodes on
-        # a shared encoder each get a private buffer (losers allocate).
-        self._scratch = bytearray()
 
     def encode(self, value: object) -> bytes:
-        out = self.__dict__.pop("_scratch", None)
-        if out is None:
-            out = bytearray()
-        start = perf_ns() if self.stats is not None else 0
-        self._fast_hits = 0
-        self._fallbacks = 0
-        # The memo maps id(obj) -> slot.  Memoized objects must stay alive
-        # for the whole encode: a freed temporary (e.g. a __getstate__
-        # tuple) could otherwise donate its id() to a new object and
-        # corrupt back-references.
-        memo = _Memo()
-        # Long linked structures (the paper's 1000-object lists) nest one
-        # encoder level per element; the guard gives the interpreter stack
-        # room — lazily, so shallow frames (the RPC hot path) never pay
-        # for a full stack walk.
+        stats = self.stats
+        start = perf_ns() if stats is not None else 0
+        frame = _Frame(self)
         try:
-            with _RecursionGuard(self.max_depth) as guard:
-                self._write(out, value, memo=memo, depth=0, guard=guard)
-            frame = bytes(out)
+            frame.write(value, 0)
         finally:
-            out.clear()
-            self.__dict__.setdefault("_scratch", out)
-        if self.stats is not None:
-            self.stats.add(
+            if frame.guard is not None:
+                frame.guard.disarm()
+        data = bytes(frame.out)
+        if stats is not None:
+            stats.add(
                 frames_encoded=1,
                 encode_ns=perf_ns() - start,
-                encodes_fast=self._fast_hits,
-                encodes_reflective=self._fallbacks,
+                encodes_fast=frame.fast,
+                encodes_reflective=frame.generic,
             )
-        return frame
+        return data
 
-    def encode_compiled(self, value: object) -> bytes | None:
-        """A self-contained ``OBJECT_SCHEMA`` frame for one registered object.
 
-        Returns None when the class has no compiled codec, is registered
-        under a different wire name here, or the live instance's shape
-        drifted from the schema — callers fall back to a reflective
-        frame.  No swizzling applies: compiled schemas admit only scalar
-        fields, so the frame can never carry an object reference.
-        """
-        codec = codec_for(type(value))
-        if codec is None or not self.registry.is_registered(type(value)):
-            return None
-        if self.registry.lookup_class(type(value)).name != codec.name:
-            return None
-        out = self.__dict__.pop("_scratch", None)
-        if out is None:
-            out = bytearray()
-        start = perf_ns() if self.stats is not None else 0
-        try:
-            frame = bytes(out) if codec.encode(out, value, _Memo()) else None
-        finally:
-            out.clear()
-            self.__dict__.setdefault("_scratch", out)
-        if frame is not None and self.stats is not None:
-            self.stats.add(frames_encoded=1, encode_ns=perf_ns() - start, encodes_fast=1)
-        return frame
+class _Frame:
+    """One encode: the output buffer, the memo, the counters.
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _write(
-        self, out: bytearray, value: object, memo: '_Memo', depth: int, guard: '_RecursionGuard'
-    ) -> None:
+    The memo maps ``id(obj)`` to its slot.  ``id()`` is only unique among
+    *live* objects, so every memoized value is also kept alive for the
+    whole frame: a freed temporary (a ``__getstate__`` tuple, say) could
+    otherwise donate its id to a new object and corrupt a back-reference.
+    """
+
+    __slots__ = ("out", "slots", "keep", "entries", "registry", "swizzle", "max_depth",
+                 "guard", "fast", "generic")
+
+    def __init__(self, encoder: Encoder):
+        self.out = bytearray()
+        self.slots: dict[int, int] = {}
+        self.keep: list[object] = []
+        self.registry = encoder.registry
+        self.entries = encoder.registry._by_class
+        swizzler = encoder.swizzler
+        self.swizzle = swizzler.swizzle if swizzler is not None else None
+        self.max_depth = encoder.max_depth
+        self.guard: _RecursionGuard | None = None
+        self.fast = 0
+        self.generic = 0
+
+    def write(self, value: object, depth: int) -> None:
+        out = self.out
+        kind = type(value)
+        if kind is str:
+            data = value.encode("utf-8")  # type: ignore[attr-defined]
+            out += _TAG_U32(tags.STR, len(data))
+            out += data
+            return
+        if kind is int:
+            small = _SMALL_INTS.get(value)  # type: ignore[call-overload]
+            if small is not None:
+                out += small
+                return
+            length = (value.bit_length() + 8) // 8  # type: ignore[attr-defined]
+            if length > 255:
+                raise SerializationError(f"integer too large to encode ({length} bytes)")
+            out.append(tags.INT)
+            out.append(length)
+            out += value.to_bytes(length, "big", signed=True)  # type: ignore[attr-defined]
+            return
+        if value is None:
+            out.append(tags.NONE)
+            return
+        if kind is bytes:
+            out += _TAG_U32(tags.BYTES, len(value))  # type: ignore[arg-type]
+            out += value  # type: ignore[arg-type]
+            return
+        if kind is bool:
+            out.append(tags.TRUE if value else tags.FALSE)
+            return
+        if kind is float:
+            out += _TAG_F64(tags.FLOAT, value)
+            return
+
+        # From here on values are identity-memoized (containers, objects).
+        slots = self.slots
+        key = id(value)
+        ref = slots.get(key)
+        if ref is not None:
+            out += _TAG_U32(tags.REF, ref)
+            return
         if depth > self.max_depth:
             raise SerializationError(
                 f"object graph exceeds maximum serialization depth ({self.max_depth})"
             )
-        if depth >= _LAZY_GUARD_DEPTH and not guard.armed:
-            guard.ensure()
-
-        if value is None:
-            out.append(tags.NONE)
-            return
-        if value is True:
-            out.append(tags.TRUE)
-            return
-        if value is False:
-            out.append(tags.FALSE)
-            return
-        value_type = type(value)
-        if value_type is int:
-            self._write_int(out, value)  # type: ignore[arg-type]
-            return
-        if value_type is float:
-            out.append(tags.FLOAT)
-            out += _F64.pack(value)  # type: ignore[arg-type]
-            return
-        if value_type is str:
-            out.append(tags.STR)
-            self._write_sized(out, value.encode("utf-8"))  # type: ignore[union-attr]
-            return
-        if value_type is bytes:
-            out.append(tags.BYTES)
-            self._write_sized(out, value)  # type: ignore[arg-type]
-            return
-
-        # From here on values are identity-memoized (containers, objects).
-        ref = memo.get(value)
-        if ref is not None:
-            out.append(tags.REF)
-            out += _U32.pack(ref)
-            return
+        if depth >= _LAZY_GUARD_DEPTH and self.guard is None:
+            # Long linked structures (the paper's 1000-object lists) nest
+            # one level per element; give the interpreter stack room —
+            # lazily, so shallow frames (the RPC hot path) never pay for a
+            # stack walk.
+            self.guard = _RecursionGuard(self.max_depth)
+        # Memoize before writing, so a cycle back to this value finds it.
+        slots[key] = len(slots)
+        self.keep.append(value)
 
         # bytearray is mutable, so unlike bytes it participates in the
         # memo: two fields aliasing one buffer decode to one buffer.
-        if value_type is bytearray:
-            memo.add(value)
-            out.append(tags.BYTEARRAY)
-            self._write_sized(out, bytes(value))
+        if kind is bytearray:
+            out += _TAG_U32(tags.BYTEARRAY, len(value))  # type: ignore[arg-type]
+            out += value  # type: ignore[arg-type]
             return
-
-        # The replication layer may want this reference to travel as a
-        # proxy descriptor rather than by state.
-        descriptor = self.swizzler.swizzle(value)
-        if descriptor is not None:
-            memo.add(value)
-            out.append(tags.SWIZZLED)
-            self._write_str(out, descriptor.kind)
-            self._write(out, descriptor.data, memo, depth + 1, guard)
-            return
-
-        if value_type is list:
-            self._write_items(out, tags.LIST, value, value, memo, depth, guard)  # type: ignore[arg-type]
-            return
-        if value_type is tuple:
-            self._write_items(out, tags.TUPLE, value, value, memo, depth, guard)  # type: ignore[arg-type]
-            return
-        if value_type is set:
-            self._write_items(out, tags.SET, value, self._canonical(value), memo, depth, guard)  # type: ignore[arg-type]
-            return
-        if value_type is frozenset:
-            self._write_items(out, tags.FROZENSET, value, self._canonical(value), memo, depth, guard)  # type: ignore[arg-type]
-            return
-        if value_type is dict:
-            memo.add(value)
-            out.append(tags.DICT)
-            out += _U32.pack(len(value))  # type: ignore[arg-type]
-            for key, item in value.items():  # type: ignore[union-attr]
-                self._write(out, key, memo, depth + 1, guard)
-                self._write(out, item, memo, depth + 1, guard)
-            return
-
-        entry = self.registry.lookup_class(value_type)
-        if self.compiled:
-            codec = codec_for(value_type)
-            if codec is not None and codec.name == entry.name and codec.encode(out, value, memo):
-                self._fast_hits += 1
+        swizzle = self.swizzle
+        if swizzle is not None:
+            # The replication layer may want this reference to travel as
+            # a proxy descriptor rather than by state.
+            descriptor = swizzle(value)
+            if descriptor is not None:
+                family = descriptor.kind.encode("utf-8")
+                out += _TAG_U32(tags.SWIZZLED, len(family))
+                out += family
+                # The descriptor is the swizzler's last word: its data
+                # travels as given, without a second consultation.
+                self.swizzle = None
+                try:
+                    self.write(descriptor.data, depth + 1)
+                finally:
+                    self.swizzle = swizzle
                 return
-            # No codec, or the instance shape drifted from the schema
-            # (extra attrs, polymorphic value, out-of-range int): the
-            # reflective path below handles it, counted as a fallback.
-            self._fallbacks += 1
-        memo.add(value)
-        out.append(tags.OBJECT)
-        self._write_str(out, entry.name)
-        self._write(out, entry.get_state(value), memo, depth + 1, guard)
-
-    def _write_items(
-        self,
-        out: bytearray,
-        tag: int,
-        original: object,
-        items: object,
-        memo: "_Memo",
-        depth: int,
-        guard: "_RecursionGuard",
-    ) -> None:
-        # Memoize the *original* container (sets are written through a
-        # canonicalized copy, but aliases must hit the original's id).
-        memo.add(original)
-        sequence = list(items)  # type: ignore[call-overload]
-        out.append(tag)
-        out += _U32.pack(len(sequence))
-        for item in sequence:
-            self._write(out, item, memo, depth + 1, guard)
-
-    @staticmethod
-    def _write_int(out: bytearray, value: int) -> None:
-        length = max(1, (value.bit_length() + 8) // 8)
-        if length > 255:
-            raise SerializationError(f"integer too large to encode ({length} bytes)")
-        out.append(tags.INT)
-        out.append(length)
-        out += value.to_bytes(length, "big", signed=True)
-
-    @staticmethod
-    def _write_sized(out: bytearray, data: bytes) -> None:
-        out += _U32.pack(len(data))
-        out += data
-
-    def _write_str(self, out: bytearray, text: str) -> None:
-        self._write_sized(out, text.encode("utf-8"))
+        entry = self.entries.get(kind)
+        if entry is not None:
+            codec = entry.codec
+            if codec is not None and codec.encode(value, out, self.write, depth + 1):
+                self.fast += 1
+                return
+            # No schema, or this instance drifted from it (extra attrs,
+            # polymorphic value, out-of-range int).
+            self.generic += 1
+            out += entry.header
+            self.write(entry.get_state(value), depth + 1)
+            return
+        tag = _SEQUENCE_TAGS.get(kind)
+        if tag is not None:
+            ordered = value if tag in (tags.LIST, tags.TUPLE) else self._canonical(value)  # type: ignore[arg-type]
+            out += _TAG_U32(tag, len(ordered))  # type: ignore[arg-type]
+            for item in ordered:  # type: ignore[attr-defined]
+                self.write(item, depth + 1)
+        elif kind is dict:
+            out += _TAG_U32(tags.DICT, len(value))  # type: ignore[arg-type]
+            for name, item in value.items():  # type: ignore[attr-defined]
+                self.write(name, depth + 1)
+                self.write(item, depth + 1)
+        else:
+            self.registry.lookup_class(kind)  # raises: not registered
 
     def _canonical(self, items: set | frozenset) -> list:
         """Deterministic ordering for set elements, so equal sets encode equal.
 
         Mixed uncomparable types order by (typename, own wire frame): the
-        element's reflective encoding is value-derived, so two sites encode
-        equal sets to equal bytes.  (The previous ``repr`` fallback embedded
-        ``id()`` addresses for default-repr objects, which differ across
-        processes.)  Only elements the serializer cannot encode at all fall
-        back to ``repr``, and those could never cross the wire anyway.
+        element's encoding is value-derived, so two sites encode equal
+        sets to equal bytes.  Only elements the serializer cannot encode
+        at all fall back to ``repr``, and those could never cross the
+        wire anyway.
         """
         try:
             return sorted(items)  # type: ignore[type-var]
@@ -284,14 +234,21 @@ class Encoder:
             return sorted(items, key=self._stable_key)
 
     def _stable_key(self, item: object) -> tuple[str, int, object]:
-        # A fresh reflective encoder: an isolated memo, no swizzling, and
-        # compiled=False keep the key independent of this frame's state
-        # and identical between compiled and reflective peers.
+        # A fresh encoder: an isolated memo and no swizzling keep the key
+        # independent of this frame's state.
         try:
             frame = Encoder(self.registry).encode(item)
         except SerializationError:
             return (type(item).__name__, 1, repr(item))
         return (type(item).__name__, 0, frame)
+
+
+_SEQUENCE_TAGS = {
+    list: tags.LIST,
+    tuple: tags.TUPLE,
+    set: tags.SET,
+    frozenset: tags.FROZENSET,
+}
 
 
 #: Serializer nesting depth at which a frame stops being "plausibly shallow"
@@ -302,36 +259,26 @@ _LAZY_GUARD_DEPTH = 64
 
 
 class _RecursionGuard:
-    """Lazily raise the interpreter recursion limit for deep graphs.
+    """Raises the interpreter recursion limit for one deep frame.
 
-    Constructing and entering the guard is free: the full stack walk and
-    ``sys.setrecursionlimit`` call only happen when :meth:`ensure` is
-    invoked, i.e. once the serializer has actually nested past
-    ``_LAZY_GUARD_DEPTH`` levels.  Each serializer level costs a handful
-    of Python frames; budget four per level on top of whatever is in use.
+    A frame builds its guard only once the serializer has actually nested
+    past ``_LAZY_GUARD_DEPTH`` levels, so the full stack walk and the
+    ``sys.setrecursionlimit`` call happen once per deep frame and never
+    for a shallow one.  Each serializer level costs a handful of Python
+    frames; budget four per level on top of whatever is in use.
     """
 
-    __slots__ = ("_levels", "_old_limit", "armed")
+    __slots__ = ("_old_limit",)
 
     def __init__(self, levels: int) -> None:
-        self._levels = levels
         self._old_limit: int | None = None
-        self.armed = False
-
-    def __enter__(self) -> "_RecursionGuard":
-        return self
-
-    def ensure(self) -> None:
-        if self.armed:
-            return
-        self.armed = True
-        needed = _stack_depth() + 4 * min(self._levels, 200_000) + 100
+        needed = _stack_depth() + 4 * min(levels, 200_000) + 100
         old = sys.getrecursionlimit()
         if needed > old:
             self._old_limit = old
             sys.setrecursionlimit(needed)
 
-    def __exit__(self, *exc_info: object) -> None:
+    def disarm(self) -> None:
         if self._old_limit is not None:
             sys.setrecursionlimit(self._old_limit)
             self._old_limit = None
@@ -345,25 +292,3 @@ def _stack_depth() -> int:
         depth += 1
         frame = frame.f_back
     return depth
-
-
-class _Memo:
-    """Identity memo that keeps memoized values alive.
-
-    ``id()`` is only unique among *live* objects; holding a strong
-    reference to every memoized value prevents id reuse from corrupting
-    back-references within one frame.
-    """
-
-    __slots__ = ("_slots", "_keepalive")
-
-    def __init__(self) -> None:
-        self._slots: dict[int, int] = {}
-        self._keepalive: list[object] = []
-
-    def get(self, value: object) -> int | None:
-        return self._slots.get(id(value))
-
-    def add(self, value: object) -> None:
-        self._slots[id(value)] = len(self._slots)
-        self._keepalive.append(value)

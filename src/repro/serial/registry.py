@@ -9,9 +9,12 @@ like Java deserialization.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.serial import tags
+from repro.serial.compiled import ObjectCodec, maybe_compile_codec
 from repro.util.errors import SerializationError
 
 StateGetter = Callable[[object], object]
@@ -19,24 +22,18 @@ StateSetter = Callable[[object, object], None]
 Factory = Callable[[], object]
 
 
-def _default_state_getter(obj: object) -> object:
-    # Only honour __getstate__ when the class overrides it: since Python
-    # 3.11 ``object`` itself defines one, which returns None for empty
-    # instances — not a usable state value.
-    getstate = _overridden(obj, "__getstate__")
-    if getstate is not None:
-        return getstate(obj)
+def _instance_dict(obj: object) -> object:
     return dict(vars(obj))
 
 
-def _overridden(obj: object, name: str):
-    """The first non-``object`` definition of ``name`` along the MRO."""
-    for klass in type(obj).__mro__:
-        if klass is object:
-            return None
-        if name in vars(klass):
-            return vars(klass)[name]
-    return None
+def _default_state_getter(cls: type) -> StateGetter:
+    # Only honour __getstate__ when the class overrides it: since Python
+    # 3.11 ``object`` itself defines one, which returns None for empty
+    # instances — not a usable state value.
+    for klass in cls.__mro__[:-1]:
+        if "__getstate__" in vars(klass):
+            return vars(klass)["__getstate__"]
+    return _instance_dict
 
 
 def _default_state_setter(obj: object, state: object) -> None:
@@ -60,6 +57,10 @@ class TypeEntry:
     get_state: StateGetter
     set_state: StateSetter
     factory: Factory
+    #: ``OBJECT <name>``, pre-encoded: the generic frame's header.
+    header: bytes
+    #: The schema-compiled codec, for default-state classes that have one.
+    codec: ObjectCodec | None
 
 
 class TypeRegistry:
@@ -68,6 +69,8 @@ class TypeRegistry:
     def __init__(self) -> None:
         self._by_name: dict[str, TypeEntry] = {}
         self._by_class: dict[type, TypeEntry] = {}
+        #: Decoder-side index: the name exactly as it sits in a frame.
+        self._by_wire: dict[bytes, TypeEntry] = {}
 
     def register(
         self,
@@ -92,23 +95,28 @@ class TypeRegistry:
             raise SerializationError(
                 f"wire name {wire_name!r} already registered for {existing.cls!r}"
             )
+        codec = None
+        if get_state is None and set_state is None and factory is None:
+            # Default-state classes get a schema-compiled codec: their
+            # wire state *is* their fields.  Custom hooks opt out.  The
+            # codec cache is per class; a second registry that names the
+            # class differently keeps it on the generic path.
+            codec = maybe_compile_codec(cls, wire_name)
+            if codec is not None and codec.name != wire_name:
+                codec = None
+        name_bytes = wire_name.encode("utf-8")
         entry = TypeEntry(
             name=wire_name,
             cls=cls,
-            get_state=get_state or _default_state_getter,
+            get_state=get_state or _default_state_getter(cls),
             set_state=set_state or _default_state_setter,
             factory=factory or (lambda: cls.__new__(cls)),
+            header=bytes([tags.OBJECT]) + struct.pack("!I", len(name_bytes)) + name_bytes,
+            codec=codec,
         )
         self._by_name[wire_name] = entry
         self._by_class[cls] = entry
-        if get_state is None and set_state is None and factory is None:
-            # Default-state classes are candidates for the obicodec fast
-            # path: their wire state *is* the instance dict, so a scalar
-            # schema derived here is authoritative.  Custom hooks opt out.
-            # (Imported lazily: compiled.py never imports the registry.)
-            from repro.serial.compiled import maybe_compile_codec
-
-            maybe_compile_codec(entry)
+        self._by_wire[name_bytes] = entry
         return entry
 
     def lookup_class(self, cls: type) -> TypeEntry:
@@ -134,6 +142,7 @@ class TypeRegistry:
         clone = TypeRegistry()
         clone._by_name.update(self._by_name)
         clone._by_class.update(self._by_class)
+        clone._by_wire.update(self._by_wire)
         return clone
 
 

@@ -10,7 +10,8 @@ The serializer stays agnostic of the replication layer: the encoder asks a
 :class:`Swizzler` whether a value should travel as a
 :class:`SwizzleDescriptor` instead of by state, and the decoder hands every
 descriptor to an :class:`Unswizzler` to materialize whatever the layer
-above wants (for `repro.core`, a proxy-out instance).
+above wants (for `repro.core`, a proxy-out instance).  Without hooks
+nothing is swizzled, and a descriptor decodes as itself.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Swizzler(Protocol):
 
     def swizzle(self, value: object) -> SwizzleDescriptor | None:
         """Return a descriptor to send instead of ``value``, or ``None``
-        to serialize ``value`` normally."""
+        to serialize ``value`` normally.  Asked once per container or
+        object, never about a descriptor's own data."""
 
 
 class Unswizzler(Protocol):
@@ -45,13 +47,3 @@ class Unswizzler(Protocol):
 
     def unswizzle(self, descriptor: SwizzleDescriptor) -> object:
         """Materialize the local stand-in for ``descriptor``."""
-
-
-class NullSwizzler:
-    """Default hook: nothing is swizzled, descriptors decode as themselves."""
-
-    def swizzle(self, value: object) -> SwizzleDescriptor | None:
-        return None
-
-    def unswizzle(self, descriptor: SwizzleDescriptor) -> object:
-        return descriptor

@@ -75,6 +75,7 @@ class TestExtraction:
         assert [f.name for f in meta.fields] == [
             "obi_id", "interface", "version", "provider", "cluster_root",
         ]
+        assert meta.state == "struct"  # the declared fields are the frame
         assert not meta.optional_tail
         assert all(not f.optional for f in meta.fields)
 
@@ -83,21 +84,28 @@ class TestExtraction:
         assert mode.custom_state and mode.optional_tail
         by_name = {f.name: f for f in mode.fields}
         assert [f.name for f in mode.fields] == [
-            "chunk", "depth", "clustered", "prefetch", "codec",
+            "chunk", "depth", "clustered", "prefetch",
         ]
         assert not by_name["chunk"].optional
         assert by_name["prefetch"].optional and by_name["prefetch"].guard == "prefetch"
-        assert by_name["codec"].optional and by_name["codec"].guard == "codec"
 
-    def test_invoke_request_trace_is_guarded_optional(self, tree_spec):
+    def test_invoke_request_is_a_declared_struct(self, tree_spec):
         request = tree_spec.classes["rmi.InvokeRequest"]
-        assert request.optional_tail
-        trace = next(f for f in request.fields if f.name == "trace")
-        assert trace.optional and trace.guard == "trace"
+        assert request.state == "struct" and not request.optional_tail
+        assert [f.name for f in request.fields] == [
+            "object_id", "method", "args", "kwargs", "trace",
+        ]
+        assert not any(f.optional for f in request.fields)
+
+    def test_every_protocol_frame_is_a_struct(self, tree_spec):
+        for name, cls in tree_spec.classes.items():
+            if name.startswith(("rmi.", "feed.")) or name in (
+                "core.ObjectMeta", "core.ReplicaPackage", "core.PutEntry", "core.PutPackage",
+            ):
+                assert cls.state == "struct" and not cls.custom_state, name
 
     def test_passthrough_classes(self, tree_spec):
-        for name in ("core.PutPackage", "rmi.InvokeSuccess", "rmi.NeedFull"):
-            assert tree_spec.classes[name].state == "passthrough"
+        assert tree_spec.classes["consistency.VersionVector"].state == "passthrough"
 
     def test_seed_verbs_flagged(self, tree_spec):
         assert tree_spec.verbs["get"].seed
@@ -109,6 +117,7 @@ class TestExtraction:
             fallbacks = set(tree_spec.verbs[verb].fallbacks)
             assert "probe:delta_sync" in fallbacks, verb
             assert "need_full" in fallbacks, verb
+        assert tree_spec.verbs["put"].fallbacks == ()  # no codec probe, no retry
 
     def test_extraction_is_deterministic(self, tree_spec):
         from repro.analysis.engine import Analyzer

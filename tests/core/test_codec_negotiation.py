@@ -1,29 +1,39 @@
-"""obicodec negotiation tests (PR 7).
+"""obicodec end to end: every site speaks schema frames, nothing to negotiate.
 
-The ``compiled_codec`` site knob rides the :class:`ReplicationMode` wire
-tuple the way ``prefetch`` and delta sync did: the consumer announces it
-can decode ``OBJECT_SCHEMA`` frames, the provider uses the fast path only
-when both ends opted in, and a pre-codec peer triggers a cached
-reflective downgrade on the put direction.
+There is no knob, no mode slot and no capability: a provider encodes
+every schema class through its compiled codec for every consumer, a put
+ships instance frames, and a rejected put is an error, not a retry.
 """
 
 import pytest
 
+from repro import obiwan
 from repro.core.interfaces import Incremental, ReplicationMode, _mode_state
 from repro.core.meta import obi_id_of
-from repro.serial import tags
-from repro.util.errors import SerializationError
 from tests.models import Box, Counter
 
 
 @pytest.fixture
 def csites(zero_world):
-    """(provider, consumer) with the compiled codec enabled on both sides."""
-    provider = zero_world.create_site("S2")
-    consumer = zero_world.create_site("S1")
-    provider.compiled_codec = True
-    consumer.compiled_codec = True
-    return provider, consumer
+    """(provider, consumer), as shipped."""
+    return zero_world.create_site("S2"), zero_world.create_site("S1")
+
+
+@obiwan.compile
+class Sealed:
+    """No schema: custom ``__getstate__`` keeps it on the generic path."""
+
+    def __init__(self, value=None):
+        self.value = value
+
+    def __getstate__(self):
+        return {"value": self.value, "_obi_id": vars(self).get("_obi_id")}
+
+    def __setstate__(self, state):
+        vars(self).update({k: v for k, v in state.items() if v is not None})
+
+    def peek(self):
+        return self.value
 
 
 def _messages(world) -> int:
@@ -42,19 +52,9 @@ class TestModeWire:
     def test_default_mode_stays_a_3_tuple(self):
         assert _mode_state(Incremental(1)) == (1, 0, False)
 
-    def test_codec_mode_travels_as_5_tuple(self):
-        mode = ReplicationMode(chunk=2, codec=1)
-        assert _mode_state(mode) == (2, 0, False, 0, 1)
-
-    def test_codec_survives_demand_scope_widening(self):
-        mode = ReplicationMode(chunk=1, prefetch=8, codec=1)
-        assert mode.demand_scope().codec == 1
-
-    def test_outgoing_mode_stamps_and_strips(self, csites):
-        provider, consumer = csites
-        assert consumer.outgoing_mode(Incremental(1)).codec == 1
-        consumer.compiled_codec = False
-        assert consumer.outgoing_mode(ReplicationMode(chunk=1, codec=1)).codec == 0
+    def test_widest_mode_is_the_prefetch_4_tuple(self):
+        assert _mode_state(ReplicationMode(chunk=2, prefetch=8)) == (2, 0, False, 8)
+        assert not hasattr(ReplicationMode(), "codec")
 
 
 # ----------------------------------------------------------------------
@@ -69,45 +69,35 @@ class TestGetDirection:
         assert _serial(provider)["encodes_fast"] >= 1
         assert _serial(consumer)["decodes_fast"] >= 1
 
-    def test_replica_state_matches_reflective_replica(self, zero_world):
-        provider = zero_world.create_site("S2")
-        fast = zero_world.create_site("S1")
-        slow = zero_world.create_site("S3")
-        provider.compiled_codec = True
-        fast.compiled_codec = True
+    def test_replica_state_matches_reflective_replica(self, csites):
+        """A replica rebuilt from a schema frame carries what one rebuilt
+        from a generic frame of the same state would: the master's dict,
+        key order included."""
+        provider, consumer = csites
         master = Counter(7)
         provider.export(master, name="counter")
-        via_fast = fast.replicate("counter")
-        via_slow = slow.replicate("counter")
-        assert vars(via_fast) == vars(via_slow) == vars(master)
-        assert list(vars(via_fast)) == list(vars(via_slow))
+        via_schema = consumer.replicate("counter")
+        assert vars(via_schema) == vars(master)
+        assert list(vars(via_schema)) == list(vars(master))
 
-    def test_consumer_without_knob_gets_reflective_frames(self, zero_world):
-        provider = zero_world.create_site("S2")
-        consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True  # provider is willing...
-        provider.export(Counter(1), name="counter")
-        replica = consumer.replicate("counter")  # ...consumer never asks
-        assert replica.read() == 1
-        assert _serial(provider)["encodes_fast"] == 0
-        assert _serial(consumer)["decodes_fast"] == 0
-
-    def test_provider_without_knob_stays_reflective(self, zero_world):
-        provider = zero_world.create_site("S2")
-        consumer = zero_world.create_site("S1")
-        consumer.compiled_codec = True  # consumer asks...
-        provider.export(Counter(1), name="counter")
-        replica = consumer.replicate("counter")  # ...provider declines
-        assert replica.read() == 1
-        assert _serial(provider)["encodes_fast"] == 0
+    def test_any_slot_class_rides_the_fast_path(self, csites):
+        provider, consumer = csites
+        provider.export(Box({"k": [1, None]}), name="box")
+        before = _serial(provider)
+        replica = consumer.replicate("box")
+        assert replica.get() == {"k": [1, None]}
+        assert _serial(provider)["encodes_fast"] > before["encodes_fast"]
+        assert _serial(provider)["encodes_reflective"] == before["encodes_reflective"]
 
     def test_non_schema_class_falls_back_per_object(self, csites):
         provider, consumer = csites
-        provider.export(Box("not-a-scalar-schema"), name="box")
-        replica = consumer.replicate("box")
-        assert replica.get() == "not-a-scalar-schema"
-        assert _serial(provider)["encodes_fast"] == 0
-        assert _serial(provider)["encodes_reflective"] >= 1
+        provider.export(Sealed(Counter(3)), name="sealed")
+        before = _serial(provider)
+        replica = consumer.replicate("sealed", mode=obiwan.Transitive())
+        assert replica.peek().read() == 3
+        after = _serial(provider)
+        assert after["encodes_reflective"] == before["encodes_reflective"] + 1  # Sealed
+        assert after["encodes_fast"] > before["encodes_fast"]  # Counter, the envelope
 
     def test_refresh_rides_the_fast_path(self, csites):
         provider, consumer = csites
@@ -153,9 +143,11 @@ class TestPutDirection:
         master = Counter(1)
         provider.export(master, name="counter")
         replica = consumer.replicate("counter")
-        replica.value = "stringly"  # schema drift: entry stays reflective
+        replica.value = "stringly"  # schema drift: the entry is a generic frame
+        before = _serial(consumer)["encodes_reflective"]
         consumer.put_back(replica)
         assert master.value == "stringly"
+        assert _serial(consumer)["encodes_reflective"] == before + 1
 
     def test_works_alongside_delta_sync(self, csites):
         provider, consumer = csites
@@ -171,62 +163,9 @@ class TestPutDirection:
 
 
 # ----------------------------------------------------------------------
-# pre-codec peer interop
+# a rejected put
 # ----------------------------------------------------------------------
-class PreCodecProxyIn:
-    """A provider whose decoder predates the ``OBJECT_SCHEMA`` tag.
-
-    Its ``put`` behaves exactly like a pre-PR-7 decoder meeting the new
-    tag byte: a :class:`SerializationError` naming the unknown tag."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def get(self, mode=None):
-        return self._inner.get(mode)
-
-    def put(self, package):
-        for entry in package.entries:
-            if entry.payload and entry.payload[0] == tags.OBJECT_SCHEMA:
-                raise SerializationError(
-                    f"unknown wire tag 0x{tags.OBJECT_SCHEMA:02x}"
-                )
-        return self._inner.put(package)
-
-    def demand(self, mode=None):
-        return self._inner.demand(mode)
-
-    def get_version(self):
-        return self._inner.get_version()
-
-
-def _downgrade_to_pre_codec(provider, master) -> None:
-    oid = obi_id_of(master)
-    ref = provider._provider_refs[provider._stripe_of(oid)][oid]
-    table = provider.endpoint.objects
-    table._objects[ref.object_id] = PreCodecProxyIn(table.get(ref.object_id))
-
-
 class TestPreCodecPeerInterop:
-    def test_put_downgrades_and_caches_the_probe(self, csites):
-        provider, consumer = csites
-        master = Counter(1)
-        provider.export(master, name="counter")
-        replica = consumer.replicate("counter")
-        _downgrade_to_pre_codec(provider, master)
-
-        replica.increment()
-        consumer.put_back(replica)
-        assert master.read() == 2  # retried reflectively
-
-        # The probe is cached per provider site: the next put goes
-        # straight to the reflective frame in one request/response pair.
-        before = _messages(consumer.world)
-        replica.increment()
-        consumer.put_back(replica)
-        assert master.read() == 3
-        assert _messages(consumer.world) == before + 2
-
     def test_unrelated_remote_errors_still_propagate(self, csites):
         provider, consumer = csites
         master = Counter(1)
@@ -247,8 +186,12 @@ class TestPreCodecPeerInterop:
 
         table._objects[ref.object_id] = BrokenPut()
         replica.increment()
+        before = _messages(consumer.world)
         with pytest.raises(Exception, match="disk on fire"):
             consumer.put_back(replica)
+        # One request, one reply: no probe, no second frame.
+        assert _messages(consumer.world) == before + 2
+        assert consumer.peer_caps.snapshot() == {}
 
 
 # ----------------------------------------------------------------------

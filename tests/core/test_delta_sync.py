@@ -455,3 +455,30 @@ class TestSyncTelemetry:
         assert snap["puts_noop"] == 1
         consumer.sync_stats.reset()
         assert consumer.sync_stats.snapshot()["puts_delta"] == 0
+
+    def test_delta_frames_reach_the_serial_counters(self, dsites):
+        """A delta put and a delta refresh are each one field-delta frame:
+        one encode at the sender, one decode at the receiver."""
+        provider, consumer = dsites
+        master = Box(1)
+        provider.export(master, name="box")
+        replica = consumer.replicate("box")
+
+        def frames(site):
+            snap = site.serial_stats.snapshot()
+            return snap["frames_encoded"], snap["frames_decoded"]
+
+        replica.set(2)
+        before_c, before_p = frames(consumer), frames(provider)
+        consumer.put_back(replica)
+        assert consumer.sync_stats.puts_delta == 1
+        assert frames(consumer)[0] == before_c[0] + 1  # build_put_delta
+        assert frames(provider)[1] == before_p[1] + 1  # apply_put_delta
+
+        master.value = 3
+        provider.touch(master, fields=("value",))
+        before_c, before_p = frames(consumer), frames(provider)
+        consumer.refresh(replica)
+        assert consumer.sync_stats.refreshes_delta == 1
+        assert frames(provider)[0] == before_p[0] + 1  # build_refresh_delta
+        assert frames(consumer)[1] == before_c[1] + 1  # apply_refresh_delta

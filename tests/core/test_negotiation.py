@@ -1,8 +1,7 @@
 """Shared probe-and-downgrade negotiation helper (PR 8 satellite).
 
-PR 4 (delta sync) and PR 7 (obicodec) each carried their own copy of the
-probe/classify/remember dance and their own per-provider cache set;
-``repro.core.negotiation`` is now the single implementation.  These
+``repro.core.negotiation`` is the single implementation of the
+probe/classify/remember dance and its per-provider cache.  These
 tests cover the helper in isolation (capability table, probe semantics,
 thread safety) and through the Site paths that adopted it.
 """
@@ -12,21 +11,15 @@ import threading
 import pytest
 
 from repro.core.negotiation import (
-    COMPILED_CODEC,
     DELTA_SYNC,
+    FEED,
     UNSUPPORTED,
     Capability,
     PeerCapabilities,
     probe,
 )
 from repro.core.meta import obi_id_of
-from repro.serial import tags
-from repro.util.errors import (
-    ProtocolError,
-    RemoteError,
-    ReplicationError,
-    SerializationError,
-)
+from repro.util.errors import ProtocolError, RemoteError
 from tests.models import Counter
 
 
@@ -37,14 +30,14 @@ class TestPeerCapabilities:
     def test_every_site_starts_fully_capable(self):
         caps = PeerCapabilities()
         assert caps.assume("S9", DELTA_SYNC)
-        assert caps.assume("S9", COMPILED_CODEC)
+        assert caps.assume("S9", FEED)
         assert caps.snapshot() == {}
 
     def test_mark_is_per_site_and_per_capability(self):
         caps = PeerCapabilities()
         caps.mark_unsupported("S2", DELTA_SYNC)
         assert not caps.assume("S2", DELTA_SYNC)
-        assert caps.assume("S2", COMPILED_CODEC)  # other capability untouched
+        assert caps.assume("S2", FEED)  # other capability untouched
         assert caps.assume("S3", DELTA_SYNC)  # other site untouched
 
     def test_accepts_capability_or_bare_name(self):
@@ -56,17 +49,17 @@ class TestPeerCapabilities:
     def test_forget_restores_optimism(self):
         caps = PeerCapabilities()
         caps.mark_unsupported("S2", DELTA_SYNC)
-        caps.mark_unsupported("S2", COMPILED_CODEC)
+        caps.mark_unsupported("S2", FEED)
         caps.forget("S2")
         assert caps.assume("S2", DELTA_SYNC)
-        assert caps.assume("S2", COMPILED_CODEC)
+        assert caps.assume("S2", FEED)
 
     def test_snapshot_is_immutable_copy(self):
         caps = PeerCapabilities()
         caps.mark_unsupported("S2", DELTA_SYNC)
         shot = caps.snapshot()
         assert shot == {"S2": frozenset({"delta_sync"})}
-        caps.mark_unsupported("S2", COMPILED_CODEC)
+        caps.mark_unsupported("S2", FEED)
         assert shot == {"S2": frozenset({"delta_sync"})}  # old copy unchanged
 
     def test_concurrent_marks_never_lose_verdicts(self):
@@ -76,7 +69,7 @@ class TestPeerCapabilities:
         def hammer(name: str) -> None:
             for _ in range(200):
                 caps.mark_unsupported(name, DELTA_SYNC)
-                caps.mark_unsupported(name, COMPILED_CODEC)
+                caps.mark_unsupported(name, FEED)
                 assert not caps.assume(name, DELTA_SYNC)
 
         threads = [threading.Thread(target=hammer, args=(s,)) for s in sites]
@@ -85,7 +78,7 @@ class TestPeerCapabilities:
         for t in threads:
             t.join()
         shot = caps.snapshot()
-        assert all(shot[s] == {"delta_sync", "compiled_codec"} for s in sites)
+        assert all(shot[s] == {"delta_sync", "feed"} for s in sites)
 
 
 # ----------------------------------------------------------------------
@@ -142,31 +135,8 @@ class TestDeltaSyncShapes:
         assert not DELTA_SYNC.unsupported(ProtocolError("frame too large"))
 
 
-class TestCompiledCodecShapes:
-    def test_unknown_wire_tag_local_and_flattened(self):
-        assert COMPILED_CODEC.unsupported(SerializationError("unknown wire tag 0x10"))
-        assert COMPILED_CODEC.unsupported(
-            RemoteError("unknown wire tag 0x10", remote_type="SerializationError")
-        )
-
-    def test_state_dict_complaint_local_and_flattened(self):
-        assert COMPILED_CODEC.unsupported(
-            ReplicationError("put entry must decode to a state dict")
-        )
-        assert COMPILED_CODEC.unsupported(
-            RemoteError(
-                "put entry must decode to a state dict",
-                remote_type="ReplicationError",
-            )
-        )
-
-    def test_other_serialization_failures_are_genuine(self):
-        assert not COMPILED_CODEC.unsupported(SerializationError("dangling back-reference"))
-        assert not COMPILED_CODEC.unsupported(RemoteError("x", remote_type="ValueError"))
-
-
 # ----------------------------------------------------------------------
-# Site integration: one cache, both negotiations
+# Site integration: one cache for every negotiation
 # ----------------------------------------------------------------------
 class TestSiteSharedCache:
     def test_delta_probe_records_into_shared_table(self, zero_world):
@@ -198,51 +168,14 @@ class TestSiteSharedCache:
         shot = consumer.peer_caps.snapshot()
         assert shot[provider.name] == {"delta_sync"}
         assert not consumer._delta_peer_ok(ref)
-        assert consumer._codec_peer_ok(ref) is False  # knob off, not verdict
-
-    def test_codec_rejection_records_into_shared_table(self, zero_world):
-        provider = zero_world.create_site("S2")
-        consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True
-        consumer.compiled_codec = True
-        master = Counter(1)
-        provider.export(master, name="counter")
-        replica = consumer.replicate("counter")
-
-        oid = obi_id_of(master)
-        ref = provider._provider_refs[provider._stripe_of(oid)][oid]
-        table = provider.endpoint.objects
-        inner = table.get(ref.object_id)
-
-        class PreCodecProxyIn:
-            def __getattr__(self, name):
-                return getattr(inner, name)
-
-            def put(self, package):
-                for entry in package.entries:
-                    if entry.payload and entry.payload[0] == tags.OBJECT_SCHEMA:
-                        raise SerializationError(
-                            f"unknown wire tag 0x{tags.OBJECT_SCHEMA:02x}"
-                        )
-                return inner.put(package)
-
-        table._objects[ref.object_id] = PreCodecProxyIn()
-        replica.increment()
-        consumer.put_back(replica)
-        assert master.read() == 2  # retried reflectively
-
-        shot = consumer.peer_caps.snapshot()
-        assert shot[provider.name] == {"compiled_codec"}
-        assert not consumer._codec_peer_ok(ref)
-        assert consumer._delta_peer_ok(ref)  # delta verdict untouched
 
     def test_verdicts_for_both_capabilities_coexist(self, zero_world):
         consumer = zero_world.create_site("S1")
         consumer.peer_caps.mark_unsupported("S2", DELTA_SYNC)
-        consumer.peer_caps.mark_unsupported("S2", COMPILED_CODEC)
+        consumer.peer_caps.mark_unsupported("S2", FEED)
         assert consumer.peer_caps.snapshot()["S2"] == {
             "delta_sync",
-            "compiled_codec",
+            "feed",
         }
 
 
@@ -264,9 +197,9 @@ class TestTopologyInvalidation:
 
     def test_reattach_forgets_verdicts_cached_while_detached(self, zero_world):
         consumer = zero_world.create_site("S1")
-        consumer.peer_caps.mark_unsupported("S2", COMPILED_CODEC)
+        consumer.peer_caps.mark_unsupported("S2", FEED)
         zero_world.create_site("S2")  # the peer comes up after the verdict
-        assert consumer.peer_caps.assume("S2", COMPILED_CODEC)
+        assert consumer.peer_caps.assume("S2", FEED)
 
     def test_own_attach_leaves_other_verdicts_alone(self, zero_world):
         consumer = zero_world.create_site("S1")

@@ -277,10 +277,15 @@ class TestEmit:
         from tests.models import Box
 
         source = emit_proxy_source(Box)
-        namespace = {"ProxyOutBase": ProxyOutBase, "ProxyIn": ProxyIn}
+        import struct
         from typing import Protocol
 
-        namespace["Protocol"] = Protocol
+        namespace = {
+            "ProxyOutBase": ProxyOutBase,
+            "ProxyIn": ProxyIn,
+            "Protocol": Protocol,
+            "_struct": struct,
+        }
         exec(compile(source, "<emitted>", "exec"), namespace)
         emitted_cls = namespace["BoxProxyOut"]
         assert hasattr(emitted_cls, "get")
@@ -310,20 +315,31 @@ class TestEmit:
             fn for name, fn in namespace.items() if name.startswith("_obicodec_decode_")
         )
         out = bytearray()
-
-        class _Memo(list):
-            add = list.append
-
         original = Counter(33)
-        assert encode(out, original, _Memo())
+        assert encode(original, out, None, 0)  # all scalar: no any-slot callback
         header = codec_for(Counter).header
+        assert out.startswith(header)
+        memo: list = []
         rebuilt, end = decode(
-            memoryview(bytes(out))[len(header):], 0, [], lambda: Counter.__new__(Counter)
+            bytes(out), len(header), len(out), memo, None, 0, lambda: Counter.__new__(Counter)
         )
         assert rebuilt.value == 33
-        assert end == len(out) - len(header)
+        assert end == len(out)
+        assert memo == [rebuilt]
 
     def test_codecless_class_emits_no_codec_section(self):
-        from tests.models import Box
+        @compile_class
+        class Stateful:
+            def __init__(self):
+                self.value = 0
 
-        assert "_obicodec_" not in emit_proxy_source(Box)
+            def __getstate__(self):
+                return (self.value,)
+
+            def __setstate__(self, state):
+                (self.value,) = state
+
+            def peek(self):
+                return self.value
+
+        assert "_obicodec_" not in emit_proxy_source(Stateful)

@@ -14,6 +14,7 @@ from repro.core.interfaces import Cluster
 from repro.core.meta import obi_id_of
 from repro.core.replication import build_put, build_put_delta
 from repro.rmi.protocol import InvokeRequest
+from repro.serial import tags
 from repro.serial.encoder import Encoder
 from repro.util.errors import ClusterError, ReplicationError, UnknownReplicaError
 from tests.models import Box, Counter, make_chain
@@ -65,12 +66,11 @@ class TestSinglePutSendsTheSameFrame:
 
     def test_compiled(self, zsites, requests_on_the_wire):
         provider, consumer = zsites
-        provider.compiled_codec = consumer.compiled_codec = True
         provider.export(Counter(1), name="counter")
         replica = consumer.replicate("counter")
         replica.increment()
-        package = build_put(consumer, [replica], compiled=True)
-        assert package != build_put(consumer, [replica])  # a schema frame
+        package = build_put(consumer, [replica])
+        assert package.entries[0].payload[0] == tags.OBJECT_SCHEMA  # an instance frame
         expected = self._frame(consumer, replica, "put", package)
         requests_on_the_wire.clear()
         consumer.put_back(replica)
@@ -206,11 +206,11 @@ class TestValidateThenApply:
         for replica in replicas:
             replica.increment(10)
         package = build_put(consumer, replicas)
-        package.entries[1].payload = Encoder(consumer.registry).encode("not a state dict")
+        package.entries[1].payload = Encoder(consumer.registry).encode("not an instance")
         batches = []
         provider.change_log.subscribe(batches.append)
         via_first = consumer.replica_info(obi_id_of(replicas[0])).provider
-        with pytest.raises(ReplicationError, match="state dict"):
+        with pytest.raises(ReplicationError, match="must decode to an instance"):
             consumer.endpoint.invoke(via_first, "put", (package,))
         # Entry 0 landed before entry 1 failed to decode: it is journaled,
         # so no applied change can be missing from the feed.

@@ -1,10 +1,9 @@
-"""Frame-level interop guarantees for mixed-version deployments (PR 8).
+"""Frame-level guarantees of the one codec.
 
-The compiled-codec negotiation promises that an un-upgraded peer never
-has to *parse* an ``OBJECT_SCHEMA`` (0x10) frame it cannot understand:
-providers emit compiled frames only to consumers that announced
-``codec=1``, and consumers stop shipping compiled puts to a provider
-site the moment one probe is rejected.  These tests watch the actual
+Every replica payload crossing a proxy-in — a ``get``/``demand`` reply,
+a ``put`` entry — is an ``OBJECT_SCHEMA`` (0x10) instance frame, for
+every pair of sites, with nothing negotiated first; and a put the
+provider rejects is sent exactly once.  These tests watch the actual
 payload bytes crossing each proxy-in to prove it.
 """
 
@@ -60,32 +59,9 @@ class RecordingProxyIn:
 
 
 class TestGetDirection:
-    def test_pre_codec_consumer_never_receives_0x10(self, zero_world):
-        provider = zero_world.create_site("S2")
-        consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True  # provider is eager...
-        master = Counter(3)
-        provider.export(master, name="counter")
-        table, object_id = _proxy_in(provider, master)
-        recorder = RecordingProxyIn(table.get(object_id))
-        table._objects[object_id] = recorder
-
-        replica = consumer.replicate("counter")  # ...consumer never asked
-        master.value = 9
-        provider.touch(master, fields=("value",))
-        consumer.refresh(replica)
-
-        assert recorder.sent_tags  # frames did cross
-        assert tags.OBJECT_SCHEMA not in recorder.sent_tags
-        assert replica.read() == 9
-
     def test_codec_consumer_does_receive_0x10(self, zero_world):
-        # Control: the recorder sees compiled frames when both ends opt in,
-        # so the negative assertion above is not vacuous.
         provider = zero_world.create_site("S2")
         consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True
-        consumer.compiled_codec = True
         master = Counter(3)
         provider.export(master, name="counter")
         table, object_id = _proxy_in(provider, master)
@@ -93,16 +69,20 @@ class TestGetDirection:
         table._objects[object_id] = recorder
 
         replica = consumer.replicate("counter")
-        assert replica.read() == 3
-        assert tags.OBJECT_SCHEMA in recorder.sent_tags
+        master.value = 9
+        provider.touch(master, fields=("value",))
+        consumer.refresh(replica)
+
+        assert replica.read() == 9
+        assert recorder.sent_tags == [tags.OBJECT_SCHEMA, tags.OBJECT_SCHEMA]
 
 
 class TestPutDirection:
     def test_downgraded_provider_sees_0x10_exactly_once(self, zero_world):
+        """A provider that rejects a put sees that one frame and no other:
+        nothing is cached, nothing is retried in another encoding."""
         provider = zero_world.create_site("S2")
         consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True
-        consumer.compiled_codec = True
         master = Counter(0)
         provider.export(master, name="counter")
         replica = consumer.replicate("counter")
@@ -111,24 +91,16 @@ class TestPutDirection:
         recorder = RecordingProxyIn(table.get(object_id), reject_codec=True)
         table._objects[object_id] = recorder
 
-        for _ in range(3):
-            replica.increment()
+        replica.increment()
+        with pytest.raises(SerializationError, match="unknown wire tag"):
             consumer.put_back(replica)
-        assert master.read() == 3
+        assert master.read() == 0
+        assert recorder.received_tags == [tags.OBJECT_SCHEMA]
+        assert consumer.peer_caps.snapshot() == {}
 
-        # One probe frame, then the cached verdict keeps every later put
-        # reflective: the pre-codec peer parses 0x10 zero times (its
-        # decoder rejected the single probe before touching state).
-        schema_frames = recorder.received_tags.count(tags.OBJECT_SCHEMA)
-        assert schema_frames == 1
-        assert recorder.received_tags[0] == tags.OBJECT_SCHEMA
-        # Reflective put entries ship the state dict, not a compiled frame.
-        assert all(t == tags.DICT for t in recorder.received_tags[1:])
-
-    def test_knobless_consumer_never_ships_0x10(self, zero_world):
+    def test_every_put_entry_is_an_instance_frame(self, zero_world):
         provider = zero_world.create_site("S2")
         consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True
         master = Counter(0)
         provider.export(master, name="counter")
         replica = consumer.replicate("counter")
@@ -137,8 +109,8 @@ class TestPutDirection:
         recorder = RecordingProxyIn(table.get(object_id))
         table._objects[object_id] = recorder
 
-        replica.increment()
-        consumer.put_back(replica)
-        assert master.read() == 1
-        assert recorder.received_tags
-        assert tags.OBJECT_SCHEMA not in recorder.received_tags
+        for _ in range(3):
+            replica.increment()
+            consumer.put_back(replica)
+        assert master.read() == 3
+        assert recorder.received_tags == [tags.OBJECT_SCHEMA] * 3

@@ -1,16 +1,17 @@
-"""Trace-context wire compatibility.
+"""Trace context on the wire.
 
-The trace field follows the prefetch precedent: an untraced request
-serializes to the legacy 4-tuple — byte-identical to what a pre-tracing
-peer emits and expects — and the 5-tuple only appears when a caller
-actually stamps context.  Mixed deployments (traced consumer against
-untraced provider, and the reverse) must interoperate unchanged.
+``InvokeRequest`` declares five positional slots; ``trace`` is the last
+and an untraced caller never stamps it, so it costs one ``NONE`` byte.
+Mixed deployments (traced consumer against untraced provider, and the
+reverse) must interoperate unchanged.
 """
 
 from __future__ import annotations
 
 from repro.core.interfaces import Incremental
 from repro.rmi.protocol import InvokeRequest
+from repro.serial import tags
+from repro.serial.compiled import codec_for
 from repro.serial.decoder import Decoder
 from repro.serial.encoder import Encoder
 from tests.models import make_chain
@@ -18,9 +19,13 @@ from tests.models import make_chain
 
 class TestFrameCompat:
     def test_untraced_request_keeps_the_legacy_state_shape(self):
-        request = InvokeRequest("obj:1", "get", (1,), {"k": 2})
-        state = request.__getstate__()
-        assert len(state) == 4  # what a pre-tracing decoder expects
+        """The declared shape is the long-standing field order, trace
+        last; unstamped, that slot is the frame's final ``NONE`` byte."""
+        assert [name for name, _kind in codec_for(InvokeRequest).fields] == [
+            "object_id", "method", "args", "kwargs", "trace",
+        ]
+        frame = Encoder().encode(InvokeRequest("obj:1", "get", (1,), {"k": 2}))
+        assert frame[-1] == tags.NONE
 
     def test_untraced_request_bytes_identical_to_legacy_encoding(self):
         with_field = InvokeRequest("obj:1", "get", (1,), {"k": 2})
@@ -29,17 +34,11 @@ class TestFrameCompat:
 
     def test_traced_request_widens_to_five_and_round_trips(self):
         request = InvokeRequest("obj:1", "get", (), {}, trace=("trace:7", "span:9"))
-        assert len(request.__getstate__()) == 5
+        untraced = Encoder().encode(InvokeRequest("obj:1", "get", (), {}))
+        assert len(Encoder().encode(request)) > len(untraced)
         decoded = Decoder().decode(Encoder().encode(request))
         assert decoded.trace == ("trace:7", "span:9")
         assert decoded.object_id == "obj:1"
-
-    def test_legacy_four_tuple_decodes_with_trace_none(self):
-        """A frame from a peer that predates tracing installs trace=None."""
-        request = InvokeRequest.__new__(InvokeRequest)
-        request.__setstate__(("obj:1", "get", (1,), {"k": 2}))
-        assert request.trace is None
-        assert request.args == (1,)
 
     def test_untraced_caller_never_stamps(self):
         decoded = Decoder().decode(

@@ -1,10 +1,12 @@
-"""Tests for the obicodec schema-compiled fast path (PR 7)."""
+"""Tests for obicodec: the schema-compiled object frame."""
 
 import pytest
 
 from repro.core.telemetry import SerialPathStats
 from repro.serial import tags
+from repro.serial import compiled
 from repro.serial.compiled import (
+    ANY,
     INT64_MAX,
     codec_for,
     derive_schema,
@@ -23,7 +25,20 @@ def registry():
 
 
 def compiled_pair(registry):
-    return Encoder(registry, compiled=True), Decoder(registry)
+    return Encoder(registry), Decoder(registry)
+
+
+class Stateful:
+    """No schema: the wire state is whatever ``__getstate__`` says."""
+
+    def __init__(self, payload=None):
+        self.payload = payload
+
+    def __getstate__(self):
+        return {"payload": self.payload}
+
+    def __setstate__(self, state):
+        self.payload = state["payload"]
 
 
 # ----------------------------------------------------------------------
@@ -88,19 +103,21 @@ class TestDeriveSchema:
 
         assert derive_schema(Bare) == ()
 
+    # The four below are rejected *as scalars*: nothing proves one scalar
+    # kind, so the field rides as an any slot and the class still compiles.
     def test_uninferable_field_rejected(self):
         class Opaque:
             def __init__(self, thing):
                 self.thing = thing
 
-        assert derive_schema(Opaque) is None
+        assert derive_schema(Opaque) == (("thing", ANY),)
 
     def test_container_field_rejected(self):
         class Listy:
             def __init__(self):
                 self.items = []
 
-        assert derive_schema(Listy) is None
+        assert derive_schema(Listy) == (("items", ANY),)
 
     def test_conflicting_assignments_rejected(self):
         class Poly:
@@ -110,14 +127,42 @@ class TestDeriveSchema:
                 else:
                     self.value = ""
 
-        assert derive_schema(Poly) is None
+        assert derive_schema(Poly) == (("value", ANY),)
 
     def test_tuple_unpack_rejected(self):
         class Unpacked:
             def __init__(self):
                 self.a, self.b = 1, 2
 
-        assert derive_schema(Unpacked) is None
+        assert derive_schema(Unpacked) == (("a", ANY), ("b", ANY))
+
+    def test_reference_field_is_an_any_slot_between_scalars(self):
+        class Node:
+            def __init__(self, index: int = 0, nxt: "Node | None" = None):
+                self.index = index
+                self.next = nxt
+                self.done = False
+
+        assert derive_schema(Node) == (("index", "int"), ("next", ANY), ("done", "bool"))
+
+    def test_slots_dataclass_declares_its_fields(self):
+        from dataclasses import dataclass, field
+
+        @dataclass(slots=True)
+        class Envelope:
+            oid: str = ""
+            version: int = 0
+            payload: bytes = b""
+            meta: dict = field(default_factory=dict)
+            ref: "Envelope | None" = None
+
+        assert derive_schema(Envelope) == (
+            ("oid", "str"),
+            ("version", "int"),
+            ("payload", "bytes"),
+            ("meta", ANY),
+            ("ref", ANY),
+        )
 
     def test_obi_id_assignment_rejected(self):
         class Reserved:
@@ -178,12 +223,12 @@ class TestCodecCompilation:
         assert codec_for(Handled) is None
 
     def test_rejection_is_cached(self, registry):
-        class NoSchema:
-            def __init__(self, thing):
-                self.thing = thing
+        class NoSchema(Stateful):
+            pass
 
         registry.register(NoSchema)
         assert codec_for(NoSchema) is None
+        assert NoSchema in compiled._codecs  # tried once, remembered
 
     def test_generated_source_is_kept(self, registry):
         class Kept:
@@ -242,22 +287,28 @@ class TestCompiledRoundtrip:
                 self.delta_field = "x"
 
         registry.register(Wide)
-        compiled = Encoder(registry, compiled=True).encode(Wide())
-        reflective = Encoder(registry).encode(Wide())
-        assert compiled[0] == tags.OBJECT_SCHEMA
-        assert reflective[0] == tags.OBJECT
-        assert len(compiled) < len(reflective)
+        schema_frame = Encoder(registry).encode(Wide())
+        drifted = Wide()
+        del drifted.delta_field  # one attribute short of the schema: the generic frame
+        generic_frame = Encoder(registry).encode(drifted)
+        assert schema_frame[0] == tags.OBJECT_SCHEMA
+        assert generic_frame[0] == tags.OBJECT
+        assert len(schema_frame) < len(generic_frame)  # four fields beat three with names
 
     def test_reflective_encoder_unaffected_by_codec(self, registry):
+        """A class with no schema keeps the generic ``OBJECT`` frame,
+        whatever codecs its neighbours in the registry compiled."""
+
         class Quiet:
             def __init__(self, n: int):
                 self.n = n
 
         registry.register(Quiet)
+        registry.register(Stateful)
         assert codec_for(Quiet) is not None
-        frame = Encoder(registry).encode(Quiet(1))
+        frame = Encoder(registry).encode(Stateful(Quiet(1)))
         assert frame[0] == tags.OBJECT
-        assert bytes([tags.OBJECT_SCHEMA]) not in frame[:1]
+        assert Decoder(registry).decode(frame).payload.n == 1
 
     def test_compiled_frames_deterministic(self, registry):
         class Det:
@@ -266,8 +317,8 @@ class TestCompiledRoundtrip:
                 self.b = b
 
         registry.register(Det)
-        first = Encoder(registry, compiled=True).encode(Det(3, "x"))
-        second = Encoder(registry, compiled=True).encode(Det(3, "x"))
+        first = Encoder(registry).encode(Det(3, "x"))
+        second = Encoder(registry).encode(Det(3, "x"))
         assert first == second
 
     def test_aliasing_preserved_across_fast_path(self, registry):
@@ -291,9 +342,8 @@ class TestCompiledRoundtrip:
             def __init__(self, n: int):
                 self.n = n
 
-        class Slow:
-            def __init__(self, payload):
-                self.payload = payload
+        class Slow(Stateful):
+            pass
 
         registry.register(Fast)
         registry.register(Slow)
@@ -374,41 +424,6 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# encode_compiled (the put-direction frame)
-# ----------------------------------------------------------------------
-class TestEncodeCompiled:
-    def test_returns_schema_frame(self, registry):
-        class PutMe:
-            def __init__(self, n: int):
-                self.n = n
-
-        registry.register(PutMe)
-        encoder, decoder = compiled_pair(registry)
-        frame = encoder.encode_compiled(PutMe(9))
-        assert frame is not None and frame[0] == tags.OBJECT_SCHEMA
-        assert decoder.decode(frame).n == 9
-
-    def test_returns_none_on_drift(self, registry):
-        class Drifty:
-            def __init__(self, n: int):
-                self.n = n
-
-        registry.register(Drifty)
-        encoder, _ = compiled_pair(registry)
-        instance = Drifty(1)
-        instance.surprise = {}
-        assert encoder.encode_compiled(instance) is None
-
-    def test_returns_none_for_unregistered(self, registry):
-        class Ghost:
-            def __init__(self, n: int):
-                self.n = n
-
-        encoder, _ = compiled_pair(registry)
-        assert encoder.encode_compiled(Ghost(1)) is None
-
-
-# ----------------------------------------------------------------------
 # decoder hardening
 # ----------------------------------------------------------------------
 class TestDecoderHardening:
@@ -419,7 +434,7 @@ class TestDecoderHardening:
                 self.s = s
 
         entry = registry.register(Hard)
-        frame = Encoder(registry, compiled=True).encode(Hard(1, "payload"))
+        frame = Encoder(registry).encode(Hard(1, "payload"))
         assert frame[0] == tags.OBJECT_SCHEMA
         return frame, entry
 
@@ -447,9 +462,8 @@ class TestDecoderHardening:
         frame, entry = self._frame(registry)
         receiver = TypeRegistry()
 
-        class Unrelated:
-            def __init__(self, payload):
-                self.payload = payload
+        class Unrelated(Stateful):
+            pass
 
         receiver.register(Unrelated, name=entry.name)
         with pytest.raises(SerializationError, match="does not match a codec"):
@@ -467,7 +481,7 @@ class TestSerialStats:
 
         registry.register(Counted)
         stats = SerialPathStats()
-        encoder = Encoder(registry, compiled=True, stats=stats)
+        encoder = Encoder(registry, stats=stats)
         decoder = Decoder(registry, stats=stats)
         decoder.decode(encoder.encode([Counted(1), Counted(2)]))
         assert stats.frames_encoded == 1
@@ -482,25 +496,21 @@ class TestSerialStats:
             def __init__(self, n: int):
                 self.n = n
 
-        class Opaque:
-            def __init__(self, thing):
-                self.thing = thing
+        class Opaque(Stateful):
+            pass
 
         registry.register(Mixed)
         registry.register(Opaque)
         stats = SerialPathStats()
-        encoder = Encoder(registry, compiled=True, stats=stats)
+        encoder = Encoder(registry, stats=stats)
         encoder.encode([Mixed(1), Opaque("x")])
         assert stats.encodes_fast == 1
         assert stats.encodes_reflective == 1
 
     def test_reflective_encoder_counts_nothing_fast(self, registry):
-        class Plain:
-            def __init__(self, n: int):
-                self.n = n
-
-        registry.register(Plain)
+        registry.register(Stateful)
         stats = SerialPathStats()
-        Encoder(registry, stats=stats).encode(Plain(1))
+        Encoder(registry, stats=stats).encode(Stateful(1))
         assert stats.encodes_fast == 0
+        assert stats.encodes_reflective == 1
         assert stats.frames_encoded == 1

@@ -68,7 +68,7 @@ def test_swizzled_aliases_materialize_once():
 def test_unswizzled_descriptor_decodes_as_itself_by_default():
     registry = TypeRegistry()
     encoder = Encoder(registry, TokenSwizzler())
-    decoder = Decoder(registry)  # NullSwizzler: returns the descriptor
+    decoder = Decoder(registry)  # no unswizzler: the descriptor comes back
     result = decoder.decode(encoder.encode(Secret("x")))
     assert isinstance(result, SwizzleDescriptor)
     assert (result.kind, result.data) == ("secret", "x")
@@ -93,3 +93,20 @@ def test_swizzler_can_pass_structured_data():
     decoder = Decoder(registry)
     result = decoder.decode(Encoder(registry, StructSwizzler()).encode(Secret("t")))
     assert result.data == {"token": "t", "n": 3}
+
+
+def test_descriptor_data_travels_as_given():
+    """A descriptor is the swizzler's last word: whatever its data holds
+    is written by state, without asking the swizzler again."""
+    registry = TypeRegistry()
+    registry.register(Secret)
+
+    class Wrapping(TokenSwizzler):
+        def swizzle(self, value):  # would wrap the inner Secret too, forever
+            if isinstance(value, Secret):
+                return SwizzleDescriptor("secret", [Secret("inner:" + value.token)])
+            return None
+
+    result = Decoder(registry).decode(Encoder(registry, Wrapping()).encode(Secret("t")))
+    (inner,) = result.data
+    assert isinstance(inner, Secret) and inner.token == "inner:t"

@@ -103,7 +103,7 @@ class TestCompiledTruncation:
                 self.ratio = ratio
 
         registry.register(Packed)
-        frame = Encoder(registry, compiled=True).encode(Packed(9, "wire", 0.5))
+        frame = Encoder(registry).encode(Packed(9, "wire", 0.5))
         assert frame[0] == tags.OBJECT_SCHEMA
         return frame
 
