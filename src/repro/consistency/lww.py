@@ -105,6 +105,7 @@ class LwwReplica(ConsistencyProtocol):
         if isinstance(coordinator_ref, str):
             coordinator_ref = site.naming.lookup(coordinator_ref)
         self._coordinator = site.endpoint.stub(coordinator_ref, LWW_COORDINATOR_METHODS)
+        self._coordinator_site = coordinator_ref.site_id
 
     def read(self, replica: object) -> object:
         return replica
@@ -131,7 +132,7 @@ class LwwReplica(ConsistencyProtocol):
                     site.sync_stats.add(puts_delta=1)
                     return replica
                 site.sync_stats.add(need_full_downgrades=1)
-        package = build_put(site, [replica])
+        package = build_put(site, [replica], self._coordinator_site)
         versions = self._coordinator.try_put(package, site.clock.now())
         info = site.replica_info(oid)
         if info is not None:

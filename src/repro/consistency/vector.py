@@ -201,6 +201,7 @@ class VectorReplica(ConsistencyProtocol):
         if isinstance(coordinator_ref, str):
             coordinator_ref = site.naming.lookup(coordinator_ref)
         self._coordinator = site.endpoint.stub(coordinator_ref, VECTOR_COORDINATOR_METHODS)
+        self._coordinator_site = coordinator_ref.site_id
         self._resolver = resolver
         self._base: dict[str, VersionVector] = {}
 
@@ -254,7 +255,7 @@ class VectorReplica(ConsistencyProtocol):
                     site.sync_stats.add(puts_delta=1)
                     return result
                 site.sync_stats.add(need_full_downgrades=1)
-        package = build_put(site, [replica])
+        package = build_put(site, [replica], self._coordinator_site)
         result = self._coordinator.vector_put(package, base, site.name)
         if site.delta_sync:
             site.dirty_tracker.enroll(replica)

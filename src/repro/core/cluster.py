@@ -16,11 +16,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.meta import obi_id_of
-from repro.core.replication import build_put
 from repro.util.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.packages import PutPackage
     from repro.core.runtime import Site
 
 
@@ -42,13 +40,6 @@ def cluster_members(site: "Site", root: object) -> list[object]:
         if entry.cluster_root == root_id
     )
     return members
-
-
-def build_cluster_put(site: "Site", root: object) -> "PutPackage":
-    """Package the whole cluster's state for one ``put`` to the root's
-    provider — the only write-back granularity clusters support."""
-    members = cluster_members(site, root)
-    return build_put(site, members)
 
 
 def check_individually_updatable(site: "Site", replica: object) -> None:

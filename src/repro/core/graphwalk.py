@@ -24,6 +24,10 @@ from repro.core.meta import is_obiwan
 from repro.core.proxy_out import ProxyOutBase
 
 
+#: Types that can hold no reference: skipped without a closer look.
+_LEAVES = frozenset({int, float, bool, str, bytes, type(None)})
+
+
 def is_node(value: object) -> bool:
     """True for values that are OBIWAN graph nodes (objects or proxy-outs)."""
     return isinstance(value, ProxyOutBase) or is_obiwan(value)
@@ -37,7 +41,12 @@ def direct_references(obj: object) -> Iterator[object]:
     are yielded once per holding position (callers dedupe as needed).
     """
     for value in vars(obj).values():
-        yield from _scan(value)
+        if type(value) in _LEAVES:
+            continue
+        if is_node(value):
+            yield value
+        else:
+            yield from _scan(value)
 
 
 def _scan(value: object) -> Iterator[object]:
@@ -59,13 +68,16 @@ def breadth_first(
     *,
     max_objects: int = 0,
     max_depth: int = 0,
+    resolved: list[tuple[object, ProxyOutBase]] | None = None,
 ) -> list[object]:
     """Collect OBIWAN objects reachable from ``root`` in BFS order.
 
     ``root`` is always first.  Zero bounds mean unbounded.  Proxy-outs are
     never *entered* (their referents live elsewhere), and unresolved
     proxy-outs are not collected — they are the frontier.  A resolved
-    proxy-out is traversed through to its target replica.
+    proxy-out is traversed through to its target replica; when
+    ``resolved`` is given, every (member, resolved proxy-out it holds)
+    pair is appended to it, members at the depth bound included.
     """
     resolved_root = _through(root)
     ordered: list[object] = []
@@ -82,10 +94,18 @@ def breadth_first(
             break
         seen.add(id(node))
         ordered.append(node)
-        if max_depth and depth >= max_depth:
+        expand = not (max_depth and depth >= max_depth)
+        if not expand and resolved is None:
             continue
         for ref in direct_references(node):
-            queue.append((ref, depth + 1))
+            if (
+                resolved is not None
+                and isinstance(ref, ProxyOutBase)
+                and ref._obi_resolved is not None
+            ):
+                resolved.append((node, ref))
+            if expand:
+                queue.append((ref, depth + 1))
     return ordered
 
 

@@ -3,7 +3,7 @@
 A :class:`ReplicaPackage` is what ``get``/``demand`` returns: a serialized
 object-graph payload plus per-object metadata (version, provider
 reference, cluster membership).  A :class:`PutPackage` carries replica
-state back to masters.
+state back to masters, every entry's state in one payload.
 
 Graph payloads are pre-serialized into ``bytes`` by the replication engine
 with a context-specific swizzler, so packages travel through the ordinary
@@ -62,10 +62,9 @@ class ReplicaPackage:
 
 @dataclass(slots=True)
 class PutEntry:
-    """One object's state travelling back to its master."""
+    """One object travelling back to its master."""
 
     obi_id: str = ""
-    payload: bytes = b""
     #: Master version the consumer last saw — consistency protocols use it
     #: for staleness/conflict detection; the core ignores it.
     version_seen: int = 0
@@ -73,9 +72,11 @@ class PutEntry:
 
 @dataclass(slots=True)
 class PutPackage:
-    """The consumer's ``put``: one entry per object being written back."""
+    """The consumer's ``put``: one entry per object being written back,
+    and one ``payload`` frame — the list of their states, in entry order."""
 
     entries: list[PutEntry] = field(default_factory=list)
+    payload: bytes = b""
 
 
 @dataclass(slots=True)

@@ -25,9 +25,10 @@ Consumer side — :func:`integrate_package`:
    splicing when the fault fires.
 
 Write-back — :func:`build_put` / :func:`apply_put` implement ``put``:
-replica state travels with OBIWAN references flattened to logical ids;
-the master site re-links them to its own objects and adopts any
-consumer-created objects that arrive by value.
+the entries' states travel as one frame in which a reference to an
+object the master's site provides is a bare oid; the master decodes and
+checks the whole frame, then re-links those oids to its own objects and
+keeps proxy-outs for the rest.
 """
 
 from __future__ import annotations
@@ -61,24 +62,42 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Swizzle kind for references leaving the replication set.
 PROXY_OUT_KIND = "obiwan.proxy-out"
 
+#: Swizzle kind for a reference to one of the receiver's own objects: its
+#: data is the bare oid, resolved among the receiver's objects.
+OID_KIND = "obiwan.oid"
+
 
 # ----------------------------------------------------------------------
 # provider side
 # ----------------------------------------------------------------------
 class PackagingSwizzler:
-    """Encoder hook used while building a replica package.
+    """Encoder hook used while building a replica package or a put.
 
-    ``member_ids`` are the ``id()`` s of the objects that travel by state;
-    every other OBIWAN reference leaves as a proxy-out descriptor.
+    ``member_ids`` are the ``id()`` s of the objects that travel by state.
+    A reference to an object whose provider is ``destination`` — the site
+    the frame is for — travels as its bare oid and exports nothing, as
+    does one to an object of ``held`` (``id()`` → oid of objects the
+    destination is known to master: a put's own entries); every other
+    OBIWAN reference leaves as a proxy-out descriptor.
     """
 
-    def __init__(self, site: "Site", member_ids: set[int]):
+    def __init__(
+        self,
+        site: "Site",
+        member_ids: set[int],
+        destination: str | None = None,
+        held: dict[int, str] | None = None,
+    ):
         self._site = site
         self.member_ids = member_ids
+        self.destination = destination
+        self._held = held if held is not None else {}
         self.pairs_created = 0
 
     def swizzle(self, value: object) -> SwizzleDescriptor | None:
         if isinstance(value, ProxyOutBase):
+            if value._obi_provider.site_id == self.destination:
+                return SwizzleDescriptor(OID_KIND, value._obi_target_id)
             # A frontier reference that is itself still a fault at the
             # provider (chained replication): forward its provider.
             return SwizzleDescriptor(
@@ -86,12 +105,27 @@ class PackagingSwizzler:
                 (value._obi_target_id, value._obi_interface.name, value._obi_provider),
             )
         if is_obiwan(value) and id(value) not in self.member_ids:
+            oid = self._held.get(id(value))
+            if oid is not None:
+                return SwizzleDescriptor(OID_KIND, oid)
+            oid = obi_id_of(value)
+            if self.destination is not None and self._provided_by_destination(oid):
+                return SwizzleDescriptor(OID_KIND, oid)
             ref, created = self._site.ensure_provider_for(value)
             if created:
                 self.pairs_created += 1
             # (The reference was exported under the object's interface name.)
-            return SwizzleDescriptor(PROXY_OUT_KIND, (obi_id_of(value), ref.interface, ref))
+            return SwizzleDescriptor(PROXY_OUT_KIND, (oid, ref.interface, ref))
         return None
+
+    def _provided_by_destination(self, oid: str) -> bool:
+        """True for a replica whose provider — for a cluster member, its
+        root's — is on the destination site."""
+        record = self._site.replica_info(oid)
+        if record is None or record.provider is None:
+            root = record.cluster_root if record is not None else None
+            return root is not None and self._provided_by_destination(root)
+        return record.provider.site_id == self.destination
 
     def unswizzle(self, descriptor: SwizzleDescriptor) -> object:  # pragma: no cover
         raise ReplicationError("packaging swizzler cannot decode")
@@ -111,13 +145,19 @@ def build_package(site: "Site", root: object, mode: ReplicationMode) -> ReplicaP
 
 
 def _build_package(site: "Site", root: object, mode: ReplicationMode) -> ReplicaPackage:
+    resolved: list[tuple[object, ProxyOutBase]] = []
     members = graphwalk.breadth_first(
-        root, max_objects=mode.chunk, max_depth=mode.depth
+        root, max_objects=mode.chunk, max_depth=mode.depth, resolved=resolved
     )
     if not members:
         raise ReplicationError("replication root resolves to no object")
     root = members[0]
-    _normalize_resolved_proxies(members)
+    if resolved:
+        # Splice already-resolved proxy-outs out of their holders, so every
+        # proxy-out the encoder meets is a genuine frontier fault.
+        replacements = {id(proxy): proxy._obi_resolved for _holder, proxy in resolved}
+        for holder in {id(holder): holder for holder, _proxy in resolved}.values():
+            graphwalk.replace_references(holder, replacements)
 
     root_id = obi_id_of(root)
     member_ids = {id(m) for m in members}
@@ -158,33 +198,26 @@ def _build_package(site: "Site", root: object, mode: ReplicationMode) -> Replica
     )
 
 
-def _normalize_resolved_proxies(members: list[object]) -> None:
-    """Replace already-resolved proxy-outs in member state by their targets.
-
-    Keeps the encoder from ever meeting a resolved proxy: after this pass
-    every proxy-out in member state is a genuine frontier fault.
-    """
-    replacements: dict[int, object] = {}
-    for member in members:
-        for ref in graphwalk.direct_references(member):
-            if isinstance(ref, ProxyOutBase) and ref._obi_resolved is not None:
-                replacements[id(ref)] = ref._obi_resolved
-    if replacements:
-        for member in members:
-            graphwalk.replace_references(member, replacements)
-
-
 # ----------------------------------------------------------------------
 # consumer side
 # ----------------------------------------------------------------------
 class SiteUnswizzler:
-    """Decoder hook: materialize proxy-outs, re-link by-id references."""
+    """Decoder hook: materialize proxy-outs, re-link by-id references (a
+    bare oid this site does not hold fails the whole frame, typed)."""
 
     def __init__(self, site: "Site", mode: ReplicationMode):
         self._site = site
         self._mode = mode
 
     def unswizzle(self, descriptor: SwizzleDescriptor) -> object:
+        if descriptor.kind == OID_KIND:
+            oid = descriptor.data
+            local = self._site.local_node_for(oid) if type(oid) is str else None
+            if local is None:
+                raise UnknownReplicaError(
+                    f"reference to object {oid!r}, which site {self._site.name!r} does not hold"
+                )
+            return local
         if descriptor.kind == PROXY_OUT_KIND:
             target_id, interface_name, provider = descriptor.data  # type: ignore[misc]
             local = self._site.local_node_for(target_id)
@@ -219,35 +252,43 @@ def _integrate_package(site: "Site", package: ReplicaPackage) -> object:
     decoder = Decoder(site.registry, SiteUnswizzler(site, package.mode), stats=site.serial_stats)
     decoded_root = decoder.decode(package.payload)
 
-    arrivals = _collect_arrivals(decoded_root, package)
+    arrivals, frontier = _collect_arrivals(decoded_root, package)
 
     # Map freshly decoded copies onto pre-existing local objects.
     replacements: dict[int, object] = {}
     canonical: dict[str, object] = {}
+    kept: set[str] = set()  # local masters: they keep their own state
     for oid, fresh in arrivals.items():
         existing = site.local_object_for(oid)
-        if existing is None or existing is fresh:
-            canonical[oid] = fresh
+        canonical[oid] = fresh if existing is None else existing
+        if existing is None:
             continue
-        canonical[oid] = existing
-        replacements[id(fresh)] = existing
-        if not site.is_master(oid):
+        if site.is_master(oid):
+            kept.add(oid)
+        elif existing is not fresh:
             # Refresh in place so every alias of the old replica sees the
-            # new state; masters keep their own (authoritative) state.
+            # new state.
             vars(existing).clear()
             vars(existing).update(vars(fresh))
+        if existing is not fresh:
+            replacements[id(fresh)] = existing
 
     if replacements:
         for obj in canonical.values():
             graphwalk.replace_references(obj, replacements)
 
     for oid, obj in canonical.items():
-        entry = package.meta[oid]
-        if not site.is_master(oid):
-            site.register_replica(obj, entry, package.mode)
-        for ref in graphwalk.direct_references(obj):
+        if oid not in kept:
+            site.register_replica(obj, package.meta[oid], package.mode)
+    # The paper's setDemander: every unresolved proxy-out learns which
+    # objects hold it, so its fault can splice the replica into them.
+    for oid, proxy in frontier:
+        if oid not in kept:
+            proxy._obi_add_demander(canonical[oid])
+    for oid in kept:
+        for ref in graphwalk.direct_references(canonical[oid]):
             if isinstance(ref, ProxyOutBase) and ref._obi_resolved is None:
-                ref._obi_add_demander(obj)
+                ref._obi_add_demander(canonical[oid])
 
     root = canonical.get(package.root_id)
     if root is None:
@@ -257,91 +298,71 @@ def _integrate_package(site: "Site", package: ReplicaPackage) -> object:
     return root
 
 
-def _collect_arrivals(decoded_root: object, package: ReplicaPackage) -> dict[str, object]:
-    """Walk the decoded graph and index package objects by logical id."""
+def _collect_arrivals(
+    decoded_root: object, package: ReplicaPackage
+) -> tuple[dict[str, object], list[tuple[str, ProxyOutBase]]]:
+    """Walk the decoded graph once: index package objects by logical id,
+    and list every unresolved proxy-out with the oid of its holder."""
     arrivals: dict[str, object] = {}
-    stack = [decoded_root]
+    frontier: list[tuple[str, ProxyOutBase]] = []
+    meta = package.meta
+    stack = [decoded_root] if is_obiwan(decoded_root) else []
     seen: set[int] = set()
     while stack:
         node = stack.pop()
-        if id(node) in seen or isinstance(node, ProxyOutBase) or not is_obiwan(node):
+        if id(node) in seen:
             continue
         seen.add(id(node))
         oid = obi_id_of(node)
-        if oid not in package.meta:
+        if oid not in meta:
             continue  # an already-local object spliced in by the unswizzler
         if oid not in arrivals:
             arrivals[oid] = node
-        stack.extend(graphwalk.direct_references(node))
-    missing = set(package.meta) - set(arrivals)
+        for ref in graphwalk.direct_references(node):
+            if not isinstance(ref, ProxyOutBase):
+                stack.append(ref)
+            elif ref._obi_resolved is None:
+                frontier.append((oid, ref))
+    missing = set(meta) - set(arrivals)
     if missing:
         raise ReplicationError(
             f"package advertised objects that never arrived: {sorted(missing)}"
         )
-    return arrivals
+    return arrivals, frontier
 
 
 # ----------------------------------------------------------------------
 # write-back (put)
 # ----------------------------------------------------------------------
-class OwnStateEncoder:
-    """Encodes one object at a time as its *instance frame*.
-
-    The frame carries the object's own state by value; every OBIWAN
-    reference in that state — to another replica, to a proxy-out, even to
-    an object created locally — travels as a proxy-out descriptor naming
-    a provider.  The receiver decodes an instance of the same class and
-    lifts its state (:func:`own_state_of`).  One swizzler/encoder pair
-    serves a whole batch: each frame is independent, and ``pairs_created``
-    accumulates so the cost model is charged once.
-
-    What is encoded is a shallow copy, so a reference the object holds to
-    *itself* is, to the swizzler, a reference to some other object and
-    leaves as a proxy-out like the rest: the receiver re-links it to its
-    own object, not to the temporary it decoded.
-    """
-
-    def __init__(self, site: "Site"):
-        self.swizzler = PackagingSwizzler(site, member_ids=set())
-        self._encoder = Encoder(site.registry, self.swizzler, stats=site.serial_stats)
-
-    def encode(self, obj: object) -> bytes:
-        cls = type(obj)
-        copy = cls.__new__(cls)
-        vars(copy).update(vars(obj))
-        self.swizzler.member_ids = {id(copy)}
-        return self._encoder.encode(copy)
-
-
-def own_state_of(decoded: object, cls: type) -> dict[str, object] | None:
-    """The state dict an instance frame of ``cls`` carried, or None when
-    the frame decoded to anything else."""
-    return dict(vars(decoded)) if type(decoded) is cls else None
-
-
-def build_put(site: "Site", replicas: list[object]) -> PutPackage:
+def build_put(
+    site: "Site", replicas: list[object], destination: str | None = None
+) -> PutPackage:
     """Build the ``put`` package for one or more local replicas.
 
-    Each entry carries one object's own state as an instance frame; the
-    destination re-links the references it can resolve locally and keeps
-    proxy-outs for the rest.  A consumer-created object thus stays
-    mastered at the consumer ("objects can be replicated freely among
-    sites").
+    One frame carries the instance frames of every entry, in entry order.
+    Each is a shallow copy, so every reference an entry holds — to another
+    entry, even to itself — is swizzled: to its bare oid when it names an
+    entry (a put applies only where every entry is mastered) or an object
+    whose provider is ``destination`` (the site the put goes to),
+    otherwise to a proxy-out descriptor.  A consumer-created object thus
+    stays mastered at the consumer ("objects can be replicated freely
+    among sites").
     """
     entries: list[PutEntry] = []
-    total_bytes = 0
-    encoder = OwnStateEncoder(site)
+    copies: list[object] = []
+    held: dict[int, str] = {}  # the destination masters every entry
     for replica in replicas:
-        oid = obi_id_of(replica)
+        oid = held[id(replica)] = obi_id_of(replica)
         info = site.replica_info(oid)
-        payload = encoder.encode(replica)
-        total_bytes += len(payload)
-        entries.append(
-            PutEntry(obi_id=oid, payload=payload, version_seen=info.version if info else 0)
-        )
-    site.charge_pairs(encoder.swizzler.pairs_created)
-    site.charge_serialization(total_bytes)
-    return PutPackage(entries=entries)
+        entries.append(PutEntry(obi_id=oid, version_seen=info.version if info else 0))
+        copy = type(replica).__new__(type(replica))
+        vars(copy).update(vars(replica))
+        copies.append(copy)
+    swizzler = PackagingSwizzler(site, {id(copy) for copy in copies}, destination, held)
+    payload = Encoder(site.registry, swizzler, stats=site.serial_stats).encode(copies)
+    site.charge_pairs(swizzler.pairs_created)
+    site.charge_serialization(len(payload))
+    return PutPackage(entries=entries, payload=payload)
 
 
 def apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
@@ -352,31 +373,33 @@ def apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
 
 def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
     # Validate before applying: every entry must name a master of this
-    # site and pass the guard its own oid was exported behind, or nothing
-    # is touched.
+    # site and pass the guard its own oid was exported behind, and the frame
+    # must decode to one instance of each master's class, or nothing moves.
     masters = [_authorized_master(site, entry.obi_id, "put") for entry in package.entries]
-    versions: dict[str, int] = {}
-    # Every entry decodes under the same unswizzling policy, so one
-    # decoder serves the whole package (each decode() is its own frame).
-    decoder = Decoder(
+    site.charge_serialization(len(package.payload))
+    states = Decoder(
         site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
-    )
+    ).decode(package.payload)
+    if type(states) is not list or len(states) != len(masters):
+        raise ReplicationError(
+            f"put payload must decode to a list of {len(masters)} instance frames"
+        )
+    for entry, master, state in zip(package.entries, masters, states):
+        if type(state) is not type(master):
+            raise ReplicationError(
+                f"put payload for {entry.obi_id!r} must decode to an instance "
+                f"of {type(master).__name__}"
+            )
+    versions: dict[str, int] = {}
     # A full put replaces the whole state: poison the delta history
     # (``fields=None``) so refreshes spanning this version go through the
     # full-state path.
     applied: list[tuple[str, int, None]] = []
     try:
-        for entry, master in zip(package.entries, masters):
-            site.charge_serialization(len(entry.payload))
-            state = own_state_of(decoder.decode(entry.payload), type(master))
-            if state is None:
-                raise ReplicationError(
-                    f"put payload for {entry.obi_id!r} must decode to an instance "
-                    f"of {type(master).__name__}"
-                )
+        for entry, master, state in zip(package.entries, masters, states):
             preserved_id = vars(master).get("_obi_id")
             vars(master).clear()
-            vars(master).update(state)
+            vars(master).update(vars(state))
             if preserved_id is not None:
                 vars(master)["_obi_id"] = preserved_id
             versions[entry.obi_id] = site.bump_master_version(entry.obi_id)

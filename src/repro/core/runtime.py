@@ -470,7 +470,8 @@ class Site:
                 paths.add("delta")
         if full:
             pushed = [item.replica for item in full]
-            acked = self.endpoint.invoke(provider, "put", (build_put(self, pushed),))
+            package = build_put(self, pushed, provider.site_id)
+            acked = self.endpoint.invoke(provider, "put", (package,))
             _commit_versions(acked, full, versions, "put")
             self._rebaseline_after_full_put(pushed, [item.snap for item in full])
             self.sync_stats.add(oid=full[0].oid, puts_full=1)
@@ -543,7 +544,7 @@ class Site:
                 if versions is not None:
                     self._apply_versions(versions)
                     return versions
-        package = cluster_ops.build_cluster_put(self, root)
+        package = build_put(self, members, info.provider.site_id)
         versions = self.endpoint.invoke(info.provider, "put", (package,))
         self._apply_versions(versions)
         self._rebaseline_after_full_put(members, snaps)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.interfaces import ReplicationMode
 from repro.core.meta import compiled_registry, obi_id_of
-from repro.core.replication import SiteUnswizzler, own_state_of
+from repro.core.replication import SiteUnswizzler
 from repro.serial.decoder import Decoder
 from repro.util.errors import FeedError
 
@@ -49,12 +49,12 @@ def apply_feed_frame(site: "Site", frame: "FeedFrame") -> bool:
     site.charge_serialization(len(frame.payload))
     cls = type(local) if local is not None else compiled_registry.by_interface(frame.interface).cls
     decoded = decoder.decode(frame.payload)
-    state = own_state_of(decoded, cls)
-    if state is None:
+    if type(decoded) is not cls:
         raise FeedError(
             f"feed frame for {frame.oid!r} must decode to an instance of "
             f"{cls.__name__}, got {type(decoded).__name__}"
         )
+    state = vars(decoded)
 
     if local is None:
         local = cls.__new__(cls)

@@ -272,7 +272,7 @@ class FeedFollower:
                 "delivered its provider yet"
             )
         with site.tracer.span("feed.write_through", oid=oid):
-            package = build_put(site, [obj])
+            package = build_put(site, [obj], provider.site_id)
             versions = site.endpoint.invoke(provider, "put", (package,))
             if not isinstance(versions, dict):
                 raise FeedError(

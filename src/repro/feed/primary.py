@@ -46,8 +46,9 @@ from repro.core.packages import (
     PromoteReply,
     PromoteRequest,
 )
-from repro.core.replication import OwnStateEncoder
+from repro.core.replication import PackagingSwizzler
 from repro.feed.service import ensure_feed_service, feed_ref
+from repro.serial.encoder import Encoder
 from repro.util.errors import (
     FeedError,
     RemoteError,
@@ -63,6 +64,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: How long a push waits for one follower's ack before stalling it.
 PUSH_TIMEOUT_S = 30.0
+
+
+class OwnStateEncoder:
+    """Encodes one master at a time as its *instance frame*.
+
+    The frame carries the object's own state by value; every OBIWAN
+    reference in that state travels as a proxy-out descriptor naming a
+    provider.  The follower decodes an instance of the same class and
+    lifts its state.  One swizzler/encoder pair serves a whole batch:
+    each frame is independent.
+
+    What is encoded is a shallow copy, so a reference the object holds to
+    *itself* is, to the swizzler, a reference to some other object and
+    leaves as a proxy-out like the rest: the follower re-links it to its
+    own mirror, not to the temporary it decoded.
+    """
+
+    def __init__(self, site: "Site"):
+        self.swizzler = PackagingSwizzler(site, member_ids=set())
+        self._encoder = Encoder(site.registry, self.swizzler, stats=site.serial_stats)
+
+    def encode(self, obj: object) -> bytes:
+        copy = type(obj).__new__(type(obj))
+        vars(copy).update(vars(obj))
+        self.swizzler.member_ids = {id(copy)}
+        return self._encoder.encode(copy)
 
 
 class _Subscriber:

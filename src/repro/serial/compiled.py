@@ -16,8 +16,9 @@ back-reference exactly as they do anywhere else in a frame.
 Two sources of schema:
 
 * an application class (default state, no ``__slots__``): the
-  ``self.X = ...`` assignments of ``__init__``, in textual order, typed
-  by annotation, parameter default or literal.  That is an *inference*
+  ``self.X = ...`` assignments of ``__init__`` and of every base
+  ``__init__`` it reaches through ``super().__init__``, in textual order,
+  typed by annotation, parameter default or literal.  That is an *inference*
   two builds could make differently, so the frame carries its hash and a
   peer that inferred another schema refuses it.  ``_obi_id`` rides in
   the body.  A live instance whose dict drifted from the schema (extra
@@ -140,7 +141,8 @@ def derive_schema(cls: type) -> tuple[tuple[str, str], ...] | None:
     resolves, in precedence order, from the assignment's own annotation,
     a class-level annotation, the source parameter's annotation or
     default, or a literal — and is :data:`ANY` when none of those names
-    one scalar type or two assignments disagree.
+    one scalar type or two assignments disagree.  A ``super().__init__``
+    call contributes the base's stores at its position.
     """
     slotted = False
     for klass in cls.__mro__[:-1]:
@@ -158,27 +160,65 @@ def derive_schema(cls: type) -> tuple[tuple[str, str], ...] | None:
     if slotted:
         return None  # no instance dict to read, no declaration either
 
-    init = cls.__init__
-    if init is object.__init__:
-        return ()
+    owner = next(klass for klass in cls.__mro__ if "__init__" in vars(klass))
+    kinds: dict[str, str | None] = {}  # insertion order is wire order
+    if not _fold_init(cls, owner, _class_annotation_kinds(cls), kinds, base=False):
+        return None
+    if "_obi_id" in kinds:
+        return None  # reserved: the frame carries it itself
+    return tuple((field, kind or ANY) for field, kind in kinds.items())
+
+
+def _is_super_init(node: ast.AST) -> bool:
+    """``super().__init__(...)`` (any arguments)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__"
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name)
+        and node.func.value.func.id == "super"
+    )
+
+
+def _fold_init(
+    cls: type, owner: type, class_kinds: dict[str, str], kinds: dict[str, str | None], *, base: bool
+) -> bool:
+    """Fold the ``self.X`` stores of ``owner.__init__`` into ``kinds`` in
+    textual order, a ``super().__init__(...)`` call standing for the
+    stores of the next ``__init__`` along ``cls``'s MRO.  A *base* store
+    of a parameter is only typed by the parameter's annotation: the
+    subclass decides what it passes.  False when a source is unreadable.
+    """
+    if owner is object:
+        return True
+    init = vars(owner)["__init__"]
     try:
         tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
     except (OSError, TypeError, SyntaxError, ValueError):
-        return None
+        return False
     if not tree.body or not isinstance(tree.body[0], (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
+        return False
     fn = tree.body[0]
     if not fn.args.args:
-        return None
+        return False
     self_name = fn.args.args[0].arg
-    param_kinds = _parameter_kinds(init)
-    class_kinds = _class_annotation_kinds(cls)
+    param_kinds = _parameter_kinds(init, defaults=not base)
 
-    kinds: dict[str, str | None] = {}  # insertion order is wire order
     for node in sorted(
-        (n for n in ast.walk(fn) if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))),
+        (
+            n
+            for n in ast.walk(fn)
+            if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign)) or _is_super_init(n)
+        ),
         key=lambda n: (n.lineno, n.col_offset),
     ):
+        if isinstance(node, ast.Call):
+            later = cls.__mro__[cls.__mro__.index(owner) + 1 :]
+            nxt = next(klass for klass in later if "__init__" in vars(klass))
+            if not _fold_init(cls, nxt, class_kinds, kinds, base=True):
+                return False
+            continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         annotated = (
             _annotation_kind(ast.unparse(node.annotation))
@@ -202,10 +242,7 @@ def derive_schema(cls: type) -> tuple[tuple[str, str], ...] | None:
                     kinds[store.attr] = kind
                 elif kind is not None and kind != known:
                     kinds[store.attr] = ANY  # polymorphic field
-
-    if "_obi_id" in kinds:
-        return None  # reserved: the frame carries it itself
-    return tuple((field, kind or ANY) for field, kind in kinds.items())
+    return True
 
 
 def _annotation_kind(annotation: object) -> str | None:
@@ -217,7 +254,7 @@ def _annotation_kind(annotation: object) -> str | None:
     return None
 
 
-def _parameter_kinds(init) -> dict[str, str]:
+def _parameter_kinds(init, *, defaults: bool = True) -> dict[str, str]:
     try:
         signature = inspect.signature(init)
     except (ValueError, TypeError):
@@ -225,7 +262,7 @@ def _parameter_kinds(init) -> dict[str, str]:
     kinds: dict[str, str] = {}
     for name, parameter in list(signature.parameters.items())[1:]:
         kind = _annotation_kind(parameter.annotation)
-        if kind is None and parameter.default is not inspect.Parameter.empty:
+        if kind is None and defaults and parameter.default is not inspect.Parameter.empty:
             kind = _TYPE_KIND.get(type(parameter.default))
         if kind is not None:
             kinds[name] = kind

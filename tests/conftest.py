@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core.costs import CostModel
 from repro.core.runtime import Site, World
+
+# ``HYPOTHESIS_PROFILE=ci`` (the CI tier-1 job) draws the same examples on
+# every run and ignores the local example database, so a property that
+# fails in CI fails the same way on any checkout.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

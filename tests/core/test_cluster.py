@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cluster import build_cluster_put, check_individually_updatable, cluster_members
+from repro.core.cluster import check_individually_updatable, cluster_members
 from repro.core.interfaces import Cluster, Incremental
 from repro.core.meta import obi_id_of
 from repro.core.proxy_out import ProxyOutBase
@@ -88,7 +88,22 @@ class TestClusterUpdateGranularity:
     def test_cluster_put_from_member_rejected(self, clustered):
         _provider, consumer, _masters, root = clustered
         with pytest.raises(ClusterError, match="root"):
-            build_cluster_put(consumer, root.next)
+            consumer.put_back_cluster(root.next)
+
+    def test_cluster_put_scans_the_replica_table_once(self, clustered, monkeypatch):
+        _provider, consumer, masters, root = clustered
+        scans = []
+        iter_replicas = consumer.iter_replicas
+
+        def counted():
+            scans.append(1)
+            return iter_replicas()
+
+        monkeypatch.setattr(consumer, "iter_replicas", counted)
+        root.set_index(42)
+        assert len(consumer.put_back_cluster(root)) == 4
+        assert masters.index == 42
+        assert len(scans) == 1
 
     def test_check_individually_updatable_passes_for_plain_replica(self, zsites):
         provider, consumer = zsites

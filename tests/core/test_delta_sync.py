@@ -274,7 +274,7 @@ class TestUnknownReplica:
 
     def test_apply_put_raises_typed_error_for_unknown_id(self, zsites):
         provider, _consumer = zsites
-        package = PutPackage(entries=[PutEntry(obi_id="ghost", payload=b"")])
+        package = PutPackage(entries=[PutEntry(obi_id="ghost")])
         with pytest.raises(UnknownReplicaError, match="ghost"):
             apply_put(provider, package)
 
@@ -291,7 +291,7 @@ class TestUnknownReplica:
         provider.export(Box(1), name="box")
         replica = consumer.replicate("box")
         ref = consumer.replica_info(obi_id_of(replica)).provider
-        package = PutPackage(entries=[PutEntry(obi_id="ghost", payload=b"")])
+        package = PutPackage(entries=[PutEntry(obi_id="ghost")])
         with pytest.raises(UnknownReplicaError, match="ghost"):
             consumer.endpoint.invoke(ref, "put", (package,))  # obilint: disable=OBI204 -- deliberately malformed put: the test ships a ghost id precisely because nothing acquired it
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.interfaces import Cluster
 from repro.core.meta import obi_id_of
+from repro.core.packages import PutEntry
 from repro.core.replication import build_put, build_put_delta
 from repro.rmi.protocol import InvokeRequest
 from repro.serial import tags
@@ -59,7 +60,7 @@ class TestSinglePutSendsTheSameFrame:
         provider.export(Box({"k": [1, 2]}), name="box")
         replica = consumer.replicate("box")
         replica.set({"k": [3]})
-        expected = self._frame(consumer, replica, "put", build_put(consumer, [replica]))
+        expected = self._frame(consumer, replica, "put", build_put(consumer, [replica], "S2"))
         requests_on_the_wire.clear()
         consumer.put_back(replica)
         assert requests_on_the_wire == [expected]
@@ -69,8 +70,10 @@ class TestSinglePutSendsTheSameFrame:
         provider.export(Counter(1), name="counter")
         replica = consumer.replicate("counter")
         replica.increment()
-        package = build_put(consumer, [replica])
-        assert package.entries[0].payload[0] == tags.OBJECT_SCHEMA  # an instance frame
+        package = build_put(consumer, [replica], "S2")
+        # One frame: a one-item list holding the entry's instance frame.
+        assert package.payload[:5] == bytes([tags.LIST, 0, 0, 0, 1])
+        assert package.payload[5] == tags.OBJECT_SCHEMA
         expected = self._frame(consumer, replica, "put", package)
         requests_on_the_wire.clear()
         consumer.put_back(replica)
@@ -199,21 +202,66 @@ class TestValidateThenApply:
         assert [event.oid for event in batch] == [obi_id_of(m) for m in masters]
         assert all(event.fields is None for event in batch)
 
-    def test_entries_applied_before_a_failure_are_journaled(self, zsites):
+    def test_entries_applied_before_a_failure_are_journaled(self, zsites, monkeypatch):
         provider, consumer = zsites
         masters = _export_counters(provider, 3)
         replicas = [consumer.replicate(f"c{i}") for i in range(3)]
         for replica in replicas:
             replica.increment(10)
-        package = build_put(consumer, replicas)
-        package.entries[1].payload = Encoder(consumer.registry).encode("not an instance")
+        bump = provider.bump_master_version
+        bumped = []
+
+        def bump_fails_on_the_second_entry(oid):
+            bumped.append(oid)
+            if len(bumped) == 2:
+                raise ReplicationError("version store failed")
+            return bump(oid)
+
+        monkeypatch.setattr(provider, "bump_master_version", bump_fails_on_the_second_entry)
         batches = []
         provider.change_log.subscribe(batches.append)
-        via_first = consumer.replica_info(obi_id_of(replicas[0])).provider
-        with pytest.raises(ReplicationError, match="must decode to an instance"):
-            consumer.endpoint.invoke(via_first, "put", (package,))
-        # Entry 0 landed before entry 1 failed to decode: it is journaled,
-        # so no applied change can be missing from the feed.
-        assert [m.value for m in masters] == [10, 1, 2]
+        with pytest.raises(ReplicationError, match="version store failed"):
+            consumer.put_back_many(replicas)
+        # Entry 0 was applied before entry 1 failed: it is journaled, so no
+        # applied change can be missing from the feed; entry 2 is untouched.
+        assert [provider.version_of(m) for m in masters] == [2, 1, 1]
+        assert masters[2].value == 2
         (batch,) = batches
         assert [(event.oid, event.version) for event in batch] == [(obi_id_of(masters[0]), 2)]
+
+    def test_an_entry_of_the_wrong_class_changes_and_journals_nothing(self, zsites):
+        provider, consumer = zsites
+        masters = _export_counters(provider, 3)
+        provider.export(Box("boxed"), name="box")
+        replicas = [consumer.replicate(f"c{i}") for i in range(3)]
+        for replica in replicas:
+            replica.increment(10)
+        # The frame's second state is a Box; the second entry names a Counter.
+        package = build_put(consumer, [replicas[0], consumer.replicate("box"), replicas[2]])
+        package.entries[1] = PutEntry(obi_id=obi_id_of(replicas[1]))
+        events = []
+        provider.change_log.subscribe(events.append)
+        head = provider.change_log.latest_serial
+        via_first = consumer.replica_info(obi_id_of(replicas[0])).provider
+        with pytest.raises(ReplicationError, match="must decode to an instance of Counter"):
+            consumer.endpoint.invoke(via_first, "put", (package,))
+        assert [m.value for m in masters] == [0, 1, 2]
+        assert [provider.version_of(m) for m in masters] == [1, 1, 1]
+        assert provider.change_log.latest_serial == head
+        assert events == []
+
+    def test_a_frame_with_another_entry_count_is_refused(self, zsites):
+        provider, consumer = zsites
+        masters = _export_counters(provider, 2)
+        replicas = [consumer.replicate(f"c{i}") for i in range(2)]
+        for replica in replicas:
+            replica.increment(10)
+        package = build_put(consumer, replicas)
+        package.payload = build_put(consumer, replicas[:1]).payload
+        via_first = consumer.replica_info(obi_id_of(replicas[0])).provider
+        with pytest.raises(ReplicationError, match="a list of 2 instance frames"):
+            consumer.endpoint.invoke(via_first, "put", (package,))
+        package.payload = Encoder(consumer.registry).encode("not a list")
+        with pytest.raises(ReplicationError, match="a list of 2 instance frames"):
+            consumer.endpoint.invoke(via_first, "put", (package,))
+        assert [m.value for m in masters] == [0, 1]

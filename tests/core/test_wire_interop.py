@@ -1,10 +1,10 @@
 """Frame-level guarantees of the one codec.
 
 Every replica payload crossing a proxy-in — a ``get``/``demand`` reply,
-a ``put`` entry — is an ``OBJECT_SCHEMA`` (0x10) instance frame, for
-every pair of sites, with nothing negotiated first; and a put the
-provider rejects is sent exactly once.  These tests watch the actual
-payload bytes crossing each proxy-in to prove it.
+each entry of a ``put``'s one frame — is an ``OBJECT_SCHEMA`` (0x10)
+instance frame, for every pair of sites, with nothing negotiated first;
+and a put the provider rejects is sent exactly once.  These tests watch
+the actual payload bytes crossing each proxy-in to prove it.
 """
 
 import pytest
@@ -47,13 +47,11 @@ class RecordingProxyIn:
         return package
 
     def put(self, package):
-        for entry in package.entries:
-            if entry.payload:
-                self.received_tags.append(entry.payload[0])
-        if self._reject_codec and any(
-            entry.payload and entry.payload[0] == tags.OBJECT_SCHEMA
-            for entry in package.entries
-        ):
+        # One frame: LIST <u32 count>, then each entry's instance frame;
+        # these tests put one entry at a time, so its frame starts at 5.
+        assert package.payload[0] == tags.LIST and len(package.entries) == 1
+        self.received_tags.append(package.payload[5])
+        if self._reject_codec and package.payload[5] == tags.OBJECT_SCHEMA:
             raise SerializationError(f"unknown wire tag 0x{tags.OBJECT_SCHEMA:02x}")
         return self._inner.put(package)
 

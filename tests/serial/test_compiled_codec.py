@@ -195,6 +195,60 @@ class TestDeriveSchema:
         exec("class Dynamic:\n    def __init__(self):\n        self.x = 1\n", namespace)
         assert derive_schema(namespace["Dynamic"]) is None
 
+    def test_super_init_stores_fold_in_at_the_call(self):
+        class Base:
+            def __init__(self, n: int, size=0):
+                self.n = n  # annotated: typed
+                self.size = size  # typed only by a default the subclass may override
+                self.tag = "base"
+
+        class Middle(Base):
+            pass  # inherits Base.__init__
+
+        class Derived(Middle):
+            def __init__(self, n: int = 0, extra: str = ""):
+                self.first = 1.5
+                super().__init__(n, size=len(extra))
+                self.extra = extra
+
+        assert derive_schema(Derived) == (
+            ("first", "float"),
+            ("n", "int"),
+            ("size", ANY),
+            ("tag", "str"),
+            ("extra", "str"),
+        )
+        assert derive_schema(Middle) == (("n", "int"), ("size", "int"), ("tag", "str"))
+
+    def test_subclass_instances_take_the_compiled_frame(self, registry):
+        class Base:
+            def __init__(self, n: int = 0):
+                self.n = n
+                self.label = "b"
+
+        class Derived(Base):
+            def __init__(self, n: int = 0, blob: bytes = b""):
+                super().__init__(n)
+                self.blob = blob
+
+        registry.register(Derived)
+        stats = SerialPathStats()
+        frame = Encoder(registry, stats=stats).encode(Derived(7, b"\x01"))
+        assert frame[0] == tags.OBJECT_SCHEMA
+        assert (stats.encodes_fast, stats.encodes_reflective) == (1, 0)
+        assert vars(Decoder(registry).decode(frame)) == {"n": 7, "label": "b", "blob": b"\x01"}
+
+    def test_unreadable_base_init_rejects_the_schema(self):
+        namespace = {}
+        exec("class Hidden:\n    def __init__(self):\n        self.x = 1\n", namespace)
+
+        class Visible(namespace["Hidden"]):
+            def __init__(self):
+                super().__init__()
+                self.y = 2
+
+        assert derive_schema(Visible) is None
+
 
 # ----------------------------------------------------------------------
 # codec compilation and the cache
