@@ -28,7 +28,7 @@ def test_connection_scale_smoke(once):
     sustain, race = report.sustain, report.race
 
     # The provider accepted one connection per consumer and held them all
-    # open at once (the +1s are the warmup consumer and its probe carrier).
+    # open at once (the +1 is the warmup consumer's channel).
     assert sustain.accepted >= sustain.connections
     assert sustain.open_at_peak >= sustain.connections
     assert sustain.frames_pipelined >= sustain.connections

@@ -47,39 +47,6 @@ REPLICA_SOURCE_VERBS: frozenset[str] = frozenset(
     {"get", "demand", "get_delta", "feed_subscribe", "feed_snapshot"}
 )
 
-#: The wire verbs every peer build understands — the protocol surface as
-#: it stood before any negotiated extension (core replication, DGC,
-#: invalidation/epidemic propagation, agent migration).  Deliberately a
-#: frozen literal, NOT derived from the live proxy-in: a verb added to
-#: the runtime must NOT silently join this set, or OBI304 would exempt
-#: it from needing a downgrade path the moment it ships.
-SEED_WIRE_VERBS: frozenset[str] = frozenset(
-    {
-        "get",
-        "put",
-        "demand",
-        "get_version",
-        "clean",
-        "dirty",
-        "invalidate",
-        "apply_update",
-        "receive",
-    }
-)
-
-#: Negotiated protocol extensions: verb -> the capability whose probe
-#: gates it (see :mod:`repro.core.negotiation`).  Every verb here must
-#: carry a statically visible fallback edge — a ``probe(...)``-wrapped
-#: invocation or a ``NeedFull`` downgrade check (OBI304).
-NEGOTIATED_WIRE_VERBS: dict[str, str] = {
-    "put_delta": "delta_sync",
-    "get_delta": "delta_sync",
-    "feed_subscribe": "feed",
-    "feed_events": "feed",
-    "feed_snapshot": "feed",
-    "promote": "feed",
-}
-
 #: Callables that apply a change-feed frame to local tables.  OBI210
 #: requires every call site to sit below an epoch comparison in the same
 #: function — applying a deposed primary's frame without the check is a

@@ -20,7 +20,7 @@ breaking changes between any two spec files.
 
 from repro.analysis.wire.diff import Change, diff_specs, render_diff
 from repro.analysis.wire.extract import Extraction, extract_modules, spec_of
-from repro.analysis.wire.spec import WireClass, WireField, WireSpec, WireVerb
+from repro.analysis.wire.spec import WireClass, WireField, WireSpec
 
 __all__ = [
     "Change",
@@ -28,7 +28,6 @@ __all__ = [
     "WireClass",
     "WireField",
     "WireSpec",
-    "WireVerb",
     "diff_specs",
     "extract_modules",
     "render_diff",

@@ -1,12 +1,11 @@
-"""The wire rules: OBI301–OBI306.
+"""The wire rules: OBI301–OBI303, OBI305 and OBI306.
 
-All six run off the shared :class:`~repro.analysis.wire.extract.Extraction`
+All five run off the shared :class:`~repro.analysis.wire.extract.Extraction`
 (cached per engine run, like the flow Project).  The per-module errors
 among them are proofs — a duplicated tag byte *is* ambiguous, an
 unconditionally-widened tuple *will* reach old peers — so they are
-ERROR severity; the two that rest on interprocedural or cross-artifact
-inference (OBI304, OBI306) are warnings, which still fail CI's
-``--strict`` run.
+ERROR severity; the one that rests on cross-artifact inference (OBI306)
+is a warning, which still fails CI's ``--strict`` run.
 """
 
 from __future__ import annotations
@@ -251,34 +250,6 @@ class UnencodableWireFieldRule(_WireRule):
         return None
 
 
-class VerbWithoutFallbackRule(_WireRule):
-    """OBI304: a non-seed verb is issued with no downgrade path in sight."""
-
-    id = "OBI304"
-    name = "verb-without-fallback"
-    severity = Severity.WARNING
-    description = "a negotiated RMI verb is invoked without a probe or NeedFull fallback"
-    rationale = (
-        "Verbs outside the seed protocol (put_delta, get_delta, ...) only "
-        "exist on upgraded peers.  Issuing one without wrapping it in "
-        "negotiation.probe() or checking the NeedFull downgrade reply turns "
-        "a mixed-version deployment into a hard RPC failure instead of a "
-        "graceful fall-back to the full-state path."
-    )
-
-    def check_wire(self, extraction: Extraction, cache: dict) -> Iterator[Finding]:
-        for site in extraction.verb_sites:
-            if site.seed or site.fallbacks:
-                continue
-            yield self.finding(
-                site.func.module,
-                site.node,
-                f'"{site.verb}" is not a seed-protocol verb and '
-                f"{site.func.qualname}() gives it no fallback: wrap the invoke "
-                "in negotiation.probe() or handle a NeedFull reply",
-            )
-
-
 class UnguardedWidenedTupleRule(_WireRule):
     """OBI305: a widened state field is emitted unconditionally."""
 
@@ -287,12 +258,11 @@ class UnguardedWidenedTupleRule(_WireRule):
     severity = Severity.ERROR
     description = "an optional state-tuple field is emitted without a set-guard"
     rationale = (
-        "The widened-tail idiom only keeps old peers working because the "
-        "getter emits the extra fields *only when set* (ReplicationMode "
-        "returns a 3-tuple until prefetch is non-zero).  A getter "
-        "that always emits the wide tuple ships bytes every pre-widening "
-        "peer must ignore — and frames stop being byte-identical across "
-        "versions, which the negotiation layer relies on."
+        "The widened-tail idiom keeps the common frame narrow: the getter "
+        "emits the extra fields *only when set* (ReplicationMode returns a "
+        "3-tuple until prefetch is non-zero), so a default-mode demand does "
+        "not pay for a slot it leaves unset.  A getter that always emits "
+        "the wide tuple ships those bytes in every frame."
     )
 
     def check_wire(self, extraction: Extraction, cache: dict) -> Iterator[Finding]:

@@ -122,8 +122,8 @@ def sustain_run(connections: int = DEFAULT_SUSTAIN_CONNECTIONS) -> SustainPoint:
     net = ReactorNetwork(WallClock(), timeout=TIMEOUT)
     try:
         net.attach("provider", _echo)
-        # One up-front call settles the pipelining verdict for the site, so
-        # every consumer below goes straight to a multiplexed channel.  The
+        # One up-front call warms the provider — its listener is on the
+        # loop and a dispatch worker is up — before the clock starts.  The
         # consumers themselves stay unattached: submit() needs no return
         # listener, which is exactly how a mobile consumer behind NAT-ish
         # conditions would drive a provider.
@@ -140,8 +140,8 @@ def sustain_run(connections: int = DEFAULT_SUSTAIN_CONNECTIONS) -> SustainPoint:
         stats = net.reactor_stats.snapshot()
         return SustainPoint(
             connections=connections,
-            # the warmup consumer's channel and the legacy probe carrier
-            # are also in these counters; claims use >= on purpose
+            # the warmup consumer's channel is also in these counters;
+            # claims use >= on purpose
             accepted=int(stats["connections_accepted"]),
             open_at_peak=int(stats["connections_high_water"]),
             wall_ms=wall_ms,

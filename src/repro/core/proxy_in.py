@@ -37,9 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Control methods every proxy-in exposes in addition to the user interface.
 #: ``put_delta``/``get_delta`` are the versioned delta-sync verbs (PR 4);
-#: unversioned peers simply never call them, and a versioned consumer that
-#: calls them on an unversioned peer gets the standard missing-method
-#: failure and falls back to the full-state verbs.
+#: a ``NEED_FULL`` answer sends the consumer back to the full-state verbs.
 PROXY_IN_CONTROL_METHODS = ("get", "put", "demand", "get_version", "put_delta", "get_delta")
 
 

@@ -37,12 +37,6 @@ from repro.core.meta import (
     is_obiwan,
     obi_id_of,
 )
-from repro.core.negotiation import (
-    DELTA_SYNC,
-    UNSUPPORTED,
-    PeerCapabilities,
-    probe,
-)
 from repro.core.packages import ObjectMeta, RefreshDeltaReply, RefreshDeltaRequest
 from repro.core.proxy_in import ProxyIn
 from repro.core.proxy_out import ProxyOutBase
@@ -242,9 +236,9 @@ class Site:
         self.tracer = NULL_TRACER
         #: Opt-in knob for delta synchronization (PR 4).  When ``True``,
         #: ``put_back``/``put_back_cluster``/``refresh`` try the versioned
-        #: delta verbs first and fall back to the legacy full-state path on
-        #: ``NEED_FULL`` or an unversioned peer.  Replicas fetched before
-        #: the knob was flipped enroll lazily on their next full sync.
+        #: delta verbs first and fall back to the full-state path on
+        #: ``NEED_FULL``.  Replicas fetched before the knob was flipped
+        #: enroll lazily on their next full sync.
         self.delta_sync = False
         #: Deterministic state-digest machine shared by the delta paths.
         self.fingerprinter = Fingerprinter(endpoint.registry)
@@ -252,11 +246,6 @@ class Site:
         self.dirty_tracker = DirtyTracker(self.fingerprinter)
         #: Master-side history of which fields each version changed.
         self.change_log = ChangeLog()
-        #: One shared verdict cache for every negotiated extension: a
-        #: provider site that failed a delta-verb probe (unversioned
-        #: peer) is remembered here so later calls skip the probe and go
-        #: legacy.
-        self.peer_caps = PeerCapabilities()
         #: Local pub/sub used by the consistency and mobility layers.
         #: Topics: ``replica_registered``, ``replica_refreshed``,
         #: ``put_applied``, ``fault_resolved``.
@@ -269,12 +258,7 @@ class Site:
         #: dispatches its verbs through whatever role is current, so a
         #: promotion swaps behaviour without re-exporting anything.
         self.feed_role = None
-        #: A peer that detaches and re-attaches may have restarted as a
-        #: different (older) build: drop its cached capability verdicts so
-        #: the next extension use re-probes instead of trusting stale
-        #: state (and, symmetrically, a downgraded verdict does not outlive
-        #: the connection that earned it).
-        endpoint.network.add_topology_listener(self._on_peer_topology)
+        self._closed = False
         #: Per-stripe locks guarding the object tables: provider-side
         #: dispatcher threads and application threads touch them
         #: concurrently on the threaded and TCP transports.  Each stripe's
@@ -304,10 +288,6 @@ class Site:
     def _stripe_of(self, oid: str) -> int:
         """The stripe an obi id routes to (deterministic, node-local)."""
         return stripe_of(oid, self.stripe_count)
-
-    def _on_peer_topology(self, event: str, site_id: str) -> None:
-        if site_id != self.name:
-            self.peer_caps.forget(site_id)
 
     def _read_guard(self, idx: int):
         """Null context by default; stripe ``idx``'s lock when the
@@ -416,9 +396,9 @@ class Site:
 
         With :attr:`delta_sync` on, each replica still takes its own
         cheapest path: a clean one syncs without any network traffic,
-        dirty fields ship through one ``put_delta`` per site when the peer
-        speaks it, and a ``NEED_FULL`` answer (or an unversioned provider)
-        transparently downgrades those replicas to the full-state put.
+        dirty fields ship through one ``put_delta`` per site, and a
+        ``NEED_FULL`` answer transparently downgrades those replicas to the
+        full-state put.
         """
         by_site: dict[str, list[_WriteBack]] = {}
         for replica in replicas:
@@ -455,7 +435,7 @@ class Site:
                 self.sync_stats.add(oid=item.oid, puts_noop=1)
                 versions[item.oid] = item.record.version
                 paths.add("noop")
-            elif snap is not None and not snap.whole and self._delta_peer_ok(provider):
+            elif snap is not None and not snap.whole:
                 delta.append(item)
             else:
                 full.append(item)
@@ -521,7 +501,7 @@ class Site:
         self, info: "ReplicaRecord", members: list[object], root: object
     ) -> dict[str, int]:
         snaps: list[DirtySnapshot | None] = [None] * len(members)
-        if self.delta_sync and self._delta_peer_ok(info.provider):
+        if self.delta_sync:
             snaps = [self.dirty_tracker.capture(member) for member in members]
             if all(s is not None and not s.whole for s in snaps):
                 dirty = [
@@ -575,7 +555,7 @@ class Site:
         cluster_ops.check_individually_updatable(self, replica)
         info = self._replica_record(replica)
         with self.tracer.span("refresh", name=obi_id_of(replica)) as span:
-            if self.delta_sync and self._delta_peer_ok(info.provider):
+            if self.delta_sync:
                 snap = self.dirty_tracker.capture(replica)
                 if snap is not None and snap.clean:
                     reply = self._try_get_delta(info.provider, replica, info.version)
@@ -949,6 +929,23 @@ class Site:
         follower.start(primary_site_id)
         return follower
 
+    def close(self) -> None:
+        """Leave the world: detach the feed role and the endpoint, and
+        drop out of ``world.sites`` so the name can be created again.
+
+        Nothing else holds a closed site, so it — and every replica it
+        held — is collectable once the caller lets go.  Idempotent.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self.feed_role is not None:
+            self.feed_role.detach()
+            self.feed_role = None
+        self.endpoint.close()
+        if self.world.sites.get(self.name) is self:
+            del self.world.sites[self.name]
+
     @snapshot_read
     def local_object_for(self, oid: str) -> object | None:
         """The master or replica with this identity, if present here.
@@ -1128,37 +1125,21 @@ class Site:
     # ------------------------------------------------------------------
     # delta-sync plumbing (PR 4)
     # ------------------------------------------------------------------
-    def _delta_peer_ok(self, provider: RemoteRef | None) -> bool:
-        """True unless this provider's site already failed a delta probe."""
-        if provider is None:
-            return False
-        return self.peer_caps.assume(provider.site_id, DELTA_SYNC)
-
     def _try_put_delta(
         self, provider: RemoteRef, items: "list[tuple[object, DirtySnapshot]]"
     ) -> dict[str, int] | None:
         """One delta put attempt; ``None`` means "use the full path".
 
-        Handles the two downgrade shapes: an unversioned peer (missing
-        ``put_delta`` → remembered in :attr:`peer_caps`) and a
-        ``NEED_FULL`` answer (version/fingerprint mismatch at the
-        master).  On success, commits every snapshot so the dirty sets
-        re-baseline, and credits the bytes the full path would have
-        shipped.
+        A ``NEED_FULL`` answer (version/fingerprint mismatch at the
+        master) downgrades.  On success, commits every snapshot so the
+        dirty sets re-baseline, and credits the bytes the full path would
+        have shipped.
         """
         package = build_put_delta(
             self, [(replica, snap.fields) for replica, snap in items]
         )
         with self.tracer.span("put_delta", entries=len(items)) as span:
-            result = probe(
-                self.peer_caps,
-                provider.site_id,
-                DELTA_SYNC,
-                lambda: self.endpoint.invoke(provider, "put_delta", (package,)),
-            )
-            if result is UNSUPPORTED:
-                span.set(outcome="unversioned_peer")
-                return None
+            result = self.endpoint.invoke(provider, "put_delta", (package,))
             if isinstance(result, NeedFull):
                 self.sync_stats.add(need_full_downgrades=1)
                 span.set(outcome="need_full")
@@ -1180,15 +1161,7 @@ class Site:
             obi_id=obi_id_of(replica), base_version=base_version
         )
         with self.tracer.span("get_delta", name=request.obi_id) as span:
-            reply = probe(
-                self.peer_caps,
-                provider.site_id,
-                DELTA_SYNC,
-                lambda: self.endpoint.invoke(provider, "get_delta", (request,)),
-            )
-            if reply is UNSUPPORTED:
-                span.set(outcome="unversioned_peer")
-                return None
+            reply = self.endpoint.invoke(provider, "get_delta", (request,))
             if isinstance(reply, NeedFull):
                 self.sync_stats.add(need_full_downgrades=1)
                 span.set(outcome="need_full")
@@ -1328,7 +1301,7 @@ class World:
 
         ``network`` selects the transport: ``"pooled"`` (default) is the
         thread-per-connection compat backend; ``"reactor"`` is the
-        single-event-loop obireactor with negotiated frame pipelining.
+        single-event-loop obireactor, which pipelines every frame.
         """
         if network == "pooled":
             net: Network = TcpNetwork(WallClock(), default_link=link)

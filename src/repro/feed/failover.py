@@ -6,8 +6,7 @@ write (a write is only acknowledged once its feed echo landed at the
 acking follower, and serials apply in order), so promoting it loses
 nothing.  Ties break on site name for determinism.
 
-Promotion is requested over the wire (`promote` verb, probe-wrapped so
-an un-upgraded winner is refused cleanly) or in-process via
+Promotion is requested over the wire (the `promote` verb) or in-process via
 :meth:`~repro.feed.follower.FeedFollower.promote`; either way the new
 primary's epoch is the old epoch + 1, and every frame the deposed
 primary might still push carries the old epoch and is rejected.
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.negotiation import FEED, UNSUPPORTED, probe
 from repro.core.packages import PromoteReply, PromoteRequest
 from repro.feed.service import feed_ref
 from repro.util.errors import FeedError
@@ -46,18 +44,7 @@ def request_promotion(
     target = feed_ref(follower_site_id)
     request = PromoteRequest(epoch=epoch, reason=reason)
     with site.tracer.span("feed.promote_request", winner=follower_site_id, epoch=epoch):
-        reply = probe(
-            site.peer_caps,
-            follower_site_id,
-            FEED,
-            lambda: site.endpoint.invoke(target, "promote", (request,)),
-        )
-    if reply is UNSUPPORTED:
-        raise FeedError(
-            f"site {follower_site_id!r} does not speak the change-feed "
-            "protocol; it cannot be promoted"
-        )
-    return reply
+        return site.endpoint.invoke(target, "promote", (request,))
 
 
 def fail_over(followers: "list[FeedFollower]", *, reason: str = "") -> PromoteReply:

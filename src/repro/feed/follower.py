@@ -31,7 +31,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.core.meta import obi_id_of
-from repro.core.negotiation import FEED, UNSUPPORTED, probe
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
@@ -92,17 +91,7 @@ class FeedFollower:
         with site.tracer.span(
             "feed.subscribe", primary=primary_site_id, since=request.last_serial
         ):
-            reply = probe(
-                site.peer_caps,
-                primary_site_id,
-                FEED,
-                lambda: site.endpoint.invoke(primary, "feed_subscribe", (request,)),
-            )
-        if reply is UNSUPPORTED:
-            raise FeedError(
-                f"site {primary_site_id!r} does not speak the change-feed "
-                "protocol; upgrade it before following it"
-            )
+            reply = site.endpoint.invoke(primary, "feed_subscribe", (request,))
         self._adopt_maps(reply)
         if reply.snapshot_needed:
             self._bootstrap(primary)
@@ -131,16 +120,7 @@ class FeedFollower:
         site = self.site
         request = FeedSnapshotRequest(site_id=site.name)
         with site.tracer.span("feed.bootstrap", primary=primary.site_id):
-            snapshot = probe(
-                site.peer_caps,
-                primary.site_id,
-                FEED,
-                lambda: site.endpoint.invoke(primary, "feed_snapshot", (request,)),
-            )
-            if snapshot is UNSUPPORTED:
-                raise FeedError(
-                    f"site {primary.site_id!r} does not serve feed snapshots"
-                )
+            snapshot = site.endpoint.invoke(primary, "feed_snapshot", (request,))
             self._apply_snapshot(snapshot)
         site.feed_stats.add(snapshot_bootstraps=1)
 
@@ -355,6 +335,12 @@ class FeedFollower:
     def repoint(self, new_primary_id: str) -> None:
         """Follow a different (newly promoted) primary from our cursor."""
         self.start(new_primary_id)
+
+    def detach(self) -> None:
+        """Stop following (the site is closing).  The primary pushes, so
+        there is nothing to cancel: its next push to us fails and stalls
+        this subscription."""
+        self.site.feed_stats.set_gauges(role="none")
 
     def __repr__(self) -> str:
         return (

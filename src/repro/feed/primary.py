@@ -10,22 +10,18 @@ subscriber.
 
 Delivery discipline:
 
-* The **first** push to each subscriber is a ``probe()``-wrapped
-  synchronous invoke, so an un-upgraded peer is classified cleanly
-  (:data:`repro.core.negotiation.FEED`) and marked stalled instead of
-  poisoning the group.
-* Confirmed subscribers are fanned out with ``invoke_async`` — on the
-  obireactor transport the frames pipeline over one multiplexed
-  connection per follower, so a slow follower does not serialize the
-  push path.
+* Every push is fanned out with ``invoke_async`` — on the obireactor
+  transport the frames pipeline over one multiplexed connection per
+  follower, so a slow follower does not serialize the push path.
 * The subscriber list is copied under the role's lock and every invoke
   happens outside it (obiflow OBI202 checks this).
 
-A push failure marks the subscriber stalled; a reconnecting follower
-heals itself by re-subscribing.  An ack carrying a *newer* epoch means
-the group failed over while we were partitioned away — the deposed
-primary demotes itself on the spot rather than keep writing history
-nobody will accept.
+A push failure — the follower is unreachable, refuses the batch, or
+exports no feed service at all — marks the subscriber stalled instead of
+failing the writer's put; a reconnecting follower heals itself by
+re-subscribing.  An ack carrying a *newer* epoch means the group failed
+over while we were partitioned away — the deposed primary demotes itself
+on the spot rather than keep writing history nobody will accept.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.core.meta import interface_of, obi_id_of
-from repro.core.negotiation import FEED, UNSUPPORTED, probe
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
@@ -51,6 +46,7 @@ from repro.feed.service import ensure_feed_service, feed_ref
 from repro.serial.encoder import Encoder
 from repro.util.errors import (
     FeedError,
+    ProtocolError,
     RemoteError,
     RetentionGapError,
     StaleEpochError,
@@ -64,6 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: How long a push waits for one follower's ack before stalling it.
 PUSH_TIMEOUT_S = 30.0
+
+#: What a push to one follower may raise; each stalls that follower.
+#: ``ProtocolError`` is a site that exports no feed service.
+_PUSH_FAILURES = (TransportError, RemoteError, FeedError, ProtocolError)
 
 
 class OwnStateEncoder:
@@ -95,13 +95,11 @@ class OwnStateEncoder:
 class _Subscriber:
     """One follower's delivery state (guarded by the primary's lock)."""
 
-    __slots__ = ("site_id", "ref", "confirmed", "stalled", "acked_serial")
+    __slots__ = ("site_id", "ref", "stalled", "acked_serial")
 
     def __init__(self, site_id: str, ref: "RemoteRef"):
         self.site_id = site_id
         self.ref = ref
-        #: First probe-wrapped push succeeded: safe to go async.
-        self.confirmed = False
         self.stalled = False
         self.acked_serial = 0
 
@@ -199,33 +197,14 @@ class FeedPrimary:
         site = self.site
         with self._lock:
             subscribers = [s for s in self._subscribers.values() if not s.stalled]
-        # First delivery per follower probes synchronously (classifiable
-        # un-upgraded-peer failure); confirmed followers pipeline.
-        in_flight = []
-        for sub in subscribers:
-            if sub.confirmed:
-                future = site.endpoint.invoke_async(sub.ref, "feed_events", (batch,))
-                in_flight.append((sub, future))
-                continue
-            try:
-                ack = probe(
-                    site.peer_caps,
-                    sub.site_id,
-                    FEED,
-                    lambda ref=sub.ref: site.endpoint.invoke(ref, "feed_events", (batch,)),
-                )
-            except (TransportError, RemoteError, FeedError) as exc:
-                self._stall(sub, reason=str(exc))
-                continue
-            if ack is UNSUPPORTED:
-                self._stall(sub, reason="peer does not speak the feed protocol")
-                continue
-            sub.confirmed = True
-            self._note_ack(sub, ack)
+        in_flight = [
+            (sub, site.endpoint.invoke_async(sub.ref, "feed_events", (batch,)))
+            for sub in subscribers
+        ]
         for sub, future in in_flight:
             try:
                 ack = future.result(PUSH_TIMEOUT_S)
-            except (TransportError, RemoteError, FeedError) as exc:
+            except _PUSH_FAILURES as exc:
                 self._stall(sub, reason=str(exc))
                 continue
             self._note_ack(sub, ack)

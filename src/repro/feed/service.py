@@ -9,9 +9,10 @@ a thin dispatcher: every verb routes to whatever role
 site, so a failover promotion swaps behaviour without re-exporting
 anything or invalidating subscriber-held refs.
 
-A peer that predates obifeed never exported this object, so its skeleton
-answers ``no exported object 'obj:feed'`` — the classifiable failure
-shape :data:`repro.core.negotiation.FEED` keys on.
+A site with no feed role never exported this object, so a feed verb sent
+to it fails with the skeleton's ``ProtocolError`` (``no exported object
+'obj:feed'``): the caller of ``feed_subscribe`` / ``promote`` sees that
+error, and a primary stalls a subscriber whose push meets it.
 """
 
 from __future__ import annotations

@@ -209,12 +209,11 @@ class RmiEndpoint:
         Local refs short-circuit through the object table like
         :meth:`invoke`.
 
-        On a transport that pipelines frames to ``site_id``, the batch is
-        fanned out as one in-flight request per call instead of a single
-        batch frame: the server dispatches entries concurrently across
-        its worker pool and answers in completion order, while the
-        one-frame ``InvokeBatchRequest`` path remains the shape every
-        other peer sees.
+        On a pipelining transport, the batch is fanned out as one
+        in-flight request per call instead of a single batch frame: the
+        server dispatches entries concurrently across its worker pool and
+        answers in completion order.  Every other transport sends one
+        ``InvokeBatchRequest`` frame.
         """
         if not calls:
             return []
@@ -228,7 +227,7 @@ class RmiEndpoint:
             requests.append(InvokeRequest(object_id=ref.object_id, method=method, args=args))
         if site_id == self.site_id:
             results: list = [self.objects.dispatch(request) for request in requests]
-        elif len(requests) > 1 and self._endpoint.supports_pipelining(site_id):
+        elif len(requests) > 1 and self._endpoint.supports_pipelining:
             results = self._invoke_batch_pipelined(site_id, requests)
         else:
             with self.tracer.span(

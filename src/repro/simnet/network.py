@@ -9,10 +9,8 @@ stubs and replicas, never raw frames.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
-import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 
@@ -130,6 +128,12 @@ class Network(ABC):
     connectivity map (disconnections/partitions) and traffic statistics.
     """
 
+    #: True when :meth:`submit` calls share a multiplexed connection (many
+    #: frames in flight at once).  Callers use this to decide whether
+    #: fanning a batch out into individual submits buys concurrency or
+    #: just burns round trips.
+    supports_pipelining = False
+
     def __init__(
         self,
         clock: Clock | None = None,
@@ -143,54 +147,24 @@ class Network(ABC):
         self.stats = NetworkStats()
         self._links: dict[tuple[str, str], Link] = {}
         self._handlers: dict[str, Handler] = {}
-        #: Held weakly (see :meth:`add_topology_listener`).
-        self._topology_listeners: list[weakref.WeakMethod] = []
         self._rng = random.Random(seed)
         self._closed = False
 
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def add_topology_listener(self, listener: Callable[[str, str], None]) -> None:
-        """Call ``listener(event, site_id)`` on every attach/detach.
-
-        ``event`` is ``"attach"`` or ``"detach"``.  Listeners run on the
-        attaching/detaching thread, after the handler table has changed
-        and outside any transport lock.  Sites use this to invalidate
-        per-peer capability caches when a peer's connection churns — a
-        re-attached peer may be a restarted (older or newer) build.
-
-        ``listener`` must be a bound method and is held *weakly*: the
-        network outlives the sites attached to it, and a listener must
-        not keep a detached site (and every replica it holds) reachable.
-        """
-        self._topology_listeners.append(weakref.WeakMethod(listener))
-
-    def _notify_topology(self, event: str, site_id: str) -> None:
-        for ref in list(self._topology_listeners):
-            listener = ref()
-            if listener is not None:
-                listener(event, site_id)
-                continue
-            # The owner was collected; a concurrent notify may already
-            # have dropped the entry.
-            with contextlib.suppress(ValueError):
-                self._topology_listeners.remove(ref)
-
     def attach(self, site_id: str, handler: Handler) -> "Endpoint":
         """Register ``site_id`` with its inbound-frame handler."""
         if site_id in self._handlers:
             raise ValueError(f"site {site_id!r} is already attached")
         self._handlers[site_id] = handler
         self._on_attach(site_id)
-        self._notify_topology("attach", site_id)
         return Endpoint(self, site_id)
 
     def detach(self, site_id: str) -> None:
         """Remove a site; in-flight calls to it fail."""
         self._handlers.pop(site_id, None)
         self._on_detach(site_id)
-        self._notify_topology("detach", site_id)
 
     def set_link(self, a: str, b: str, link: Link, *, symmetric: bool = True) -> None:
         """Install a link model between two sites (default: both ways)."""
@@ -248,13 +222,6 @@ class Network(ABC):
         except Exception as exc:  # noqa: BLE001 - delivered through the reply
             reply.fail(exc)
         return reply
-
-    def supports_pipelining(self, src: str, dst: str) -> bool:
-        """True when :meth:`submit` calls from ``src`` to ``dst`` share a
-        multiplexed connection (many frames in flight at once).  Callers
-        use this to decide whether fanning a batch out into individual
-        submits buys concurrency or just burns round trips."""
-        return False
 
     def close(self) -> None:
         """Shut the transport down; further traffic raises."""
@@ -332,8 +299,9 @@ class Endpoint:
     def submit(self, dst: str, payload: bytes, *, timeout: float | None = None) -> PendingReply:
         return self.network.submit(self.site_id, dst, payload, timeout=timeout)
 
-    def supports_pipelining(self, dst: str) -> bool:
-        return self.network.supports_pipelining(self.site_id, dst)
+    @property
+    def supports_pipelining(self) -> bool:
+        return self.network.supports_pipelining
 
     def cast(self, dst: str, payload: bytes) -> None:
         self.network.cast(self.site_id, dst, payload)

@@ -97,8 +97,7 @@ class UnknownWireTagError(SerializationError):
 
     Raised instead of silently misparsing: either the peer speaks a newer
     protocol (a tag this build does not know), or the stream is corrupt.
-    :attr:`tag` carries the offending byte so negotiation layers can log
-    and downgrade precisely.
+    :attr:`tag` carries the offending byte for diagnosis.
     """
 
     def __init__(self, message: str, *, tag: int = -1):

@@ -2,10 +2,8 @@
 
 ``WideMode`` copied the ``*rest`` compatibility unpack from
 ``ReplicationMode`` but not the discipline that makes it work: the
-getter always returns the 4-tuple, so even peers that never set
-``turbo`` ship the widened frame — frames stop being byte-identical
-across versions and the capability negotiation can no longer tell a
-pre-widening peer from an opted-out one.
+getter always returns the 4-tuple, so even a mode that never sets
+``turbo`` ships the widened frame and pays for the slot in every frame.
 """
 
 from repro.serial.registry import global_registry

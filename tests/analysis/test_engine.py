@@ -149,9 +149,9 @@ class TestEngine:
 
 
 class TestCatalog:
-    def test_twenty_five_rules_shipped(self):
-        assert len(ALL_RULES) == 25
-        assert len({rule.id for rule in ALL_RULES}) == 25
+    def test_twenty_four_rules_shipped(self):
+        assert len(ALL_RULES) == 24
+        assert len({rule.id for rule in ALL_RULES}) == 24
 
     def test_ids_and_names_stable(self):
         catalog = {rule.id: rule.name for rule in ALL_RULES}
@@ -177,7 +177,6 @@ class TestCatalog:
             "OBI301": "tag-collision",
             "OBI302": "wire-baseline-drift",
             "OBI303": "unencodable-wire-field",
-            "OBI304": "verb-without-fallback",
             "OBI305": "unguarded-widened-tuple",
             "OBI306": "schema-input-drift",
             "OBI401": "blocking-call-in-reactor",

@@ -2,7 +2,7 @@
 
 Same contract as the flow corpus: each fixture holds exactly the defect
 its OBI3xx rule exists for, and trips *only* that rule even with every
-wire rule selected — the precision claim OBI301–306 ship with.
+wire rule selected — the precision claim the OBI30x rules ship with.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ CASES = [
     ("obi301_tag_collision.py", "OBI301"),
     ("obi302_field_reorder.py", "OBI302"),
     ("obi303_unencodable_field.py", "OBI303"),
-    ("obi304_verb_without_fallback.py", "OBI304"),
     ("obi305_unguarded_widened_tuple.py", "OBI305"),
     ("obi306_schema_input_drift.py", "OBI306"),
 ]
@@ -67,7 +66,7 @@ def test_self_host_is_clean_under_strict():
 
 def test_missing_baseline_silences_obi302_only(monkeypatch, tmp_path):
     """Without a committed baseline OBI302 has nothing to enforce — the
-    other five rules keep working."""
+    other four rules keep working."""
     monkeypatch.setenv(BASELINE_ENV, str(tmp_path / "nowhere.json"))
     report = analyze_paths([FIXTURES / "obi302_field_reorder.py"], select=ALL_WIRE)
     assert not report.all_findings()

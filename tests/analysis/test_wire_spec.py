@@ -16,7 +16,7 @@ from repro.analysis.engine import ModuleSource
 from repro.analysis.wire.cli import main as obiwire_main
 from repro.analysis.wire.diff import diff_specs, has_breaking
 from repro.analysis.wire.extract import extract_modules
-from repro.analysis.wire.spec import WireClass, WireField, WireSpec, WireVerb
+from repro.analysis.wire.spec import WireClass, WireField, WireSpec
 
 REPO = Path(__file__).parents[2]
 SRC = REPO / "src" / "repro"
@@ -107,17 +107,16 @@ class TestExtraction:
     def test_passthrough_classes(self, tree_spec):
         assert tree_spec.classes["consistency.VersionVector"].state == "passthrough"
 
-    def test_seed_verbs_flagged(self, tree_spec):
-        assert tree_spec.verbs["get"].seed
-        assert tree_spec.verbs["put"].seed
-        assert not tree_spec.verbs["put_delta"].seed
+    def test_core_verbs_extracted(self, tree_spec):
+        assert {"get", "put", "demand", "get_version"} <= tree_spec.verbs
 
-    def test_negotiated_verbs_carry_fallbacks(self, tree_spec):
-        for verb in ("put_delta", "get_delta"):
-            fallbacks = set(tree_spec.verbs[verb].fallbacks)
-            assert "probe:delta_sync" in fallbacks, verb
-            assert "need_full" in fallbacks, verb
-        assert tree_spec.verbs["put"].fallbacks == ()  # no codec probe, no retry
+    def test_delta_and_feed_verbs_extracted_flat(self, tree_spec):
+        # Delta and feed verbs sit in the same flat set: no fallback edges.
+        assert {
+            "put_delta", "get_delta",
+            "feed_subscribe", "feed_events", "feed_snapshot", "promote",
+        } <= tree_spec.verbs
+        assert json.loads(tree_spec.to_json())["verbs"] == sorted(tree_spec.verbs)
 
     def test_extraction_is_deterministic(self, tree_spec):
         from repro.analysis.engine import Analyzer
@@ -154,7 +153,7 @@ def _spec(**overrides) -> WireSpec:
                 fields=(WireField("a"), WireField("b")),
             )
         },
-        verbs={"get": WireVerb(seed=True)},
+        verbs=frozenset({"get"}),
     )
     for key, value in overrides.items():
         setattr(base, key, value)
@@ -213,24 +212,19 @@ class TestDiff:
         assert not has_breaking(changes)
         assert any(c.category == "optional-field-added" for c in changes)
 
-    def test_verb_removal_breaking_fallback_addition_compatible(self):
-        gone = _spec(verbs={})
-        assert has_breaking(diff_specs(_spec(), gone))
-        added = _spec(
-            verbs={
-                "get": WireVerb(seed=True),
-                "get_delta": WireVerb(seed=False, fallbacks=("probe:delta_sync",)),
-            }
-        )
+    def test_verb_removal_breaking_addition_compatible(self):
+        gone = _spec(verbs=frozenset())
+        changes = diff_specs(_spec(), gone)
+        assert has_breaking(changes)
+        assert [(c.category, c.entity) for c in changes] == [("verb-removed", "get")]
+        added = _spec(verbs=frozenset({"get", "get_delta"}))
         assert not has_breaking(diff_specs(_spec(), added))
 
-    def test_new_verb_without_fallback_is_breaking(self):
-        added = _spec(
-            verbs={"get": WireVerb(seed=True), "zap": WireVerb(seed=False)}
-        )
+    def test_new_verb_is_a_compatible_addition(self):
+        added = _spec(verbs=frozenset({"get", "zap"}))
         changes = diff_specs(_spec(), added)
-        assert has_breaking(changes)
-        assert any(c.category == "verb-without-fallback" for c in changes)
+        assert not has_breaking(changes)
+        assert [(c.category, c.entity) for c in changes] == [("verb-added", "zap")]
 
 
 # ----------------------------------------------------------------------

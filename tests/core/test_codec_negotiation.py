@@ -191,7 +191,6 @@ class TestPreCodecPeerInterop:
             consumer.put_back(replica)
         # One request, one reply: no probe, no second frame.
         assert _messages(consumer.world) == before + 2
-        assert consumer.peer_caps.snapshot() == {}
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.costs import CostModel
 from repro.core.meta import obi_id_of
-from repro.core.negotiation import DELTA_SYNC
 from repro.core.runtime import World
 from repro.rmi.refs import RemoteRef
 from repro.util.errors import NameNotFoundError, ReplicationError
@@ -34,24 +33,39 @@ class TestWorld:
         assert zero_world.clock is zero_world.network.clock
 
     def test_detached_site_is_collectable(self, zero_world):
-        """The network must not pin a site that has left it: a spent
-        mobile site would otherwise keep every replica it ever held."""
+        """Nothing may pin a closed site: a spent mobile site would
+        otherwise keep every replica it ever held."""
         provider = zero_world.create_site("p")
         provider.export(Counter(5), name="counter")
+        feed_site = zero_world.create_site("q")
+        feed_site.export(Box("fed"), name="box")
+        primary = feed_site.feed_primary()
         visitors = []
         for name in ("c1", "c2"):
             site = zero_world.create_site(name)
             site.replicate("counter")
+            site.feed_follow("q")
             visitors.append(weakref.ref(site))
-            site.endpoint.close()
-            del zero_world.sites[name]
+            site.close()
+            site.close()  # idempotent
+            assert name not in zero_world.sites
         del site
         gc.collect()
         assert [ref() for ref in visitors] == [None, None]
-        # The survivors still hear about topology changes.
-        provider.peer_caps.mark_unsupported("c3", DELTA_SYNC)
-        zero_world.create_site("c3")
-        assert provider.peer_caps.assume("c3", DELTA_SYNC)
+        # The names are free again, and the survivors keep serving.
+        again = zero_world.create_site("c1")
+        assert again.replicate("counter").read() == 5
+        follower = again.feed_follow("q")
+        assert follower.last_applied_serial == primary.site.change_log.latest_serial
+
+    def test_close_detaches_the_feed_role(self, zero_world):
+        provider = zero_world.create_site("p")
+        provider.export(Counter(5), name="counter")
+        primary = provider.feed_primary()
+        provider.close()
+        assert provider.feed_role is None and not primary.active
+        assert provider.feed_stats.snapshot()["role"] == "none"
+        assert "p" not in zero_world.network.sites
 
     def test_threaded_world_end_to_end(self):
         with World.threaded() as world:

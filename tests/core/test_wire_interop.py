@@ -94,7 +94,6 @@ class TestPutDirection:
             consumer.put_back(replica)
         assert master.read() == 0
         assert recorder.received_tags == [tags.OBJECT_SCHEMA]
-        assert consumer.peer_caps.snapshot() == {}
 
     def test_every_put_entry_is_an_instance_frame(self, zero_world):
         provider = zero_world.create_site("S2")

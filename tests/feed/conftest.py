@@ -9,21 +9,28 @@ from tests.models import Box
 
 
 @pytest.fixture
-def group(zero_world):
+def feed_world(zero_world):
+    """The world every feed scenario runs in: zero-cost loopback here,
+    the reactor in ``test_feed_reactor.py``, which overrides it."""
+    return zero_world
+
+
+@pytest.fixture
+def group(feed_world):
     """Primary ``P`` exporting one Box, followers ``F1``/``F2`` tailing it.
 
     The name server lives on its own site (``NS``): promotion rebinds
     the group's names, so the name service must survive the primary —
     hosting it on ``P`` would partition it away with the failure.
     """
-    zero_world.create_site("NS")  # first site hosts the name server
-    primary_site = zero_world.create_site("P")
+    feed_world.create_site("NS")  # first site hosts the name server
+    primary_site = feed_world.create_site("P")
     box = Box(1)
     primary_site.export(box, name="box")
     primary = primary_site.feed_primary()
-    f1 = zero_world.create_site("F1").feed_follow("P")
-    f2 = zero_world.create_site("F2").feed_follow("P")
-    return zero_world, primary, f1, f2, box
+    f1 = feed_world.create_site("F1").feed_follow("P")
+    f2 = feed_world.create_site("F2").feed_follow("P")
+    return feed_world, primary, f1, f2, box
 
 
 def mirror_of(follower, obj):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.meta import obi_id_of
 from repro.core.packages import FeedSnapshotRequest
-from repro.util.errors import FeedError, StaleEpochError
+from repro.util.errors import FeedError, ProtocolError, StaleEpochError
 from repro.feed import elect_new_primary, fail_over, request_promotion
 from tests.feed.conftest import mirror_of
 from tests.models import Box
@@ -98,10 +98,10 @@ class TestPromotion:
 
     def test_promoting_an_unupgraded_site_is_refused(self, group):
         world, _primary, _f1, _f2, _box = group
-        world.create_site("OLD")
+        world.create_site("NOFEED")
         operator = world.sites["F1"]
-        with pytest.raises(FeedError, match="cannot be promoted"):
-            request_promotion(operator, "OLD", epoch=9)
+        with pytest.raises(ProtocolError, match="no exported object 'obj:feed'"):
+            request_promotion(operator, "NOFEED", epoch=9)
 
 
 class TestEpochFencing:

@@ -1,7 +1,8 @@
 """Role mechanics: subscribe, push, catch-up, bootstrap, write-through.
 
 The group fixture is a primary ``P`` with followers ``F1``/``F2`` on the
-deterministic loopback world; every test drives real RMI traffic through
+deterministic loopback world (``test_feed_reactor.py`` re-runs the
+scenarios on the reactor); every test drives real RMI traffic through
 the exported feed service, not role objects called directly.
 """
 
@@ -11,7 +12,7 @@ from repro.core.meta import obi_id_of
 from repro.core.packages import FeedSubscribeRequest
 from repro.core.telemetry import snapshot
 from repro.core.versions import ChangeLog
-from repro.util.errors import FeedError
+from repro.util.errors import FeedError, ProtocolError
 from tests.feed.conftest import mirror_of
 from tests.models import Box
 
@@ -41,25 +42,24 @@ class TestSubscribe:
         with pytest.raises(FeedError, match="follower"):
             f1.handle_subscribe(FeedSubscribeRequest(site_id="X", last_serial=0))
 
-    def test_following_an_unupgraded_site_is_refused_cleanly(self, zero_world):
-        zero_world.create_site("OLD")  # speaks the seed protocol only
-        joiner = zero_world.create_site("F1")
-        with pytest.raises(FeedError, match="does not speak"):
-            joiner.feed_follow("OLD")
-        assert not joiner.peer_caps.assume("OLD", "feed")
+    def test_following_an_unupgraded_site_is_refused_cleanly(self, feed_world):
+        feed_world.create_site("NOFEED")  # exports no feed service
+        joiner = feed_world.create_site("F1")
+        with pytest.raises(ProtocolError, match="no exported object 'obj:feed'"):
+            joiner.feed_follow("NOFEED")
 
     def test_unupgraded_subscriber_is_stalled_not_poisonous(self, group):
         # An operator subscribes a site that never exported a feed
-        # service; the first (probed) push classifies it and stalls it,
-        # and the healthy followers keep receiving frames.
+        # service; its push fails with the skeleton's ProtocolError, which
+        # stalls it, and the healthy followers keep receiving frames.
         world, primary, f1, _f2, box = group
-        world.create_site("OLD")
-        primary.handle_subscribe(FeedSubscribeRequest(site_id="OLD", last_serial=0))
+        world.create_site("NOFEED")
+        primary.handle_subscribe(FeedSubscribeRequest(site_id="NOFEED", last_serial=0))
         box.set(2)
         primary.site.touch(box)
         assert mirror_of(f1, box).get() == 2
-        assert "OLD" not in primary.subscriber_serials()
-        assert primary.site.feed_stats.snapshot()["push_failures"] >= 1
+        assert "NOFEED" not in primary.subscriber_serials()
+        assert primary.site.feed_stats.snapshot()["push_failures"] == 1
 
 
 class TestPush:
@@ -77,6 +77,18 @@ class TestPush:
         primary.site.export(late, name="late")
         primary.site.touch(late)
         assert mirror_of(f1, late).get() == "late"
+
+    def test_partitioned_follower_stalls_without_failing_the_put(self, group):
+        world, primary, f1, f2, box = group
+        box.set(2)
+        primary.site.touch(box)  # both followers have taken a push
+        world.network.partition({"P"}, {"F2"})
+        box.set(3)
+        primary.site.touch(box)  # the writer never sees F2's failure
+        assert mirror_of(f1, box).get() == 3
+        assert mirror_of(f2, box).get() == 2
+        assert primary.subscriber_serials() == {"F1": primary.site.change_log.latest_serial}
+        assert primary.site.feed_stats.snapshot()["push_failures"] == 1
 
     def test_stale_frames_are_deduped_by_version(self, group):
         _world, primary, f1, _f2, box = group
@@ -169,8 +181,8 @@ class TestCatchUpAndBootstrap:
         assert mirror_of(f1, box).get() == 10
         assert f1.site.feed_stats.snapshot()["lag_serials"] == 0
 
-    def test_retention_gap_downgrades_to_snapshot_bootstrap(self, zero_world):
-        primary_site = zero_world.create_site("P")
+    def test_retention_gap_downgrades_to_snapshot_bootstrap(self, feed_world):
+        primary_site = feed_world.create_site("P")
         primary_site.change_log = ChangeLog(journal_retention=4)
         box = Box(0)
         primary_site.export(box, name="box")
@@ -178,7 +190,7 @@ class TestCatchUpAndBootstrap:
         for value in range(1, 11):
             box.set(value)
             primary_site.touch(box)
-        late = zero_world.create_site("F1").feed_follow("P")
+        late = feed_world.create_site("F1").feed_follow("P")
         assert mirror_of(late, box).get() == 10
         assert late.site.feed_stats.snapshot()["snapshot_bootstraps"] == 1
         assert primary_site.feed_stats.snapshot()["snapshots_served"] == 1

@@ -1,7 +1,6 @@
 """Tests for access control on exported objects."""
 
 # obilint: disable-file=OBI204 -- TestPutAuthorisedPerEntry forges raw puts through a chosen proxy-in; the replicas come from the fixture
-# obilint: disable-file=OBI304 -- the forged put_delta must reach the master's authorisation, not a client-side fallback
 
 from types import SimpleNamespace
 

@@ -1,11 +1,10 @@
-"""Tests for the obireactor transport: loop, pipelining, negotiation."""
+"""Tests for the obireactor transport: loop, pipelining, failure delivery."""
 
 import threading
 import time
 
 import pytest
 
-from repro.simnet import tcp as tcp_module
 from repro.simnet.message import MessageKind
 from repro.simnet.reactor import (
     _PERROR,
@@ -13,11 +12,11 @@ from repro.simnet.reactor import (
     _PRESPONSE,
     ReactorNetwork,
     _FrameParser,
+    _PeerChannel,
     _pack_frame,
 )
-from repro.simnet.tcp import TcpNetwork
 from repro.util.clock import WallClock
-from repro.util.errors import TransportError
+from repro.util.errors import DisconnectedError, TransportError
 
 
 @pytest.fixture
@@ -29,6 +28,10 @@ def net():
 
 def _echo(message):
     return b"echo:" + message.payload
+
+
+def _dead_channel(*args, **kwargs):
+    raise TransportError("connection is closed")
 
 
 class TestFrameParser:
@@ -64,15 +67,23 @@ class TestBasics:
         net.attach("b", _echo)
         assert net.call("a", "b", b"hello") == b"echo:hello"
 
-    def test_first_call_probes_then_pipelines(self, net):
+    def test_first_call_pipelines(self, net):
         net.attach("a", lambda m: None)
         net.attach("b", _echo)
-        assert not net.supports_pipelining("a", "b")
-        net.call("a", "b", b"probe")
-        assert net.supports_pipelining("a", "b")
-        before = net.reactor_stats.snapshot()["frames_pipelined"]
-        net.call("a", "b", b"fast")
-        assert net.reactor_stats.snapshot()["frames_pipelined"] == before + 1
+        assert net.supports_pipelining
+        assert net.call("a", "b", b"first") == b"echo:first"
+        assert net.reactor_stats.snapshot()["frames_pipelined"] == 1
+        assert net.pool_stats.total_created == 0
+
+    def test_every_call_shares_one_channel(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        for i in range(10):
+            net.call("a", "b", b"n%d" % i)
+        stats = net.reactor_stats.snapshot()
+        assert stats["frames_pipelined"] == 10
+        assert stats["connections_accepted"] == 1
+        assert net.pool_stats.total_created == 0
 
     def test_large_payload_roundtrip(self, net):
         net.attach("a", lambda m: None)
@@ -94,25 +105,39 @@ class TestBasics:
         with pytest.raises(TransportError, match="remote bug"):
             net.call("a", "b", b"x")
 
-    def test_cast_delivered_both_paths(self, net):
+    def test_cast_delivered(self, net):
         received = []
         done = threading.Event()
 
         def on_cast(message):
             if message.kind is MessageKind.CAST:
                 received.append(message.payload)
-                if len(received) == 2:
-                    done.set()
+                done.set()
             return b"ok"
 
         net.attach("a", lambda m: None)
         net.attach("b", on_cast)
-        net.cast("a", "b", b"legacy-path")  # verdict unknown: pooled cast
-        net.call("a", "b", b"confirm")  # probe: turns pipelining on
-        assert net.supports_pipelining("a", "b")
-        net.cast("a", "b", b"pipelined-path")
+        net.cast("a", "b", b"fire")
         assert done.wait(5.0)
-        assert set(received) == {b"legacy-path", b"pipelined-path"}
+        assert received == [b"fire"]
+        assert net.pool_stats.total_created == 0
+
+    def test_cast_retries_once_on_a_dead_channel(self, net, monkeypatch):
+        done = threading.Event()
+
+        def on_cast(message):
+            if message.kind is MessageKind.CAST:
+                done.set()
+            return b"ok"
+
+        net.attach("a", lambda m: None)
+        net.attach("b", on_cast)
+        net.call("a", "b", b"open")
+        dead = net._channels[("a", "b")]
+        monkeypatch.setattr(dead, "send_cast", _dead_channel)
+        net.cast("a", "b", b"fire")
+        assert done.wait(5.0)
+        assert net._channels[("a", "b")] is not dead
 
     def test_nested_rmi_from_handler(self, net):
         """Dispatch runs off the loop thread, so a handler can call back
@@ -152,7 +177,6 @@ class TestPipelinedSemantics:
 
         net.attach("a", lambda m: None)
         net.attach("b", handler)
-        net.call("a", "b", b"warm")  # confirm pipelining
         slow = net.submit("a", "b", b"slow")
         fast = net.submit("a", "b", b"fast")
         assert fast.result(5.0) == b"done:fast"
@@ -170,7 +194,6 @@ class TestPipelinedSemantics:
 
         net.attach("a", lambda m: None)
         net.attach("b", handler)
-        net.call("a", "b", b"warm")
         stuck = net.submit("a", "b", b"stuck")
         sibling = net.submit("a", "b", b"sibling")
         with pytest.raises(TransportError, match="timed out"):
@@ -226,8 +249,7 @@ class TestPipelinedSemantics:
     def test_many_in_flight_on_one_connection(self, net):
         net.attach("a", lambda m: None)
         net.attach("b", _echo)
-        net.call("a", "b", b"warm")  # probe + confirm
-        net.call("a", "b", b"open")  # first pipelined call opens the channel
+        net.call("a", "b", b"open")  # the first call opens the channel
         before = net.reactor_stats.snapshot()["connections_accepted"]
         replies = [net.submit("a", "b", b"n%d" % i) for i in range(200)]
         for i, reply in enumerate(replies):
@@ -238,83 +260,39 @@ class TestPipelinedSemantics:
         assert stats["frames_pipelined"] >= 200
 
 
-class TestInterop:
-    """Un-upgraded peers must never see a correlation-ID frame."""
+class TestSubmitFailures:
+    """``submit`` never raises: every failure settles the reply."""
 
-    def test_legacy_server_never_sees_pipelined_kinds(self, monkeypatch):
-        """Wire-level proof: record every frame kind the legacy
-        thread-per-connection server decodes; none may be >= 5."""
-        seen_kinds = []
-        real_recv = tcp_module._recv_frame
-
-        def spying_recv(sock):
-            message = real_recv(sock)
-            seen_kinds.append(message.kind)
-            return message
-
-        monkeypatch.setattr(tcp_module, "_recv_frame", spying_recv)
-        net = ReactorNetwork(WallClock(), legacy_server_sites=("old",))
-        try:
-            net.attach("new", lambda m: None)
-            net.attach("old", _echo)
-            for i in range(5):
-                assert net.call("new", "old", b"n%d" % i) == b"echo:n%d" % i
-            net.cast("new", "old", b"fire")
-            time.sleep(0.1)
-        finally:
-            net.close()
-        assert seen_kinds, "spy never saw traffic"
-        # The legacy decoder would KeyError on kinds 5-7 before this
-        # assert could even run; the verdict cache is the second witness.
-        assert not net.supports_pipelining("new", "old")
-        assert "pipelined_frames" in net.peer_caps.snapshot().get("old", ())
-
-    def test_legacy_peer_request_ids_round_trip_unmarked(self):
-        """The probe marker lives inside the request id, which a legacy
-        server already echoes verbatim — handlers see the marked id, but
-        the response correlates fine and later calls drop the marker."""
-        net = ReactorNetwork(WallClock(), legacy_server_sites=("old",))
-        try:
-            rids = []
-
-            def recorder(message):
-                rids.append(message.request_id)
-                return b"ok"
-
-            net.attach("new", lambda m: None)
-            net.attach("old", recorder)
-            net.call("new", "old", b"one")
-            net.call("new", "old", b"two")
-        finally:
-            net.close()
-        assert rids[0].startswith("pf?")  # the one-time probe
-        assert not rids[1].startswith("pf?")  # verdict cached: no marker
-
-    def test_plain_tcp_client_against_reactor_server(self):
-        """A wholly un-upgraded client network (plain TcpNetwork) can
-        call into a reactor-served site: the loop speaks legacy kinds."""
-        server_net = ReactorNetwork(WallClock())
-        client_net = TcpNetwork(WallClock())
-        try:
-            server_net.attach("provider", _echo)
-            client_net.attach("consumer", lambda m: None)
-            # Point the client's port directory at the reactor's listener.
-            client_net._ports["provider"] = server_net.port_of("provider")
-            client_net._handlers["provider"] = _echo  # route check only
-            assert client_net.call("consumer", "provider", b"hi") == b"echo:hi"
-            assert client_net.call("consumer", "provider", b"again") == b"echo:again"
-        finally:
-            client_net.close()
-            server_net.close()
-
-    def test_upgraded_peers_negotiate_exactly_once(self, net):
+    def test_partition_fails_the_reply(self, net):
         net.attach("a", lambda m: None)
         net.attach("b", _echo)
-        for i in range(10):
-            net.call("a", "b", b"n%d" % i)
-        # One probe on the pooled path, everything after is pipelined.
-        assert net.pool_stats.total_created == 1
-        assert net.reactor_stats.snapshot()["frames_pipelined"] == 9
+        net.partition({"a"}, {"b"})
+        reply = net.submit("a", "b", b"x")
+        with pytest.raises(DisconnectedError, match="partition"):
+            reply.result(1.0)
+        net.heal()
+        assert net.submit("a", "b", b"y").result(5.0) == b"echo:y"
+
+    def test_unknown_site_fails_the_reply(self, net):
+        net.attach("a", lambda m: None)
+        with pytest.raises(TransportError, match="no site 'ghost'"):
+            net.submit("a", "ghost", b"x").result(1.0)
+
+    def test_closed_network_fails_the_reply(self):
+        net = ReactorNetwork(WallClock())
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        net.close()
+        with pytest.raises(TransportError, match="closed"):
+            net.submit("a", "b", b"x").result(1.0)
+
+    def test_second_dead_channel_fails_the_reply(self, net, monkeypatch):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        monkeypatch.setattr(_PeerChannel, "send_request", _dead_channel)
+        with pytest.raises(TransportError, match="connection is closed"):
+            net.submit("a", "b", b"x").result(1.0)
+        assert ("a", "b") not in net._channels
 
 
 class TestBackpressure:
@@ -329,7 +307,7 @@ class TestBackpressure:
         try:
             net.attach("a", lambda m: None)
             net.attach("b", _echo)
-            net.call("a", "b", b"warm")  # settle the pipelining verdict
+            net.call("a", "b", b"warm")  # open the channel
             gate = threading.Event()
             net._loop.post(gate.wait)
             blob = b"x" * (48 * 1024)
