@@ -13,9 +13,9 @@ The package layers are, bottom-up:
     Clocks (wall and simulated), identifier generation, the exception
     hierarchy and byte-size accounting shared by every layer.
 ``repro.simnet``
-    A message-level network substrate with pluggable transports: a
-    deterministic simulated-time loopback, a threaded in-process transport
-    and a localhost TCP transport, all with latency/bandwidth link models
+    A message-level network substrate with two transports: a
+    deterministic simulated-time loopback and a pooled localhost TCP
+    transport on the wall clock, both with latency/bandwidth link models
     and partition injection.
 ``repro.serial``
     A cycle-safe object-graph serializer with swizzle hooks, used to move

@@ -160,13 +160,6 @@ NETWORK_SEND_METHODS: frozenset[str] = frozenset(
     {"send", "sendall", "sendto", "call", "cast", "invoke", "invoke_oneway", "_transmit"}
 )
 
-#: Decorator names that declare a function a reactor loop callback
-#: (``repro.simnet.reactor.loop_callback``).  OBI401 keys on the
-#: declaration: a decorated body runs on the one event-loop thread every
-#: connection in the process shares, so it must never park — blocking
-#: steps belong in an undecorated helper or on a dispatch worker.
-LOOP_CALLBACK_DECORATORS: frozenset[str] = frozenset({"loop_callback"})
-
 #: Decorator names that declare a method a lock-free snapshot read
 #: (``repro.core.striping.snapshot_read``).  The flow layer keys on the
 #: declaration: OBI203/OBI207 exempt the unlocked *reads*, and OBI209

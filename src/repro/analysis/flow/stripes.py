@@ -105,7 +105,7 @@ class StripeAnalysis:
         self.snapshot_mutations: list[SnapshotMutation] = []
         self._check_key_discipline()
         self._check_order_discipline()
-        self._check_snapshot_reads()
+        self._check_snapshot_mutations()
 
     # ------------------------------------------------------------------
     # OBI207: stripe-key matching
@@ -202,7 +202,7 @@ class StripeAnalysis:
     # ------------------------------------------------------------------
     # OBI209: snapshot reads must not mutate guarded state
     # ------------------------------------------------------------------
-    def _check_snapshot_reads(self) -> None:
+    def _check_snapshot_mutations(self) -> None:
         guarded_fields = {
             (field.cls.name, field.attr) for field in self.guarded.fields
         }

@@ -29,7 +29,6 @@ from repro.analysis.rules.concurrency import LockDisciplineRule
 from repro.analysis.rules.dataflow import ReplicaLeakRule
 from repro.analysis.rules.hygiene import NondeterministicClockRule, SwallowedExceptionRule
 from repro.analysis.rules.protocol import ProtocolSuperCallRule
-from repro.analysis.rules.reactor import BlockingCallInReactorRule
 from repro.analysis.wire.rules import (
     SchemaInputDriftRule,
     TagCollisionRule,
@@ -67,8 +66,6 @@ def build_rules() -> list[Rule]:
         UnencodableWireFieldRule(),
         UnguardedWidenedTupleRule(),
         SchemaInputDriftRule(),
-        # Reactor-discipline rules (see repro.simnet.reactor).
-        BlockingCallInReactorRule(),
     ]
 
 

@@ -1,7 +1,6 @@
 """Lock-discipline rules (OBI104).
 
-Two hazards the threaded/TCP transports and the RMI endpoint are prone
-to:
+Two hazards the TCP transport and the RMI endpoint are prone to:
 
 * **lock held across a network send** — the send blocks on the link (or
   on a remote handler that may call back into this site), serializing

@@ -149,7 +149,7 @@ def cmd_ablate_consistency() -> None:
 
 
 def cmd_ablate_transport() -> None:
-    print("A4 — transport sanity (same workload, three transports)")
+    print("A4 — transport sanity (same workload, both transports)")
     rows = ablations.ablate_transport()
     print(
         render_table(
@@ -331,38 +331,6 @@ def cmd_memory_study() -> None:
     save_json("memory_study", [vars(r) for r in rows])
 
 
-def cmd_connection_scale() -> None:
-    from repro.bench.connection_scale import connection_scale_report
-
-    print("P9 — connection scale: reactor vs thread-per-connection (wall clock)")
-    report = connection_scale_report()
-    sustain, race = report.sustain, report.race
-    print(
-        render_table(
-            ["phase", "connections", "result"],
-            [
-                [
-                    "sustain (reactor)",
-                    sustain.connections,
-                    f"{sustain.wall_ms:.0f} ms, peak {sustain.open_at_peak} open, "
-                    f"loop lag max {sustain.loop_lag_max_ms:.2f} ms",
-                ],
-                [
-                    "race (threaded)",
-                    race.connections,
-                    f"{race.threaded_ms:.0f} ms for {race.requests_per_consumer} req/consumer",
-                ],
-                [
-                    "race (reactor)",
-                    race.connections,
-                    f"{race.reactor_ms:.0f} ms -> {race.speedup:.2f}x",
-                ],
-            ],
-        )
-    )
-    save_json("connection_scale", report.jsonable())
-
-
 COMMANDS = {
     "anchors": cmd_anchors,
     "fig4": cmd_fig4,
@@ -379,7 +347,6 @@ COMMANDS = {
     "fault-batching": cmd_fault_batching,
     "delta-sync": cmd_delta_sync,
     "tracing-overhead": cmd_tracing_overhead,
-    "connection-scale": cmd_connection_scale,
 }
 
 

@@ -280,12 +280,11 @@ class TransportAblationRow:
 
 
 def ablate_transport(*, length: int = 50, object_size: int = 256) -> list[TransportAblationRow]:
-    """The same workload on all three transports must agree bit-for-bit."""
+    """The same workload on both transports must agree bit-for-bit."""
     expected = length * (length - 1) // 2
     rows = []
     for name, factory in (
         ("loopback-sim", World.loopback),
-        ("threaded", World.threaded),
         ("tcp", World.tcp),
     ):
         world = factory()

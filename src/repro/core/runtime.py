@@ -48,7 +48,6 @@ from repro.core.replication import (
 )
 from repro.core.striping import (
     DEFAULT_STRIPES,
-    NULL_GUARD,
     StripedStats,
     StripeLock,
     snapshot_read,
@@ -67,9 +66,7 @@ from repro.serial.delta import Fingerprinter
 from repro.simnet.link import LAN_10MBPS, Link
 from repro.simnet.loopback import LoopbackNetwork
 from repro.simnet.network import Network
-from repro.simnet.reactor import ReactorNetwork
 from repro.simnet.tcp import TcpNetwork
-from repro.simnet.threaded import ThreadedNetwork
 from repro.util.clock import Clock, SimClock, WallClock
 from repro.util.errors import (
     ClusterError,
@@ -206,7 +203,6 @@ class Site:
         endpoint: RmiEndpoint,
         *,
         stripes: int | None = None,
-        snapshot_reads: bool = True,
     ):
         self.world = world
         self.name = name
@@ -220,12 +216,6 @@ class Site:
         if count < 1:
             raise ReplicationError(f"stripe count must be >= 1, got {count}")
         self.stripe_count = count
-        #: Chicken bit for the lock-free read paths.  ``False`` makes
-        #: every ``@snapshot_read`` method take its stripe lock instead —
-        #: the pre-striping discipline, kept for A/B benchmarking
-        #: (``stripes=1, snapshot_reads=False`` reproduces the old
-        #: single-global-RLock runtime).
-        self._snapshot_reads = snapshot_reads
         self.fault_stats = StripedStats(FaultPathStats, count)
         self.sync_stats = StripedStats(SyncPathStats, count)
         self.serial_stats = StripedStats(SerialPathStats, count)
@@ -261,7 +251,7 @@ class Site:
         self._closed = False
         #: Per-stripe locks guarding the object tables: provider-side
         #: dispatcher threads and application threads touch them
-        #: concurrently on the threaded and TCP transports.  Each stripe's
+        #: concurrently on the TCP transport.  Each stripe's
         #: lock is re-entrant because engine paths nest within one oid
         #: (e.g. drop_master -> retract of the same object).  obiflow
         #: machine-checks the discipline: an access to a striped table
@@ -288,13 +278,6 @@ class Site:
     def _stripe_of(self, oid: str) -> int:
         """The stripe an obi id routes to (deterministic, node-local)."""
         return stripe_of(oid, self.stripe_count)
-
-    def _read_guard(self, idx: int):
-        """Null context by default; stripe ``idx``'s lock when the
-        snapshot-read chicken bit is off (the pre-striping discipline)."""
-        if self._snapshot_reads:
-            return NULL_GUARD
-        return self._stripe_locks[idx]
 
     # ------------------------------------------------------------------
     # public API: provider role
@@ -808,38 +791,33 @@ class Site:
     def version_of(self, obj: object) -> int:
         oid = obi_id_of(obj)
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            master = self._masters[idx].get(oid)
-            if master is not None:
-                return master.version
-            replica = self._replicas[idx].get(oid)
-            if replica is not None:
-                return replica.version
+        master = self._masters[idx].get(oid)
+        if master is not None:
+            return master.version
+        replica = self._replicas[idx].get(oid)
+        if replica is not None:
+            return replica.version
         return 1
 
     @snapshot_read
     def is_master(self, oid: str) -> bool:
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            return oid in self._masters[idx]
+        return oid in self._masters[idx]
 
     @snapshot_read
     def is_replica(self, oid: str) -> bool:
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            return oid in self._replicas[idx]
+        return oid in self._replicas[idx]
 
     @snapshot_read
     def has_exported(self, oid: str) -> bool:
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            return oid in self._provider_refs[idx]
+        return oid in self._provider_refs[idx]
 
     @snapshot_read
     def master_object_for(self, oid: str) -> object | None:
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            record = self._masters[idx].get(oid)
+        record = self._masters[idx].get(oid)
         return record.obj if record is not None else None
 
     @snapshot_read
@@ -855,8 +833,7 @@ class Site:
         mirrors) stay governed by the proxy-in that received the call.
         """
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            ref = self._provider_refs[idx].get(oid)
+        ref = self._provider_refs[idx].get(oid)
         if ref is not None:
             authorize(self.endpoint.objects.get(ref.object_id), "put")
 
@@ -864,8 +841,7 @@ class Site:
     def master_version(self, master: object) -> int:
         oid = obi_id_of(master)
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            record = self._masters[idx].get(oid)
+        record = self._masters[idx].get(oid)
         if record is None:
             raise ReplicationError(f"object is not mastered at site {self.name!r}")
         return record.version
@@ -956,13 +932,12 @@ class Site:
         concurrent registration at worst costs one extra round trip.
         """
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            master = self._masters[idx].get(oid)
-            if master is not None:
-                return master.obj
-            replica = self._replicas[idx].get(oid)
-            if replica is not None:
-                return replica.obj
+        master = self._masters[idx].get(oid)
+        if master is not None:
+            return master.obj
+        replica = self._replicas[idx].get(oid)
+        if replica is not None:
+            return replica.obj
         return None
 
     @snapshot_read
@@ -976,8 +951,7 @@ class Site:
     @snapshot_read
     def replica_info(self, oid: str) -> ReplicaRecord | None:
         idx = self._stripe_of(oid)
-        with self._read_guard(idx):
-            return self._replicas[idx].get(oid)
+        return self._replicas[idx].get(oid)
 
     def iter_replicas(self):
         records: list[ReplicaRecord] = []
@@ -1266,7 +1240,7 @@ class World:
         self._nameserver_site: str | None = None
 
     # ------------------------------------------------------------------
-    # constructors for the three transports
+    # constructors for the two transports
     # ------------------------------------------------------------------
     @classmethod
     def loopback(
@@ -1284,39 +1258,11 @@ class World:
         return cls(network, costs=costs)
 
     @classmethod
-    def threaded(cls, *, link: Link = LAN_10MBPS, costs: CostModel | None = None) -> "World":
-        """Concurrent in-process world on the wall clock."""
-        network = ThreadedNetwork(WallClock(), default_link=link)
+    def tcp(cls, *, link: Link = LAN_10MBPS, costs: CostModel | None = None) -> "World":
+        """Localhost-TCP world — the closest analogue of RMI over a LAN,
+        and the one wall-clock transport (pooled connections)."""
+        network = TcpNetwork(WallClock(), default_link=link)
         return cls(network, costs=costs if costs is not None else CostModel.zero())
-
-    @classmethod
-    def tcp(
-        cls,
-        *,
-        link: Link = LAN_10MBPS,
-        costs: CostModel | None = None,
-        network: str = "pooled",
-    ) -> "World":
-        """Localhost-TCP world — the closest analogue of RMI over a LAN.
-
-        ``network`` selects the transport: ``"pooled"`` (default) is the
-        thread-per-connection compat backend; ``"reactor"`` is the
-        single-event-loop obireactor, which pipelines every frame.
-        """
-        if network == "pooled":
-            net: Network = TcpNetwork(WallClock(), default_link=link)
-        elif network == "reactor":
-            net = ReactorNetwork(WallClock(), default_link=link)
-        else:
-            raise ValueError(
-                f"unknown tcp network {network!r}: expected 'pooled' or 'reactor'"
-            )
-        return cls(net, costs=costs if costs is not None else CostModel.zero())
-
-    @classmethod
-    def reactor(cls, *, link: Link = LAN_10MBPS, costs: CostModel | None = None) -> "World":
-        """Shorthand for ``World.tcp(network="reactor")``."""
-        return cls.tcp(link=link, costs=costs, network="reactor")
 
     # ------------------------------------------------------------------
     # site management
@@ -1326,7 +1272,6 @@ class World:
         name: str | None = None,
         *,
         stripes: int | None = None,
-        snapshot_reads: bool = True,
     ) -> Site:
         """Attach a new site; the first site created hosts the name server."""
         site_name = name if name is not None else new_site_id()
@@ -1345,7 +1290,6 @@ class World:
             site_name,
             endpoint,
             stripes=stripes if stripes is not None else self.default_stripes,
-            snapshot_reads=snapshot_reads,
         )
         self.sites[site_name] = site
         return site

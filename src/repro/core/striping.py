@@ -23,19 +23,13 @@ site interoperates with un-upgraded peers unchanged.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import zlib
 from typing import Callable, TypeVar
 
-#: Default stripe count for new sites.  Power of two near the thread
-#: counts the contention benchmark sweeps; override per site or per
-#: world (``World(..., stripes=N)``).
+#: Default stripe count for new sites (a power of two); override per
+#: site or per world (``World(..., stripes=N)``).
 DEFAULT_STRIPES = 16
-
-#: Shared no-op context for snapshot reads; ``nullcontext`` keeps no
-#: per-use state, so one instance serves every thread.
-NULL_GUARD = contextlib.nullcontext()
 
 _F = TypeVar("_F", bound=Callable)
 

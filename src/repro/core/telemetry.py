@@ -379,13 +379,6 @@ class TelemetrySnapshot:
     feed_promotions: int
     feed_write_throughs: int
     feed_push_failures: int
-    #: Reactor-transport gauges (obireactor, PR 9); zeros on every other
-    #: transport.  Network-wide, not per-site: one loop serves the world.
-    reactor_connections_open: int
-    reactor_connections_high_water: int
-    reactor_frames_pipelined: int
-    reactor_in_flight_high_water: int
-    reactor_loop_lag_max_ms: float
 
     def render(self) -> str:
         return (
@@ -423,11 +416,6 @@ class TelemetrySnapshot:
             f"{self.feed_promotions} promotions, "
             f"{self.feed_write_throughs} write-throughs, "
             f"{self.feed_push_failures} push failures\n"
-            f"  reactor : {self.reactor_connections_open} connections held "
-            f"(high water {self.reactor_connections_high_water}), "
-            f"{self.reactor_frames_pipelined} frames pipelined, "
-            f"in-flight depth {self.reactor_in_flight_high_water}, "
-            f"loop lag max {self.reactor_loop_lag_max_ms:.2f} ms\n"
             f"  tracing : {'on' if self.tracing_enabled else 'off'}, "
             f"{self.spans_recorded} spans recorded, "
             f"{self.spans_dropped} dropped, "
@@ -454,18 +442,6 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
     pool_stats = getattr(site.world.network, "pool_stats", None)
     connections_reused = (
         pool_stats.reused_from(site.name) if pool_stats is not None else 0
-    )
-    reactor_stats = getattr(site.world.network, "reactor_stats", None)
-    reactor = (
-        reactor_stats.snapshot()
-        if reactor_stats is not None
-        else {
-            "connections_open": 0,
-            "connections_high_water": 0,
-            "frames_pipelined": 0,
-            "in_flight_high_water": 0,
-            "loop_lag_max_s": 0.0,
-        }
     )
     sync = site.sync_stats.snapshot()
     serial = site.serial_stats.snapshot()
@@ -528,9 +504,4 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         feed_promotions=int(feed["promotions"]),
         feed_write_throughs=int(feed["write_throughs"]),
         feed_push_failures=int(feed["push_failures"]),
-        reactor_connections_open=int(reactor["connections_open"]),
-        reactor_connections_high_water=int(reactor["connections_high_water"]),
-        reactor_frames_pipelined=int(reactor["frames_pipelined"]),
-        reactor_in_flight_high_water=int(reactor["in_flight_high_water"]),
-        reactor_loop_lag_max_ms=reactor["loop_lag_max_s"] * 1000.0,
     )

@@ -10,9 +10,10 @@ subscriber.
 
 Delivery discipline:
 
-* Every push is fanned out with ``invoke_async`` — on the obireactor
-  transport the frames pipeline over one multiplexed connection per
-  follower, so a slow follower does not serialize the push path.
+* Every push is sent with ``invoke_async`` and its ack collected after
+  all pushes are started.  On both transports a push completes before
+  ``invoke_async`` returns, so followers are pushed one after the other;
+  a failed push stalls its follower without delaying the next.
 * The subscriber list is copied under the role's lock and every invoke
   happens outside it (obiflow OBI202 checks this).
 

@@ -52,7 +52,7 @@ class Span:
     #: Site that recorded the span.
     site: str
     #: Clock reading at entry, seconds (site clock: simulated time on the
-    #: loopback transport, wall time on threaded/TCP).
+    #: loopback transport, wall time on TCP).
     start: float
     duration: float = 0.0
     attributes: dict[str, object] = field(default_factory=dict)

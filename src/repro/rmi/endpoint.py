@@ -180,10 +180,8 @@ class RmiEndpoint:
 
         Returns an :class:`InvokeFuture` whose :meth:`~InvokeFuture.result`
         blocks (and re-raises remote failures) exactly like
-        :meth:`invoke`.  On a pipelining transport many futures share one
-        multiplexed connection; on every other transport the request
-        completes synchronously before this returns, so semantics are
-        identical either way.  Local refs dispatch immediately.
+        :meth:`invoke`.  The request completes before this returns, so
+        the future is already settled.  Local refs dispatch immediately.
         """
         request = InvokeRequest(
             object_id=ref.object_id, method=method, args=args, kwargs=kwargs or {}
@@ -207,13 +205,8 @@ class RmiEndpoint:
         reconstructed exception *instance* for calls that failed — batched
         calls fail independently, so one bad entry never poisons the rest.
         Local refs short-circuit through the object table like
-        :meth:`invoke`.
-
-        On a pipelining transport, the batch is fanned out as one
-        in-flight request per call instead of a single batch frame: the
-        server dispatches entries concurrently across its worker pool and
-        answers in completion order.  Every other transport sends one
-        ``InvokeBatchRequest`` frame.
+        :meth:`invoke`.  The batch travels as one ``InvokeBatchRequest``
+        frame.
         """
         if not calls:
             return []
@@ -227,8 +220,6 @@ class RmiEndpoint:
             requests.append(InvokeRequest(object_id=ref.object_id, method=method, args=args))
         if site_id == self.site_id:
             results: list = [self.objects.dispatch(request) for request in requests]
-        elif len(requests) > 1 and self._endpoint.supports_pipelining:
-            results = self._invoke_batch_pipelined(site_id, requests)
         else:
             with self.tracer.span(
                 "rmi.invoke_batch", dst=site_id, calls=len(requests)
@@ -257,34 +248,6 @@ class RmiEndpoint:
                     f"batched invocation returned unexpected entry {type(result).__name__}"
                 )
         return outcomes
-
-    def _invoke_batch_pipelined(
-        self, site_id: str, requests: list[InvokeRequest]
-    ) -> list:
-        """Fan a batch out as pipelined single-invoke frames.
-
-        All frames are submitted before any result is awaited, so the
-        whole batch is in flight on one multiplexed connection at once.
-        Failure semantics match the single-frame batch: remote
-        invocation failures come back as :class:`InvokeFailure` entries,
-        a transport failure raises.
-        """
-        with self.tracer.span(
-            "rmi.invoke_batch", dst=site_id, calls=len(requests), pipelined=True
-        ):
-            context = current()
-            encoder_payloads = []
-            for request in requests:
-                if context is not None:
-                    request.trace = context
-                encoder_payloads.append(self._encoder.encode(request))
-            pendings = [
-                self._endpoint.submit(site_id, payload) for payload in encoder_payloads
-            ]
-            results = []
-            for pending in pendings:
-                results.append(self._decoder.decode(pending.result()))
-        return results
 
     def invoke_oneway(self, ref: RemoteRef, method: str, args: tuple = (), kwargs: dict | None = None) -> None:
         """Fire-and-forget invocation (update dissemination, invalidations).

@@ -1,19 +1,18 @@
 """Network substrate for the OBIWAN reproduction.
 
 The paper's prototype ran over Java RMI on a 10 Mb/s LAN.  This package
-provides the equivalent message layer with three interchangeable
+provides the equivalent message layer with two interchangeable
 transports:
 
 :class:`~repro.simnet.loopback.LoopbackNetwork`
     Synchronous in-process delivery that charges a simulated clock
     according to a :class:`~repro.simnet.link.Link` cost model.  Fully
     deterministic; used by every figure benchmark.
-:class:`~repro.simnet.threaded.ThreadedNetwork`
-    Real threads and queues, one dispatcher per site — proves the
-    middleware works under genuine concurrency.
 :class:`~repro.simnet.tcp.TcpNetwork`
-    Length-prefixed frames over localhost TCP sockets — the closest
-    analogue of the paper's RMI-over-LAN deployment.
+    Length-prefixed frames over pooled localhost TCP connections — the
+    closest analogue of the paper's RMI-over-LAN deployment, and the one
+    wall-clock transport: handlers run on serving threads, concurrently
+    with callers.
 
 All transports share partition/disconnection injection (the mobility
 scenarios of the paper) and per-link traffic statistics.
@@ -33,7 +32,6 @@ from repro.simnet.network import Endpoint, Network
 from repro.simnet.partition import ConnectivityMap
 from repro.simnet.stats import LinkStats, NetworkStats
 from repro.simnet.tcp import TcpNetwork
-from repro.simnet.threaded import ThreadedNetwork
 
 __all__ = [
     "Link",
@@ -50,6 +48,5 @@ __all__ = [
     "NetworkStats",
     "LinkStats",
     "LoopbackNetwork",
-    "ThreadedNetwork",
     "TcpNetwork",
 ]

@@ -30,20 +30,15 @@ Handler = Callable[[Message], bytes | None]
 class PendingReply:
     """A future for one in-flight request.
 
-    The sync facade over pipelined transports: :meth:`Network.submit`
-    returns one of these per request, and :meth:`result` blocks the
-    caller until the correlated response lands (or the deadline passes).
-    Completion and cancellation race safely — whichever settles the
-    reply first wins, and the loser becomes a no-op — so a transport
-    thread completing a reply never trips over a caller timing it out.
+    :meth:`Network.submit` returns one of these per request, and
+    :meth:`result` blocks the caller until the correlated response lands
+    (or the deadline passes).  Completion and cancellation race safely —
+    whichever settles the reply first wins, and the loser becomes a
+    no-op — so a thread completing a reply never trips over a caller
+    timing it out.
     """
 
-    def __init__(
-        self,
-        request_id: str,
-        *,
-        on_cancel: Callable[["PendingReply"], None] | None = None,
-    ):
+    def __init__(self, request_id: str):
         self.request_id = request_id
         self._event = threading.Event()
         self._lock = threading.Lock()
@@ -51,7 +46,6 @@ class PendingReply:
         self._error: BaseException | None = None
         self._cancelled = False
         self._settled = False
-        self._on_cancel = on_cancel
 
     # -- transport side -------------------------------------------------
     def complete(self, payload: bytes) -> bool:
@@ -76,16 +70,13 @@ class PendingReply:
 
     # -- caller side ----------------------------------------------------
     def cancel(self) -> bool:
-        """Abandon the request; only this reply's correlation id is
-        poisoned — sibling requests on the same connection are unharmed.
-        Returns False if a response or failure already settled it."""
+        """Abandon the request.  Returns False if a response or failure
+        already settled it."""
         with self._lock:
             if self._settled:
                 return False
             self._cancelled = True
             self._settled = True
-        if self._on_cancel is not None:
-            self._on_cancel(self)
         self._event.set()
         return True
 
@@ -127,12 +118,6 @@ class Network(ABC):
     Owns the pieces every transport shares: the clock, the link table, the
     connectivity map (disconnections/partitions) and traffic statistics.
     """
-
-    #: True when :meth:`submit` calls share a multiplexed connection (many
-    #: frames in flight at once).  Callers use this to decide whether
-    #: fanning a batch out into individual submits buys concurrency or
-    #: just burns round trips.
-    supports_pipelining = False
 
     def __init__(
         self,
@@ -208,13 +193,11 @@ class Network(ABC):
     def submit(
         self, src: str, dst: str, payload: bytes, *, timeout: float | None = None
     ) -> PendingReply:
-        """Start a request and return a :class:`PendingReply` for it.
+        """Run a request and return a :class:`PendingReply` for it.
 
-        The default implementation is the degenerate sync case — it runs
-        :meth:`call` to completion on the calling thread and hands back an
-        already-settled reply — so every transport supports the future
-        API.  Pipelining transports override this to keep many requests
-        in flight per connection.
+        The request runs to completion on the calling thread, so the
+        reply is already settled when it is returned; a failure is
+        delivered through the reply rather than raised here.
         """
         reply = PendingReply(new_request_id())
         try:
@@ -298,10 +281,6 @@ class Endpoint:
 
     def submit(self, dst: str, payload: bytes, *, timeout: float | None = None) -> PendingReply:
         return self.network.submit(self.site_id, dst, payload, timeout=timeout)
-
-    @property
-    def supports_pipelining(self) -> bool:
-        return self.network.supports_pipelining
 
     def cast(self, dst: str, payload: bytes) -> None:
         self.network.cast(self.site_id, dst, payload)

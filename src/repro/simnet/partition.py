@@ -24,8 +24,8 @@ class ConnectivityMap:
     """Tracks per-site disconnections and pairwise partitions.
 
     Two sites can communicate iff neither is disconnected and no partition
-    separates them.  Thread-safe: the threaded and TCP transports consult it
-    from dispatcher threads while tests mutate it from the main thread.
+    separates them.  Thread-safe: the TCP transport consults it from
+    serving threads while tests mutate it from the main thread.
     """
 
     def __init__(self) -> None:

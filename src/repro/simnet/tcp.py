@@ -420,12 +420,16 @@ def _idle_socket_alive(sock: socket.socket) -> bool:
 
     An idle pooled socket should have nothing to read; readability means
     the peer closed it (EOF) or reset it while it sat in the pool.
+    ``poll`` rather than ``select``: ``select`` rejects descriptors at or
+    above ``FD_SETSIZE`` (1024), which would condemn every pooled socket
+    of a process holding that many files.
     """
+    poller = select.poll()
     try:
-        readable, _writable, _errored = select.select([sock], [], [], 0)
+        poller.register(sock, select.POLLIN)
+        return not poller.poll(0)
     except (OSError, ValueError):
         return False
-    return not readable
 
 
 def _close_quietly(sock: socket.socket) -> None:

@@ -72,8 +72,8 @@ class WallClock(Clock):
 class SimClock(Clock):
     """Deterministic simulated time.
 
-    Thread-safe so that the threaded transport can share one simulated
-    clock across sites; the loopback transport uses it single-threaded.
+    Thread-safe so that concurrent callers can share one simulated clock
+    across sites; the loopback transport itself is single-threaded.
     """
 
     def __init__(self, start: float = 0.0):

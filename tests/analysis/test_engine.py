@@ -149,9 +149,9 @@ class TestEngine:
 
 
 class TestCatalog:
-    def test_twenty_four_rules_shipped(self):
-        assert len(ALL_RULES) == 24
-        assert len({rule.id for rule in ALL_RULES}) == 24
+    def test_twenty_three_rules_shipped(self):
+        assert len(ALL_RULES) == 23
+        assert len({rule.id for rule in ALL_RULES}) == 23
 
     def test_ids_and_names_stable(self):
         catalog = {rule.id: rule.name for rule in ALL_RULES}
@@ -179,7 +179,6 @@ class TestCatalog:
             "OBI303": "unencodable-wire-field",
             "OBI305": "unguarded-widened-tuple",
             "OBI306": "schema-input-drift",
-            "OBI401": "blocking-call-in-reactor",
         }
 
     def test_every_rule_documented(self):

@@ -29,7 +29,6 @@ def test_all_commands_registered():
         "fault-batching",
         "delta-sync",
         "tracing-overhead",
-        "connection-scale",
     }
     assert set(COMMANDS) == expected
 

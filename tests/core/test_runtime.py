@@ -67,23 +67,17 @@ class TestWorld:
         assert provider.feed_stats.snapshot()["role"] == "none"
         assert "p" not in zero_world.network.sites
 
-    def test_threaded_world_end_to_end(self):
-        with World.threaded() as world:
-            provider = world.create_site("p")
-            consumer = world.create_site("c")
-            provider.export(Counter(5), name="counter")
-            replica = consumer.replicate("counter")
-            assert replica.read() == 5
-            replica.increment()
-            consumer.put_back(replica)
-
     def test_tcp_world_end_to_end(self):
         with World.tcp() as world:
             provider = world.create_site("p")
             consumer = world.create_site("c")
-            provider.export(Counter(7), name="counter")
+            master = Counter(7)
+            provider.export(master, name="counter")
             replica = consumer.replicate("counter")
             assert replica.read() == 7
+            replica.increment()
+            consumer.put_back(replica)
+            assert master.read() == 8
 
 
 class TestExportAndNaming:

@@ -11,7 +11,7 @@ from tests.models import Box
 @pytest.fixture
 def feed_world(zero_world):
     """The world every feed scenario runs in: zero-cost loopback here,
-    the reactor in ``test_feed_reactor.py``, which overrides it."""
+    TCP in ``test_feed_tcp.py``, which overrides it."""
     return zero_world
 
 

@@ -1,8 +1,8 @@
 """Role mechanics: subscribe, push, catch-up, bootstrap, write-through.
 
 The group fixture is a primary ``P`` with followers ``F1``/``F2`` on the
-deterministic loopback world (``test_feed_reactor.py`` re-runs the
-scenarios on the reactor); every test drives real RMI traffic through
+deterministic loopback world (``test_feed_tcp.py`` re-runs the
+scenarios on TCP); every test drives real RMI traffic through
 the exported feed service, not role objects called directly.
 """
 

@@ -1,8 +1,8 @@
 """Concurrency stress: many client threads against one provider.
 
-The threaded transport serializes each site's *inbound* work on one
-dispatcher, but client threads drive their own sites concurrently, so
-the provider's tables see real cross-thread pressure.  These tests run
+On TCP every inbound connection is served on its own thread and client
+threads drive their own sites concurrently, so the provider's tables
+see real cross-thread pressure.  These tests run
 enough concurrent operations to surface table races if the locking is
 wrong.
 """
@@ -21,7 +21,7 @@ from tests.models import Counter, chain_indices, make_chain
 def test_concurrent_first_replication_one_master(consumers):
     """Simultaneous first-touch of the same object must create exactly
     one proxy-in at the provider."""
-    with World.threaded() as world:
+    with World.tcp() as world:
         provider = world.create_site("provider")
         master = Counter(7)
         ref = provider.export(master)
@@ -55,7 +55,7 @@ def test_concurrent_first_replication_one_master(consumers):
 def test_concurrent_chunked_traversals():
     """Several consumers fault through the same list at once; every one
     must see the full, correct sequence."""
-    with World.threaded() as world:
+    with World.tcp() as world:
         provider = world.create_site("provider")
         provider.export(make_chain(40), name="chain")
 
@@ -85,7 +85,7 @@ def test_concurrent_chunked_traversals():
 def test_concurrent_puts_serialize_at_the_master():
     """Interleaved put_back calls from many threads must not lose
     version bumps (each accepted put increments by exactly one)."""
-    with World.threaded() as world:
+    with World.tcp() as world:
         provider = world.create_site("provider")
         master = Counter(0)
         provider.export(master, name="counter")

@@ -32,7 +32,7 @@ def _await(predicate, timeout=5.0):
     return predicate()
 
 
-@pytest.mark.parametrize("factory", [World.threaded, World.tcp], ids=["threaded", "tcp"])
+@pytest.mark.parametrize("factory", [World.tcp], ids=["tcp"])
 def test_invalidation_over_live_transport(factory):
     with factory() as world:
         master_site = world.create_site("M")
@@ -54,7 +54,7 @@ def test_invalidation_over_live_transport(factory):
         assert r_consumer.read(rr).read() == 3
 
 
-@pytest.mark.parametrize("factory", [World.threaded, World.tcp], ids=["threaded", "tcp"])
+@pytest.mark.parametrize("factory", [World.tcp], ids=["tcp"])
 def test_epidemic_over_live_transport(factory):
     with factory() as world:
         master_site = world.create_site("M")

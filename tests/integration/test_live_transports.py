@@ -1,7 +1,7 @@
-"""Integration: the full OBIWAN stack on the threaded and TCP transports.
+"""Integration: the full OBIWAN stack on the TCP transport.
 
 The loopback transport is synchronous; these tests prove the middleware
-also works when requests genuinely cross threads or sockets.
+also works when requests genuinely cross threads and sockets.
 """
 
 import threading
@@ -15,10 +15,9 @@ from repro.mobility.node import MobileNode
 from tests.models import Counter, chain_indices, make_chain
 
 
-@pytest.fixture(params=["threaded", "tcp"])
+@pytest.fixture(params=["tcp"])
 def live_world(request):
-    factory = World.threaded if request.param == "threaded" else World.tcp
-    with factory() as world:
+    with World.tcp() as world:
         yield world
 
 
@@ -45,8 +44,8 @@ def test_cluster_over_live_transport(live_world):
     assert chain_indices(head) == list(range(12))
 
 
-def test_concurrent_consumers_threaded():
-    with World.threaded() as world:
+def test_concurrent_consumers_tcp():
+    with World.tcp() as world:
         provider = world.create_site("provider")
         master = Counter(0)
         provider.export(master, name="counter")

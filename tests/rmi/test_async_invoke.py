@@ -1,11 +1,9 @@
-"""Tests for invoke_async / InvokeFuture: pipelined and sync-settled."""
+"""Tests for invoke_async / InvokeFuture: settled when it returns."""
 
 import pytest
 
 from repro.rmi.endpoint import RmiEndpoint
 from repro.simnet.loopback import LoopbackNetwork
-from repro.simnet.reactor import ReactorNetwork
-from repro.util.clock import WallClock
 from repro.util.errors import RemoteError
 
 
@@ -30,17 +28,8 @@ def loopback_endpoints():
     network.close()
 
 
-@pytest.fixture
-def reactor_endpoints():
-    network = ReactorNetwork(WallClock())
-    server = RmiEndpoint(network, "server")
-    client = RmiEndpoint(network, "client")
-    yield server, client
-    network.close()
-
-
 class TestSyncSettled:
-    """On non-pipelining transports the future settles before returning."""
+    """The future settles before ``invoke_async`` returns."""
 
     def test_result_matches_invoke(self, loopback_endpoints):
         server, client = loopback_endpoints
@@ -70,33 +59,10 @@ class TestSyncSettled:
         assert future.cancel() is False
         assert future.result() == 1
 
-
-class TestPipelined:
-    """On the reactor, many futures share one multiplexed channel."""
-
-    def test_many_futures_one_channel(self, reactor_endpoints):
-        server, client = reactor_endpoints
-        ref = server.export(Counter())
-        futures = [client.invoke_async(ref, "bump", (1,)) for _ in range(8)]
-        # Completion lands in dispatch order for a single object, but the
-        # caller may harvest in any order it likes.
-        assert sorted(f.result(5.0) for f in futures) == list(range(1, 9))
-        stats = client.network.reactor_stats.snapshot()
-        assert stats["frames_pipelined"] >= 7  # first call rides the probe
-
-    def test_remote_failure_reraised_at_result(self, reactor_endpoints):
-        server, client = reactor_endpoints
-        ref = server.export(Counter())
-        ok = client.invoke_async(ref, "bump", (1,))
-        bad = client.invoke_async(ref, "fail")
-        with pytest.raises((ValueError, RemoteError)):
-            bad.result(5.0)
-        # The sibling request on the same channel is unharmed.
-        assert ok.result(5.0) == 1
-
-    def test_repr_names_method_and_site(self, reactor_endpoints):
-        server, client = reactor_endpoints
+    def test_repr_names_method_and_site(self, loopback_endpoints):
+        server, client = loopback_endpoints
         ref = server.export(Counter())
         future = client.invoke_async(ref, "bump", (1,))
         assert "bump" in repr(future)
-        assert future.result(5.0) == 1
+        assert "'server'" in repr(future)
+        assert future.result() == 1

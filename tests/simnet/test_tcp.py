@@ -1,7 +1,9 @@
 """Tests for the localhost TCP transport."""
 
 import os
+import resource
 import threading
+import time
 
 import pytest
 
@@ -46,6 +48,13 @@ class TestBasics:
         with pytest.raises(TransportError):
             net.port_of("ghost")
 
+    def test_many_sequential_calls(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        for index in range(50):
+            payload = f"m{index}".encode()
+            assert net.call("a", "b", payload) == b"echo:" + payload
+
     def test_cast_delivered(self, net):
         received = []
         done = threading.Event()
@@ -71,6 +80,43 @@ class TestFailureModes:
         net.attach("b", bad)
         with pytest.raises(TransportError, match="remote bug"):
             net.call("a", "b", b"x")
+
+    def test_handler_none_response_is_error(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", lambda m: None)
+        with pytest.raises(TransportError, match="no response"):
+            net.call("a", "b", b"x")
+
+    def test_timeout_when_handler_hangs(self, net):
+        net.attach("a", lambda m: None)
+        release = threading.Event()
+        net.attach("b", lambda m: release.wait(5) and b"")
+        try:
+            with pytest.raises(TransportError, match="timed out"):
+                net.call("a", "b", b"x", timeout=0.1)
+        finally:
+            release.set()
+
+    def test_close_unblocks_waiters(self, net):
+        net.attach("a", lambda m: None)
+        release = threading.Event()
+        net.attach("b", lambda m: release.wait(5) and b"")
+        failure: list[Exception] = []
+
+        def caller():
+            try:
+                net.call("a", "b", b"x", timeout=4)
+            except TransportError as exc:
+                failure.append(exc)
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        time.sleep(0.05)
+        net.close()
+        thread.join(timeout=2)
+        release.set()
+        assert not thread.is_alive()
+        assert failure
 
     def test_detached_site_unreachable(self, net):
         net.attach("a", lambda m: None)
@@ -145,6 +191,126 @@ class TestFailureModes:
             t.join()
         assert not errors
         assert len(results) == 6
+
+
+class TestConcurrency:
+    def test_parallel_callers(self, net):
+        """Handlers run on serving threads, one per connection, so slow
+        handlers for different callers overlap."""
+        calls = []
+
+        def slowish(message):
+            time.sleep(0.01)
+            calls.append(message.payload)
+            return message.payload.upper()
+
+        net.attach("server", slowish)
+        results: dict[str, bytes] = {}
+        errors: list[Exception] = []
+
+        def client(name: str):
+            try:
+                net.attach(name, lambda m: None)
+                results[name] = net.call(name, "server", name.encode())
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(f"c{i}",)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert results == {f"c{i}": f"c{i}".upper().encode() for i in range(8)}
+
+    def test_reentrant_call_from_handler(self, net):
+        """b's handler calls c while serving a — must not deadlock."""
+        net.attach("a", lambda m: None)
+        net.attach("c", _echo)
+
+        def relay(message):
+            inner = net.call("b", "c", b"inner:" + message.payload)
+            return b"relay:" + inner
+
+        net.attach("b", relay)
+        assert net.call("a", "b", b"x") == b"relay:echo:inner:x"
+        assert net.call("a", "b", b"y") == b"relay:echo:inner:y"
+
+
+class TestSubmit:
+    """``submit`` never raises: every failure settles the reply."""
+
+    def test_reply_is_settled_on_return(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        reply = net.submit("a", "b", b"x")
+        assert reply.done()
+        assert reply.result() == b"echo:x"
+
+    def test_partition_fails_the_reply(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        net.partition({"a"}, {"b"})
+        reply = net.submit("a", "b", b"x")
+        with pytest.raises(DisconnectedError, match="partition"):
+            reply.result(1.0)
+        net.heal()
+        assert net.submit("a", "b", b"y").result(5.0) == b"echo:y"
+
+    def test_unknown_site_fails_the_reply(self, net):
+        net.attach("a", lambda m: None)
+        with pytest.raises(TransportError, match="no site 'ghost'"):
+            net.submit("a", "ghost", b"x").result(1.0)
+
+    def test_closed_network_fails_the_reply(self):
+        net = TcpNetwork(WallClock())
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        net.close()
+        with pytest.raises(TransportError, match="closed"):
+            net.submit("a", "b", b"x").result(1.0)
+
+
+#: Descriptors held open before the pool is exercised: enough to push
+#: every socket the test creates past ``select``'s 1024-fd ceiling.
+_HIGH_FD_FILLER = 1100
+
+
+@pytest.fixture
+def high_fds():
+    """Hold ``_HIGH_FD_FILLER`` extra descriptors for the test's
+    duration, raising the soft ``RLIMIT_NOFILE`` if needed."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    needed = _HIGH_FD_FILLER + 256
+    if hard != resource.RLIM_INFINITY and hard < needed:
+        pytest.skip(f"hard RLIMIT_NOFILE {hard} < {needed}")
+    if soft != resource.RLIM_INFINITY and soft < needed:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (needed, hard))
+    filler = []
+    try:
+        for _ in range(_HIGH_FD_FILLER):
+            filler.append(os.open(os.devnull, os.O_RDONLY))
+        yield
+    finally:
+        for fd in filler:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+class TestHighDescriptors:
+    def test_pool_reuses_sockets_numbered_past_1024(self, high_fds):
+        net = TcpNetwork(WallClock())
+        try:
+            net.attach("a", lambda m: None)
+            net.attach("b", _echo)
+            for index in range(20):
+                assert net.call("a", "b", b"%d" % index) == b"echo:%d" % index
+            [pooled] = net._pool[("a", "b")]
+            assert pooled.fileno() >= 1024
+            assert net.pool_stats.total_created == 1
+            assert net.pool_stats.total_reused == 19
+        finally:
+            net.close()
 
 
 def _open_fds():
