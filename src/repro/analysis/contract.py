@@ -31,20 +31,16 @@ RESERVED_CONTROL_METHODS: frozenset[str] = frozenset(
 ) | frozenset({"updateMember", "update_member", "setProvider", "setDemander"})
 
 #: RMI verbs of the put family — write-back operations on a proxy-in or
-#: consistency coordinator.  The delta variants (PR 4) are first-class
-#: members, so ``build_put_delta``/``apply_put_delta`` call sites read as
-#: ordinary write-backs to OBI204 instead of unknown traffic.
-PUT_FAMILY_VERBS: frozenset[str] = frozenset(
-    {"put", "put_delta", "try_put", "try_put_delta", "vector_put", "vector_put_delta"}
-)
+#: consistency coordinator.
+PUT_FAMILY_VERBS: frozenset[str] = frozenset({"put", "try_put", "vector_put"})
 
 #: RMI verbs that acquire replica state — the legitimate "source" a
 #: component must reach before it may emit a put-family verb.
-#: ``get_delta`` is the versioned refresh; the feed acquisition verbs
-#: are how a follower's mirrors come to exist, so its write-through
-#: ``put`` is a legitimate write-back, not unsourced traffic.
+#: The feed acquisition verbs are how a follower's mirrors come to
+#: exist, so its write-through ``put`` is a legitimate write-back, not
+#: unsourced traffic.
 REPLICA_SOURCE_VERBS: frozenset[str] = frozenset(
-    {"get", "demand", "get_delta", "feed_subscribe", "feed_snapshot"}
+    {"get", "demand", "feed_subscribe", "feed_snapshot"}
 )
 
 #: Callables that apply a change-feed frame to local tables.  OBI210

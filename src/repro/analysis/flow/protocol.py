@@ -40,8 +40,8 @@ from repro.analysis.flow.symbols import FunctionInfo, SymbolTable
 #: RMI entry points whose literal second argument is a protocol verb.
 _INVOKE_METHODS = frozenset({"invoke", "invoke_async", "invoke_oneway"})
 
-#: Verbs that acquire replica state (delegated to the contract so the
-#: delta-sync verbs stay in lockstep with the runtime).
+#: Verbs that acquire replica state (delegated to the contract so they
+#: stay in lockstep with the runtime).
 SOURCE_VERBS = REPLICA_SOURCE_VERBS
 
 #: Module stems allowed to issue ``demand`` (the fault path itself).

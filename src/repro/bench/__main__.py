@@ -263,35 +263,6 @@ def cmd_fault_batching() -> None:
     save_json("fault_batching", report)
 
 
-def cmd_delta_sync() -> None:
-    from repro.bench.delta_sync import delta_sync_report
-
-    print("P4 — delta-encoded replica synchronization")
-    report = delta_sync_report()
-    baseline, delta = report["baseline"], report["delta"]
-    print(
-        render_table(
-            ["path", "bytes on wire", "wall clock (ms)", "puts", "refreshes"],
-            [
-                [
-                    r["label"],
-                    r["bytes_on_wire"],
-                    f"{r['wall_clock_ms']:.1f}",
-                    f"{r['puts_delta']}d/{r['puts_full']}f/{r['puts_noop']}n",
-                    f"{r['refreshes_delta']}d/{r['refreshes_full']}f",
-                ]
-                for r in (baseline, delta)
-            ],
-        )
-    )
-    print(
-        f"  bytes cut {report['bytes_reduction']:.1f}x, "
-        f"wall clock {report['wall_clock_speedup']:.2f}x, "
-        f"saved ~{delta['delta_bytes_saved']} B of full-state payloads"
-    )
-    save_json("delta_sync", report)
-
-
 def cmd_tracing_overhead() -> None:
     from repro.bench.tracing_overhead import tracing_overhead_report
 
@@ -345,7 +316,6 @@ COMMANDS = {
     "strategy-study": cmd_strategy_study,
     "memory-study": cmd_memory_study,
     "fault-batching": cmd_fault_batching,
-    "delta-sync": cmd_delta_sync,
     "tracing-overhead": cmd_tracing_overhead,
 }
 

@@ -16,17 +16,16 @@ from typing import TYPE_CHECKING
 
 from repro.consistency.base import ConsistencyProtocol
 from repro.core.meta import obi_id_of
-from repro.core.replication import apply_put, apply_put_delta, build_put, build_put_delta
-from repro.rmi.protocol import NeedFull
+from repro.core.replication import apply_put, build_put
 from repro.rmi.refs import RemoteRef
 from repro.util.errors import ConsistencyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.packages import PutDeltaPackage, PutPackage
+    from repro.core.packages import PutPackage
     from repro.core.runtime import Site
 
 #: Methods exposed by a coordinator stub.
-LWW_COORDINATOR_METHODS = ("try_put", "try_put_delta", "last_write_at")
+LWW_COORDINATOR_METHODS = ("try_put", "last_write_at")
 
 
 class LwwCoordinator:
@@ -58,33 +57,6 @@ class LwwCoordinator:
             self._last_write[entry.obi_id] = timestamp
         return versions
 
-    def try_put_delta(
-        self, package: "PutDeltaPackage", timestamp: float
-    ) -> "dict[str, int] | NeedFull":
-        """Delta-encoded :meth:`try_put`: same LWW arbitration, stamped
-        only when the merge actually applies.
-
-        A ``NeedFull`` answer (version or fingerprint mismatch at the
-        master) leaves the LWW register untouched — the consumer's
-        full-state retry through :meth:`try_put` gets the timestamp.
-        """
-        stale = [
-            entry.obi_id
-            for entry in package.entries
-            if timestamp <= self._last_write.get(entry.obi_id, float("-inf"))
-        ]
-        if stale:
-            raise ConsistencyError(
-                f"last-writer-wins rejected write at t={timestamp}: objects "
-                f"{sorted(stale)} already have newer state"
-            )
-        result = apply_put_delta(self._site, package)
-        if isinstance(result, NeedFull):
-            return result
-        for entry in package.entries:
-            self._last_write[entry.obi_id] = timestamp
-        return result
-
     def last_write_at(self, oid: str) -> float | None:
         return self._last_write.get(oid)
 
@@ -111,33 +83,13 @@ class LwwReplica(ConsistencyProtocol):
         return replica
 
     def write_back(self, replica: object) -> object:
-        """Timestamped put; rejected writes surface as ConsistencyError.
-
-        With the site's delta knob on, dirty fields travel through
-        ``try_put_delta``; ``NEED_FULL`` (and whole-object fallbacks)
-        downgrade to the full-state ``try_put``.
-        """
+        """Timestamped put; rejected writes surface as ConsistencyError."""
         site = self.site
         oid = obi_id_of(replica)
-        if site.delta_sync:
-            snap = site.dirty_tracker.capture(replica)
-            if snap is not None and not snap.whole and not snap.clean:
-                package = build_put_delta(site, [(replica, snap.fields)])
-                result = self._coordinator.try_put_delta(package, site.clock.now())
-                if not isinstance(result, NeedFull):
-                    info = site.replica_info(oid)
-                    if info is not None:
-                        info.version = result[oid]
-                    site.dirty_tracker.commit(replica, snap)
-                    site.sync_stats.add(puts_delta=1)
-                    return replica
-                site.sync_stats.add(need_full_downgrades=1)
         package = build_put(site, [replica], self._coordinator_site)
         versions = self._coordinator.try_put(package, site.clock.now())
+        site.sync_stats.add(oid=oid, puts_full=1)
         info = site.replica_info(oid)
         if info is not None:
             info.version = versions[oid]
-        if site.delta_sync:
-            site.dirty_tracker.enroll(replica)
-            site.sync_stats.add(puts_full=1)
         return replica

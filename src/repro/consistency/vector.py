@@ -19,17 +19,16 @@ from typing import TYPE_CHECKING
 
 from repro.consistency.base import ConsistencyProtocol
 from repro.core.meta import obi_id_of
-from repro.core.replication import apply_put, apply_put_delta, build_put, build_put_delta
-from repro.rmi.protocol import NeedFull
+from repro.core.replication import apply_put, build_put
 from repro.rmi.refs import RemoteRef
 from repro.serial.registry import global_registry
 from repro.util.errors import ConsistencyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.packages import PutDeltaPackage, PutPackage
+    from repro.core.packages import PutPackage
     from repro.core.runtime import Site
 
-VECTOR_COORDINATOR_METHODS = ("vector_put", "vector_put_delta", "vector_of", "fresh_state")
+VECTOR_COORDINATOR_METHODS = ("vector_put", "vector_of", "fresh_state")
 
 
 @dataclass(slots=True)
@@ -129,35 +128,6 @@ class VectorCoordinator:
             merged[entry.obi_id] = vector.copy()
         return {"versions": versions, "vectors": merged}
 
-    def vector_put_delta(
-        self, package: "PutDeltaPackage", base: VersionVector, writer_site: str
-    ) -> "dict[str, object] | NeedFull":
-        """Delta-encoded :meth:`vector_put`: same concurrency check,
-        vectors stamped only when the merge applies.
-
-        ``NeedFull`` leaves the vectors untouched — the consumer retries
-        with a full-state ``vector_put`` under the same base vector.
-        """
-        conflicts = [
-            entry.obi_id
-            for entry in package.entries
-            if not base.includes(self._vectors.setdefault(entry.obi_id, VersionVector()))
-        ]
-        if conflicts:
-            raise ConsistencyError(
-                f"concurrent update detected for {sorted(conflicts)}; "
-                "pull fresh state, resolve, and retry"
-            )
-        versions = apply_put_delta(self._site, package)
-        if isinstance(versions, NeedFull):
-            return versions
-        merged: dict[str, VersionVector] = {}
-        for entry in package.entries:
-            vector = self._vectors[entry.obi_id].merge(base).bump(writer_site)
-            self._vectors[entry.obi_id] = vector
-            merged[entry.obi_id] = vector.copy()
-        return {"versions": versions, "vectors": merged}
-
     def fresh_state(self, oid: str) -> dict[str, object]:
         """The master's current state dict and vector, for conflict
         resolution on the consumer side."""
@@ -245,19 +215,7 @@ class VectorReplica(ConsistencyProtocol):
 
     def _push(self, replica: object, base: VersionVector) -> dict:
         site = self.site
-        if site.delta_sync:
-            snap = site.dirty_tracker.capture(replica)
-            if snap is not None and not snap.whole and not snap.clean:
-                package = build_put_delta(site, [(replica, snap.fields)])
-                result = self._coordinator.vector_put_delta(package, base, site.name)
-                if not isinstance(result, NeedFull):
-                    site.dirty_tracker.commit(replica, snap)
-                    site.sync_stats.add(puts_delta=1)
-                    return result
-                site.sync_stats.add(need_full_downgrades=1)
         package = build_put(site, [replica], self._coordinator_site)
         result = self._coordinator.vector_put(package, base, site.name)
-        if site.delta_sync:
-            site.dirty_tracker.enroll(replica)
-            site.sync_stats.add(puts_full=1)
+        site.sync_stats.add(oid=obi_id_of(replica), puts_full=1)
         return result

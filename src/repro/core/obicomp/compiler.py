@@ -25,35 +25,8 @@ from repro.core.meta import (
 )
 from repro.core.obicomp.interface import derive_interface
 from repro.core.proxy_out import make_proxy_out_class
-from repro.core.versions import note_write
 from repro.serial.registry import global_registry
 from repro.util.errors import ReplicationError
-
-#: Class attribute marking that the dirty-tracking write hook is installed.
-OBI_WRITE_HOOK_ATTR = "_obi_write_hooked"
-
-
-def _install_write_hook(target: type) -> None:
-    """Wrap ``target.__setattr__`` to notify the dirty tracker.
-
-    The wrapper delegates to whatever ``__setattr__`` the class had
-    (custom or ``object``'s) and only notes the write after it succeeds,
-    so failing setters never mark fields dirty.  Idempotent per class;
-    a compiled subclass of a compiled base gets its own wrapper, and the
-    resulting double note is harmless (the dirty set is a set).
-    """
-    if vars(target).get(OBI_WRITE_HOOK_ATTR):
-        return
-    inherited = target.__setattr__
-
-    def __setattr__(self, name, value, _inherited=inherited):
-        _inherited(self, name, value)
-        note_write(self, name)
-
-    __setattr__.__qualname__ = f"{target.__qualname__}.__setattr__"
-    __setattr__.__module__ = target.__module__
-    target.__setattr__ = __setattr__
-    setattr(target, OBI_WRITE_HOOK_ATTR, True)
 
 
 def compile_class(cls: type | None = None, *, interface_name: str | None = None):
@@ -78,7 +51,6 @@ def compile_class(cls: type | None = None, *, interface_name: str | None = None)
         interface = derive_interface(target, interface_name)
         proxy_out_cls = make_proxy_out_class(interface)
         setattr(target, OBI_INTERFACE_ATTR, interface)
-        _install_write_hook(target)
         global_registry.register(target)
         compiled_registry.add(CompiledEntry(target, interface, proxy_out_cls))
         return target

@@ -79,62 +79,6 @@ class PutPackage:
     payload: bytes = b""
 
 
-@dataclass(slots=True)
-class PutDeltaEntry:
-    """One object's *changed fields* travelling back to its master.
-
-    ``payload`` is an encoded field-delta frame (see
-    :mod:`repro.serial.delta`); ``base_version`` is the master version the
-    consumer last synchronized at — the master merges only on an exact
-    match.  ``fingerprint`` is the consumer's digest of the replica's full
-    post-change state, which the master checks against its own predicted
-    post-merge state before applying anything.
-    """
-
-    obi_id: str = ""
-    base_version: int = 0
-    payload: bytes = b""
-    fingerprint: str = ""
-
-
-@dataclass(slots=True)
-class PutDeltaPackage:
-    """A delta-encoded ``put``: one entry per *dirty* object.
-
-    Applied all-or-nothing — the master validates every entry before
-    touching any state, and answers ``NEED_FULL`` (not a partial apply)
-    when any entry cannot merge.  Only versioned peers ever see this
-    frame; the consumer falls back to :class:`PutPackage` otherwise.
-    """
-
-    entries: list[PutDeltaEntry] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class RefreshDeltaRequest:
-    """A versioned refresh: "send me what changed since ``base_version``"."""
-
-    obi_id: str = ""
-    base_version: int = 0
-
-
-@dataclass(slots=True)
-class RefreshDeltaReply:
-    """The master's answer to a delta refresh.
-
-    ``payload`` holds the changed fields as one delta frame (empty when
-    the consumer is already current); ``fingerprint`` digests the
-    master's full state so the consumer can verify the merge converged.
-    A master that cannot serve the range answers ``NEED_FULL`` instead
-    of this frame.
-    """
-
-    obi_id: str = ""
-    version: int = 0
-    payload: bytes = b""
-    fingerprint: str = ""
-
-
 # ----------------------------------------------------------------------
 # change-feed frames (see repro.feed)
 # ----------------------------------------------------------------------
@@ -260,10 +204,6 @@ for _pkg_cls, _wire_name in (
     (ReplicaPackage, "core.ReplicaPackage"),
     (PutEntry, "core.PutEntry"),
     (PutPackage, "core.PutPackage"),
-    (PutDeltaEntry, "core.PutDeltaEntry"),
-    (PutDeltaPackage, "core.PutDeltaPackage"),
-    (RefreshDeltaRequest, "core.RefreshDeltaRequest"),
-    (RefreshDeltaReply, "core.RefreshDeltaReply"),
     (FeedFrame, "feed.FeedFrame"),
     (FeedBatch, "feed.FeedBatch"),
     (FeedAck, "feed.FeedAck"),

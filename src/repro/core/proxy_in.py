@@ -26,19 +26,11 @@ from typing import TYPE_CHECKING
 from repro.core.interfaces import Incremental, ReplicationMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.packages import (
-        PutDeltaPackage,
-        PutPackage,
-        RefreshDeltaRequest,
-        ReplicaPackage,
-    )
+    from repro.core.packages import PutPackage, ReplicaPackage
     from repro.core.runtime import Site
-    from repro.rmi.protocol import NeedFull
 
 #: Control methods every proxy-in exposes in addition to the user interface.
-#: ``put_delta``/``get_delta`` are the versioned delta-sync verbs (PR 4);
-#: a ``NEED_FULL`` answer sends the consumer back to the full-state verbs.
-PROXY_IN_CONTROL_METHODS = ("get", "put", "demand", "get_version", "put_delta", "get_delta")
+PROXY_IN_CONTROL_METHODS = ("get", "put", "demand", "get_version")
 
 
 class ProxyIn:
@@ -66,32 +58,6 @@ class ProxyIn:
         from repro.core.replication import apply_put
 
         return apply_put(self._obi_site, package)
-
-    def put_delta(self, package: "PutDeltaPackage") -> "dict[str, int] | NeedFull":
-        """Merge a consumer's changed fields onto masters (versioned put).
-
-        Returns the new versions on success, or ``NeedFull`` — with no
-        state applied — when any entry's base version or fingerprint
-        does not match, telling the consumer to retry with ``put``.
-        """
-        from repro.core.replication import apply_put_delta
-
-        return apply_put_delta(self._obi_site, package)
-
-    def get_delta(self, request: "RefreshDeltaRequest") -> "object":
-        """Serve a versioned refresh: the fields changed since the
-        consumer's base version, or ``NeedFull`` when the change log
-        cannot cover the range."""
-        from repro.core.meta import obi_id_of
-        from repro.core.replication import build_refresh_delta
-        from repro.util.errors import UnknownReplicaError
-
-        oid = obi_id_of(self._obi_master)
-        if request.obi_id != oid:
-            raise UnknownReplicaError(
-                f"delta refresh for {request.obi_id!r} reached the proxy-in of {oid!r}"
-            )
-        return build_refresh_delta(self._obi_site, self._obi_master, request.base_version)
 
     # ------------------------------------------------------------------
     # IDemandeeRemote

@@ -38,20 +38,10 @@ from typing import TYPE_CHECKING
 from repro.core import graphwalk
 from repro.core.interfaces import ReplicationMode
 from repro.core.meta import interface_of, is_obiwan, obi_id_of
-from repro.core.packages import (
-    ObjectMeta,
-    PutDeltaEntry,
-    PutDeltaPackage,
-    PutEntry,
-    PutPackage,
-    RefreshDeltaReply,
-    ReplicaPackage,
-)
+from repro.core.packages import ObjectMeta, PutEntry, PutPackage, ReplicaPackage
 from repro.core.proxy_out import ProxyOutBase
-from repro.rmi.protocol import NeedFull
 from repro.rmi.refs import RemoteRef
 from repro.serial.decoder import Decoder
-from repro.serial.delta import FieldDelta, decode_field_delta, encode_field_delta
 from repro.serial.encoder import Encoder
 from repro.serial.swizzle import SwizzleDescriptor
 from repro.util.errors import ReplicationError, UnknownReplicaError
@@ -375,7 +365,7 @@ def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
     # Validate before applying: every entry must name a master of this
     # site and pass the guard its own oid was exported behind, and the frame
     # must decode to one instance of each master's class, or nothing moves.
-    masters = [_authorized_master(site, entry.obi_id, "put") for entry in package.entries]
+    masters = [_authorized_master(site, entry.obi_id) for entry in package.entries]
     site.charge_serialization(len(package.payload))
     states = Decoder(
         site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
@@ -391,10 +381,7 @@ def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
                 f"of {type(master).__name__}"
             )
     versions: dict[str, int] = {}
-    # A full put replaces the whole state: poison the delta history
-    # (``fields=None``) so refreshes spanning this version go through the
-    # full-state path.
-    applied: list[tuple[str, int, None]] = []
+    applied: list[tuple[str, int]] = []
     try:
         for entry, master, state in zip(package.entries, masters, states):
             preserved_id = vars(master).get("_obi_id")
@@ -403,7 +390,7 @@ def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
             if preserved_id is not None:
                 vars(master)["_obi_id"] = preserved_id
             versions[entry.obi_id] = site.bump_master_version(entry.obi_id)
-            applied.append((entry.obi_id, versions[entry.obi_id], None))
+            applied.append((entry.obi_id, versions[entry.obi_id]))
     finally:
         # One journal batch per put — also when an entry failed midway, so
         # no applied entry is ever left unjournaled.
@@ -411,174 +398,13 @@ def _apply_put(site: "Site", package: PutPackage) -> dict[str, int]:
     return versions
 
 
-def _authorized_master(site: "Site", oid: str, verb: str) -> object:
+def _authorized_master(site: "Site", oid: str) -> object:
     """The master a put entry targets, once the caller may write it."""
     master = site.master_object_for(oid)
     if master is None:
         raise UnknownReplicaError(
-            f"{verb} targets object {oid!r} which is not mastered at "
+            f"put targets object {oid!r} which is not mastered at "
             f"site {site.name!r}"
         )
     site.authorize_put(oid)
     return master
-
-
-# ----------------------------------------------------------------------
-# delta write-back (versioned put)
-# ----------------------------------------------------------------------
-def build_put_delta(
-    site: "Site", items: "list[tuple[object, frozenset[str]]]"
-) -> PutDeltaPackage:
-    """Build a delta ``put``: only each replica's changed fields travel.
-
-    ``items`` pairs a replica with the field names its dirty tracker
-    reported.  References swizzle exactly as on the full-state path, so
-    the master re-links what it can resolve and keeps proxy-outs for the
-    rest.  Each entry also carries a fingerprint of the replica's *full*
-    state: the master refuses the merge unless its predicted post-merge
-    state digests identically, so tracker bugs and aliasing divergence
-    downgrade to the full path instead of corrupting the master.
-    """
-    entries: list[PutDeltaEntry] = []
-    total_bytes = 0
-    swizzler = PackagingSwizzler(site, member_ids=set())
-    encoder = Encoder(site.registry, swizzler, stats=site.serial_stats)
-    for replica, fields in items:
-        oid = obi_id_of(replica)
-        info = site.replica_info(oid)
-        state = vars(replica)
-        delta_fields = {name: state[name] for name in sorted(fields) if name in state}
-        payload = encode_field_delta(
-            encoder,
-            FieldDelta(obi_id=oid, base_version=info.version if info else 0, fields=delta_fields),
-        )
-        total_bytes += len(payload)
-        entries.append(
-            PutDeltaEntry(
-                obi_id=oid,
-                base_version=info.version if info else 0,
-                payload=payload,
-                fingerprint=site.fingerprinter.of_object(replica),
-            )
-        )
-    site.charge_pairs(swizzler.pairs_created)
-    site.charge_serialization(total_bytes)
-    return PutDeltaPackage(entries=entries)
-
-
-def apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] | NeedFull":
-    """Master-side delta ``put``: validate everything, then merge.
-
-    All-or-nothing: every entry must find its master (else a typed
-    :class:`UnknownReplicaError`), pass the guard its oid was exported
-    behind (else :class:`SecurityError`), match the master's current version
-    exactly, and — after decoding — predict a post-merge state whose
-    fingerprint equals the consumer's.  Any version or fingerprint
-    mismatch answers :class:`NeedFull` with *nothing* applied, so the
-    consumer's full-state retry sees an unchanged master.
-    """
-    with site.tracer.span("apply_put_delta", entries=len(package.entries)) as span:
-        result = _apply_put_delta(site, package)
-        if isinstance(result, NeedFull):
-            span.set(outcome="need_full")
-        return result
-
-
-def _apply_put_delta(site: "Site", package: PutDeltaPackage) -> "dict[str, int] | NeedFull":
-    decoder = Decoder(
-        site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
-    )
-    staged: list[tuple[str, object, dict[str, object]]] = []
-    for entry in package.entries:
-        site.charge_serialization(len(entry.payload))
-        master = _authorized_master(site, entry.obi_id, "delta put")
-        current = site.master_version(master)
-        if current != entry.base_version:
-            return NeedFull(
-                f"object {entry.obi_id!r} is at version {current}, delta is based "
-                f"on version {entry.base_version}"
-            )
-        fields = decode_field_delta(decoder, entry.payload)
-        fields.pop("_obi_id", None)
-        predicted = dict(vars(master))
-        predicted.update(fields)
-        if site.fingerprinter.of_state(predicted) != entry.fingerprint:
-            return NeedFull(
-                f"post-merge state of {entry.obi_id!r} would diverge from the "
-                "consumer's replica"
-            )
-        staged.append((entry.obi_id, master, fields))
-    versions: dict[str, int] = {}
-    applied: list[tuple[str, int, frozenset[str]]] = []
-    try:
-        for oid, master, fields in staged:
-            vars(master).update(fields)
-            versions[oid] = site.bump_master_version(oid)
-            applied.append((oid, versions[oid], frozenset(fields)))
-    finally:
-        site.change_log.record_many(applied)
-    return versions
-
-
-# ----------------------------------------------------------------------
-# delta refresh (versioned get)
-# ----------------------------------------------------------------------
-def build_refresh_delta(
-    site: "Site", master: object, base_version: int
-) -> "RefreshDeltaReply | NeedFull":
-    """Provider-side delta refresh: the fields changed since ``base_version``.
-
-    Serves from the site's change log; any gap in the history — a full
-    put, a blanket ``touch``, retention overflow — answers
-    :class:`NeedFull` and the consumer re-fetches full state.
-    """
-    oid = obi_id_of(master)
-    current = site.master_version(master)
-    fingerprint = site.fingerprinter.of_object(master)
-    if current == base_version:
-        return RefreshDeltaReply(obi_id=oid, version=current, payload=b"", fingerprint=fingerprint)
-    fields = site.change_log.fields_since(oid, base_version, current)
-    if fields is None:
-        return NeedFull(
-            f"no delta history for {oid!r} from version {base_version} to {current}"
-        )
-    state = vars(master)
-    if any(name not in state for name in fields):
-        # A logged field has since been removed; deltas cannot express
-        # deletion, so hand the consumer full state.
-        return NeedFull(f"fields of {oid!r} were removed since version {base_version}")
-    swizzler = PackagingSwizzler(site, member_ids=set())
-    encoder = Encoder(site.registry, swizzler, stats=site.serial_stats)
-    payload = encode_field_delta(
-        encoder,
-        FieldDelta(
-            obi_id=oid,
-            base_version=base_version,
-            fields={name: state[name] for name in sorted(fields)},
-        ),
-    )
-    site.charge_pairs(swizzler.pairs_created)
-    site.charge_serialization(len(payload))
-    return RefreshDeltaReply(obi_id=oid, version=current, payload=payload, fingerprint=fingerprint)
-
-
-def apply_refresh_delta(site: "Site", replica: object, reply: RefreshDeltaReply) -> bool:
-    """Consumer-side merge of a delta refresh into ``replica`` in place.
-
-    Returns ``True`` when the merged state fingerprints identically to
-    the master's; ``False`` signals divergence, and the caller must fall
-    back to a full refresh (which overwrites whatever this merge wrote).
-    Writes go through ``vars()`` so the merge never marks fields dirty.
-    """
-    site.charge_serialization(len(reply.payload))
-    if reply.payload:
-        decoder = Decoder(
-            site.registry, SiteUnswizzler(site, ReplicationMode()), stats=site.serial_stats
-        )
-        fields = decode_field_delta(decoder, reply.payload)
-        fields.pop("_obi_id", None)
-        vars(replica).update(fields)
-        for ref in graphwalk.direct_references(replica):
-            if isinstance(ref, ProxyOutBase) and ref._obi_resolved is None:
-                ref._obi_add_demander(replica)
-    return site.fingerprinter.of_object(replica) == reply.fingerprint

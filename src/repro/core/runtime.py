@@ -37,15 +37,10 @@ from repro.core.meta import (
     is_obiwan,
     obi_id_of,
 )
-from repro.core.packages import ObjectMeta, RefreshDeltaReply, RefreshDeltaRequest
+from repro.core.packages import ObjectMeta
 from repro.core.proxy_in import ProxyIn
 from repro.core.proxy_out import ProxyOutBase
-from repro.core.replication import (
-    apply_refresh_delta,
-    build_put,
-    build_put_delta,
-    integrate_package,
-)
+from repro.core.replication import build_put, integrate_package
 from repro.core.striping import (
     DEFAULT_STRIPES,
     StripedStats,
@@ -54,15 +49,14 @@ from repro.core.striping import (
     stripe_of,
 )
 from repro.core.telemetry import FeedStats, SerialPathStats, SyncPathStats
-from repro.core.versions import ChangeLog, DirtyTracker, DirtySnapshot
+from repro.core.versions import ChangeLog
 from repro.obs.context import NULL_TRACER, Tracer
 from repro.obs.spans import SpanCollector
 from repro.rmi.acl import AccessGuard, authorize
 from repro.rmi.endpoint import RmiEndpoint
-from repro.rmi.protocol import NeedFull
 from repro.rmi.refs import RemoteRef
 from repro.rmi.stub import Stub
-from repro.serial.delta import Fingerprinter
+from repro.serial.fingerprint import Fingerprinter
 from repro.simnet.link import LAN_10MBPS, Link
 from repro.simnet.loopback import LoopbackNetwork
 from repro.simnet.network import Network
@@ -190,51 +184,28 @@ class _WriteBack:
     oid: str
     replica: object
     record: ReplicaRecord
-    snap: DirtySnapshot | None = None
 
 
 class Site:
     """One OBIWAN process: masters, replicas, proxies, costs."""
 
-    def __init__(
-        self,
-        world: "World",
-        name: str,
-        endpoint: RmiEndpoint,
-        *,
-        stripes: int | None = None,
-    ):
+    def __init__(self, world: "World", name: str, endpoint: RmiEndpoint):
         self.world = world
         self.name = name
         self.endpoint = endpoint
         self.costs: CostModel = world.costs
         self.gc_stats = GcStats()
-        #: Number of oid-hashed stripes the object tables are partitioned
-        #: into.  Node-local: peers never see it, so striped and
-        #: un-striped sites interoperate unchanged.
-        count = stripes if stripes is not None else DEFAULT_STRIPES
-        if count < 1:
-            raise ReplicationError(f"stripe count must be >= 1, got {count}")
-        self.stripe_count = count
-        self.fault_stats = StripedStats(FaultPathStats, count)
-        self.sync_stats = StripedStats(SyncPathStats, count)
-        self.serial_stats = StripedStats(SerialPathStats, count)
+        self.fault_stats = StripedStats(FaultPathStats, DEFAULT_STRIPES)
+        self.sync_stats = StripedStats(SyncPathStats, DEFAULT_STRIPES)
+        self.serial_stats = StripedStats(SerialPathStats, DEFAULT_STRIPES)
         #: Causal tracer (obitrace, PR 5).  :data:`NULL_TRACER` — whose
         #: ``span()`` hands back one shared no-op context manager — until
         #: :meth:`enable_tracing` swaps in a live one.  Shared with the
         #: RMI endpoint so invoke/serve spans land in the same collector.
         self.tracer = NULL_TRACER
-        #: Opt-in knob for delta synchronization (PR 4).  When ``True``,
-        #: ``put_back``/``put_back_cluster``/``refresh`` try the versioned
-        #: delta verbs first and fall back to the full-state path on
-        #: ``NEED_FULL``.  Replicas fetched before the knob was flipped
-        #: enroll lazily on their next full sync.
-        self.delta_sync = False
-        #: Deterministic state-digest machine shared by the delta paths.
+        #: Deterministic state digests, for cross-site convergence checks.
         self.fingerprinter = Fingerprinter(endpoint.registry)
-        #: Consumer-side dirty-field bookkeeping for enrolled replicas.
-        self.dirty_tracker = DirtyTracker(self.fingerprinter)
-        #: Master-side history of which fields each version changed.
+        #: Master-side journal of applied changes (the change feed's source).
         self.change_log = ChangeLog()
         #: Local pub/sub used by the consistency and mobility layers.
         #: Topics: ``replica_registered``, ``replica_refreshed``,
@@ -257,11 +228,12 @@ class Site:
         #: machine-checks the discipline: an access to a striped table
         #: must hold the stripe lock derived from the same key (OBI207),
         #: multi-stripe acquisitions must ascend (OBI208), and declared
-        #: snapshot reads must not mutate (OBI209).
-        self._stripe_locks = [StripeLock() for _ in range(count)]
-        self._masters: list[dict[str, MasterRecord]] = [{} for _ in range(count)]
-        self._replicas: list[dict[str, ReplicaRecord]] = [{} for _ in range(count)]
-        self._provider_refs: list[dict[str, RemoteRef]] = [{} for _ in range(count)]
+        #: snapshot reads must not mutate (OBI209).  Striping is
+        #: node-local: peers never see the stripe count.
+        self._stripe_locks = [StripeLock() for _ in range(DEFAULT_STRIPES)]
+        self._masters: list[dict[str, MasterRecord]] = [{} for _ in range(DEFAULT_STRIPES)]
+        self._replicas: list[dict[str, ReplicaRecord]] = [{} for _ in range(DEFAULT_STRIPES)]
+        self._provider_refs: list[dict[str, RemoteRef]] = [{} for _ in range(DEFAULT_STRIPES)]
         #: Pending proxy-outs stay one table: proxies are keyed by target
         #: id but scanned whole (``pending_siblings``), so a dedicated
         #: small lock beats stripe routing here.
@@ -272,12 +244,12 @@ class Site:
         #: Demands currently on the wire, keyed by target obi id; faults
         #: racing on one target coalesce through these handles.
         self._inflight_demands: list[dict[str, _InflightDemand]] = [
-            {} for _ in range(count)
+            {} for _ in range(DEFAULT_STRIPES)
         ]
 
     def _stripe_of(self, oid: str) -> int:
         """The stripe an obi id routes to (deterministic, node-local)."""
-        return stripe_of(oid, self.stripe_count)
+        return stripe_of(oid, DEFAULT_STRIPES)
 
     # ------------------------------------------------------------------
     # public API: provider role
@@ -376,12 +348,6 @@ class Site:
         replicas: their states travel as the entries of one ``put``, which
         the master authorises per entry, validates before it applies, and
         journals as one batch.
-
-        With :attr:`delta_sync` on, each replica still takes its own
-        cheapest path: a clean one syncs without any network traffic,
-        dirty fields ship through one ``put_delta`` per site, and a
-        ``NEED_FULL`` answer transparently downgrades those replicas to the
-        full-state put.
         """
         by_site: dict[str, list[_WriteBack]] = {}
         for replica in replicas:
@@ -392,54 +358,14 @@ class Site:
             )
         versions: dict[str, int] = {}
         for items in by_site.values():
-            with self.tracer.span(
-                "put_back", name=items[0].oid, replicas=len(items)
-            ) as span:
-                paths = self._put_back_site(items, versions)
-                span.set(path="+".join(sorted(paths)))
+            # One put per provider site, through the first replica's proxy-in.
+            provider = items[0].record.provider
+            with self.tracer.span("put_back", name=items[0].oid, replicas=len(items)):
+                package = build_put(self, [item.replica for item in items], provider.site_id)
+                acked = self.endpoint.invoke(provider, "put", (package,))
+            _commit_versions(acked, items, versions)
+            self.sync_stats.add(oid=items[0].oid, puts_full=1)
         return versions
-
-    def _put_back_site(
-        self, items: list[_WriteBack], versions: dict[str, int]
-    ) -> set[str]:
-        """Write back replicas that share one provider site, through the
-        first one's proxy-in.  Records each new version in ``versions``
-        and on the replica's record; returns the paths taken (``noop`` /
-        ``delta`` / ``full``)."""
-        provider = items[0].record.provider
-        paths: set[str] = set()
-        delta: list[_WriteBack] = []
-        full: list[_WriteBack] = []
-        for item in items:
-            snap = item.snap = (
-                self.dirty_tracker.capture(item.replica) if self.delta_sync else None
-            )
-            if snap is not None and snap.clean:
-                self.sync_stats.add(oid=item.oid, puts_noop=1)
-                versions[item.oid] = item.record.version
-                paths.add("noop")
-            elif snap is not None and not snap.whole:
-                delta.append(item)
-            else:
-                full.append(item)
-        if delta:
-            acked = self._try_put_delta(
-                provider, [(item.replica, item.snap) for item in delta]
-            )
-            if acked is None:
-                full.extend(delta)
-            else:
-                _commit_versions(acked, delta, versions, "delta put")
-                paths.add("delta")
-        if full:
-            pushed = [item.replica for item in full]
-            package = build_put(self, pushed, provider.site_id)
-            acked = self.endpoint.invoke(provider, "put", (package,))
-            _commit_versions(acked, full, versions, "put")
-            self._rebaseline_after_full_put(pushed, [item.snap for item in full])
-            self.sync_stats.add(oid=full[0].oid, puts_full=1)
-            paths.add("full")
-        return paths
 
     def master_versions(self, records: Iterable[ReplicaRecord]) -> dict[str, int]:
         """The current master version behind each replica record.
@@ -467,52 +393,17 @@ class Site:
         return versions
 
     def put_back_cluster(self, root: object) -> dict[str, int]:
-        """Push a whole cluster's state through its root's provider.
-
-        With :attr:`delta_sync` on, only the dirty members' changed
-        fields travel (one ``put_delta`` for the whole cluster), and a
-        fully clean cluster syncs without touching the network.
-        """
+        """Push a whole cluster's state through its root's provider."""
         info = self._replica_record(root)
         members = cluster_ops.cluster_members(self, root)
         with self.tracer.span(
             "put_back_cluster", name=obi_id_of(root), members=len(members)
         ):
-            return self._put_back_cluster(info, members, root)
-
-    def _put_back_cluster(
-        self, info: "ReplicaRecord", members: list[object], root: object
-    ) -> dict[str, int]:
-        snaps: list[DirtySnapshot | None] = [None] * len(members)
-        if self.delta_sync:
-            snaps = [self.dirty_tracker.capture(member) for member in members]
-            if all(s is not None and not s.whole for s in snaps):
-                dirty = [
-                    (member, snap)
-                    for member, snap in zip(members, snaps)
-                    if not snap.clean
-                ]
-                if not dirty:
-                    self.sync_stats.add(oid=obi_id_of(root), puts_noop=1)
-                    versions_held: dict[str, int] = {}
-                    for member in members:
-                        oid = obi_id_of(member)
-                        idx = self._stripe_of(oid)
-                        with self._stripe_locks[idx]:
-                            record = self._replicas[idx].get(oid)
-                        if record is not None:
-                            versions_held[oid] = record.version
-                    return versions_held
-                versions = self._try_put_delta(info.provider, dirty)
-                if versions is not None:
-                    self._apply_versions(versions)
-                    return versions
-        package = build_put(self, members, info.provider.site_id)
-        versions = self.endpoint.invoke(info.provider, "put", (package,))
-        self._apply_versions(versions)
-        self._rebaseline_after_full_put(members, snaps)
-        self.sync_stats.add(oid=obi_id_of(root), puts_full=1)
-        return versions
+            package = build_put(self, members, info.provider.site_id)
+            versions = self.endpoint.invoke(info.provider, "put", (package,))
+            self._apply_versions(versions)
+            self.sync_stats.add(oid=obi_id_of(root), puts_full=1)
+            return versions
 
     def _apply_versions(self, versions: dict[str, int]) -> None:
         """Commit master-acknowledged versions onto the replica records.
@@ -528,42 +419,16 @@ class Site:
                     record.version = versions[oid]
 
     def refresh(self, replica: object) -> object:
-        """Re-fetch a replica's state from its master, updating in place.
-
-        With :attr:`delta_sync` on and a locally clean replica, asks the
-        master for just the fields changed since the last synchronized
-        version; a locally *dirty* replica always takes the full path,
-        preserving refresh's overwrite-local-changes semantics.
-        """
+        """Re-fetch a replica's state from its master, updating in place
+        (local changes are overwritten)."""
         cluster_ops.check_individually_updatable(self, replica)
         info = self._replica_record(replica)
-        with self.tracer.span("refresh", name=obi_id_of(replica)) as span:
-            if self.delta_sync:
-                snap = self.dirty_tracker.capture(replica)
-                if snap is not None and snap.clean:
-                    reply = self._try_get_delta(info.provider, replica, info.version)
-                    if reply is not None:
-                        saved = max(0, _own_state_size(replica) - len(reply.payload))
-                        if apply_refresh_delta(self, replica, reply):
-                            info.version = reply.version
-                            self.dirty_tracker.enroll(replica)
-                            self.sync_stats.add(
-                                refreshes_delta=1, delta_bytes_saved=saved
-                            )
-                            span.set(path="delta")
-                            self.events.publish(
-                                "replica_refreshed", site=self, replica=replica
-                            )
-                            return replica
-                        # Merged state diverged from the master's fingerprint:
-                        # the full refresh below overwrites the partial merge.
-                        self.sync_stats.add(need_full_downgrades=1)
+        with self.tracer.span("refresh", name=obi_id_of(replica)):
             package = self.endpoint.invoke(
                 info.provider, "get", (Incremental(1),)
             )
             refreshed = integrate_package(self, package)
             self.sync_stats.add(refreshes_full=1)
-            span.set(path="full")
         self.events.publish("replica_refreshed", site=self, replica=refreshed)
         return refreshed
 
@@ -592,7 +457,7 @@ class Site:
         self.clock.advance(self.costs.local_invoke_s)
         return getattr(obj, method)(*args, **kwargs)
 
-    def touch(self, master: object, *, fields: "tuple[str, ...] | None" = None) -> int:
+    def touch(self, master: object) -> int:
         """Announce a direct local modification of a master object.
 
         Masters are plain objects, so the middleware cannot observe the
@@ -600,17 +465,10 @@ class Site:
         (refresh, leases, reconciliation, transactions) only sees changes
         that arrive via ``put`` — or that the master application declares
         with ``touch``.  Returns the new version.
-
-        Passing ``fields`` names what changed, letting delta refreshes
-        serve this version from the change log; without it, the version
-        records a whole-state change and consumers spanning it re-fetch
-        full state (``NEED_FULL``).
         """
         oid = obi_id_of(master)
         version = self.bump_master_version(oid)
-        self.change_log.record(
-            oid, version, frozenset(fields) if fields is not None else None
-        )
+        self.change_log.record(oid, version)
         return version
 
     def memory_footprint(self) -> int:
@@ -627,7 +485,7 @@ class Site:
         already summed once).
         """
         total = 0
-        for idx in range(self.stripe_count):
+        for idx in range(DEFAULT_STRIPES):
             with self._stripe_locks[idx]:
                 total += sum(
                     _own_state_size(record.obj)
@@ -643,7 +501,6 @@ class Site:
         idx = self._stripe_of(oid)
         with self._stripe_locks[idx]:
             self._replicas[idx].pop(oid, None)
-        self.dirty_tracker.forget(replica)
 
     # ------------------------------------------------------------------
     # causal tracing (obitrace, PR 5)
@@ -738,7 +595,7 @@ class Site:
 
     def iter_masters(self):
         items: list[tuple[str, MasterRecord]] = []
-        for idx in range(self.stripe_count):
+        for idx in range(DEFAULT_STRIPES):
             with self._stripe_locks[idx]:
                 items.extend(self._masters[idx].items())
         items.sort(key=lambda pair: pair[1].seq)
@@ -747,7 +604,7 @@ class Site:
     def exported_oids(self) -> list[str]:
         """Oids with a live proxy-in export, in registration order."""
         pairs: list[tuple[int, str]] = []
-        for idx in range(self.stripe_count):
+        for idx in range(DEFAULT_STRIPES):
             with self._stripe_locks[idx]:
                 for oid in self._provider_refs[idx]:
                     record = self._masters[idx].get(oid)
@@ -876,7 +733,7 @@ class Site:
 
     def oid_for_export(self, object_id: str) -> str | None:
         """The obi id whose proxy-in is exported as ``object_id``, if any."""
-        for idx in range(self.stripe_count):
+        for idx in range(DEFAULT_STRIPES):
             with self._stripe_locks[idx]:
                 for oid, ref in self._provider_refs[idx].items():
                     if ref.object_id == object_id:
@@ -955,7 +812,7 @@ class Site:
 
     def iter_replicas(self):
         records: list[ReplicaRecord] = []
-        for idx in range(self.stripe_count):
+        for idx in range(DEFAULT_STRIPES):
             with self._stripe_locks[idx]:
                 records.extend(self._replicas[idx].values())
         records.sort(key=lambda record: record.seq)
@@ -966,10 +823,6 @@ class Site:
         idx = self._stripe_of(oid)
         with self._stripe_locks[idx]:
             self._register_replica_locked(idx, obj, meta, mode)
-        if self.delta_sync:
-            # The replica is in a just-synced state right now: enroll it
-            # (or re-baseline an existing enrollment after a refresh).
-            self.dirty_tracker.enroll(obj)
 
     def _register_replica_locked(
         self, idx: int, obj: object, meta: ObjectMeta, mode: ReplicationMode
@@ -1097,76 +950,6 @@ class Site:
             self.clock.advance(count * self.costs.replica_create_s)
 
     # ------------------------------------------------------------------
-    # delta-sync plumbing (PR 4)
-    # ------------------------------------------------------------------
-    def _try_put_delta(
-        self, provider: RemoteRef, items: "list[tuple[object, DirtySnapshot]]"
-    ) -> dict[str, int] | None:
-        """One delta put attempt; ``None`` means "use the full path".
-
-        A ``NEED_FULL`` answer (version/fingerprint mismatch at the
-        master) downgrades.  On success, commits every snapshot so the
-        dirty sets re-baseline, and credits the bytes the full path would
-        have shipped.
-        """
-        package = build_put_delta(
-            self, [(replica, snap.fields) for replica, snap in items]
-        )
-        with self.tracer.span("put_delta", entries=len(items)) as span:
-            result = self.endpoint.invoke(provider, "put_delta", (package,))
-            if isinstance(result, NeedFull):
-                self.sync_stats.add(need_full_downgrades=1)
-                span.set(outcome="need_full")
-                return None
-        if not isinstance(result, dict):
-            raise ReplicationError(f"unexpected put_delta reply: {result!r}")
-        saved = 0
-        for replica, snap in items:
-            saved += self._delta_savings(replica, snap.fields)
-            self.dirty_tracker.commit(replica, snap)
-        self.sync_stats.add(puts_delta=1, delta_bytes_saved=saved)
-        return result
-
-    def _try_get_delta(
-        self, provider: RemoteRef, replica: object, base_version: int
-    ) -> "RefreshDeltaReply | None":
-        """One delta refresh attempt; ``None`` means "use the full path"."""
-        request = RefreshDeltaRequest(
-            obi_id=obi_id_of(replica), base_version=base_version
-        )
-        with self.tracer.span("get_delta", name=request.obi_id) as span:
-            reply = self.endpoint.invoke(provider, "get_delta", (request,))
-            if isinstance(reply, NeedFull):
-                self.sync_stats.add(need_full_downgrades=1)
-                span.set(outcome="need_full")
-                return None
-        if not isinstance(reply, RefreshDeltaReply):
-            raise ReplicationError(f"unexpected get_delta reply: {reply!r}")
-        return reply
-
-    def _rebaseline_after_full_put(
-        self, replicas: "list[object]", snaps: "list[DirtySnapshot | None]"
-    ) -> None:
-        """After a successful full put, the replicas are synced: commit
-        captured snapshots (no-op if the object mutated mid-put) and
-        enroll anything the tracker had not seen yet."""
-        if not self.delta_sync:
-            return
-        for replica, snap in zip(replicas, snaps):
-            if snap is not None:
-                self.dirty_tracker.commit(replica, snap)
-            else:
-                self.dirty_tracker.enroll(replica)
-
-    def _delta_savings(self, replica: object, fields: "frozenset[str]") -> int:
-        """Estimated bytes a delta put avoided versus shipping full state."""
-        state = vars(replica)
-        delta_bytes = sum(
-            _value_size(state[name]) for name in fields if name in state
-        )
-        return max(0, _own_state_size(replica) - delta_bytes)
-
-    # ------------------------------------------------------------------
     # introspection helpers used by the engine's put path
     # ------------------------------------------------------------------
     def _replica_record(self, replica: object) -> ReplicaRecord:
@@ -1210,7 +993,7 @@ class Site:
             if lock.max_depth > max_depth:
                 max_depth = lock.max_depth
         return {
-            "stripes": self.stripe_count,
+            "stripes": DEFAULT_STRIPES,
             "acquire_waits": waits,
             "max_depth": max_depth,
         }
@@ -1231,11 +1014,9 @@ class World:
         network: Network,
         *,
         costs: CostModel | None = None,
-        stripes: int | None = None,
     ):
         self.network = network
         self.costs = costs if costs is not None else CostModel.calibrated_2002()
-        self.default_stripes = stripes
         self.sites: dict[str, Site] = {}
         self._nameserver_site: str | None = None
 
@@ -1267,12 +1048,7 @@ class World:
     # ------------------------------------------------------------------
     # site management
     # ------------------------------------------------------------------
-    def create_site(
-        self,
-        name: str | None = None,
-        *,
-        stripes: int | None = None,
-    ) -> Site:
+    def create_site(self, name: str | None = None) -> Site:
         """Attach a new site; the first site created hosts the name server."""
         site_name = name if name is not None else new_site_id()
         if site_name in self.sites:
@@ -1285,12 +1061,7 @@ class World:
             self._nameserver_site = site_name
             # Earlier sites cannot exist (this is the first), so nothing to
             # retrofit; later sites get the pointer at construction.
-        site = Site(
-            self,
-            site_name,
-            endpoint,
-            stripes=stripes if stripes is not None else self.default_stripes,
-        )
+        site = Site(self, site_name, endpoint)
         self.sites[site_name] = site
         return site
 
@@ -1312,7 +1083,7 @@ class World:
 
 
 def _commit_versions(
-    acked: dict[str, int], sent: list[_WriteBack], versions: dict[str, int], verb: str
+    acked: dict[str, int], sent: list[_WriteBack], versions: dict[str, int]
 ) -> None:
     """Record the master's new version of every replica sent, in
     ``versions`` and on its replica record; an omitted one is an error."""
@@ -1320,7 +1091,7 @@ def _commit_versions(
         version = acked.get(item.oid)
         if version is None:
             raise UnknownReplicaError(
-                f"master returned no version for {item.oid!r} after {verb}"
+                f"master returned no version for {item.oid!r} after put"
             )
         item.record.version = versions[item.oid] = version
 

@@ -17,8 +17,7 @@ the benchmarks share one vocabulary:
   (``FaultPathStats``, ``SyncPathStats``) merged on read, so hot-path
   threads on different stripes never touch the same counter lock.
 
-Striping is node-local: nothing here crosses the wire, so a striped
-site interoperates with un-upgraded peers unchanged.
+Striping is node-local: nothing here crosses the wire.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import threading
 import zlib
 from typing import Callable, TypeVar
 
-#: Default stripe count for new sites (a power of two); override per
-#: site or per world (``World(..., stripes=N)``).
+#: Stripe count of every site's object tables (a power of two).
 DEFAULT_STRIPES = 16
 
 _F = TypeVar("_F", bound=Callable)
@@ -117,9 +115,9 @@ class StripedStats:
     shards; unkeyed adds route by thread identity, which spreads
     uncorrelated callers without any shared state.
 
-    Reading a counter attribute sums it across shards, so existing
-    consumers (telemetry, the consistency layer, tests asserting
-    ``site.sync_stats.puts_delta``) see the same totals they always did.
+    Reading a counter attribute sums it across shards, so consumers
+    (telemetry, tests asserting ``site.sync_stats.puts_full``) see one
+    total.
     """
 
     def __init__(self, factory: Callable[[], object], stripes: int):

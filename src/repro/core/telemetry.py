@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class SyncPathStats:
-    """Counters for the delta synchronization path (PR 4).
+    """Counters for write-backs and refreshes.
 
     Application threads and dispatcher threads both sync replicas, so
     increments go through :meth:`add` under the internal lock, exactly
@@ -28,79 +28,33 @@ class SyncPathStats:
     monitoring; :meth:`snapshot` gives a mutually-consistent reading.
     """
 
-    #: Write-backs that shipped only changed fields.
-    puts_delta: int = 0
-    #: Write-backs that shipped full state (delta off, unsupported peer,
-    #: whole-object fallback, or a ``NEED_FULL`` downgrade retry).
+    #: ``put`` round trips that shipped replica state to a master (one
+    #: per provider site of a ``put_back_many``, one per cluster put,
+    #: one per consistency-coordinator write-back).
     puts_full: int = 0
-    #: Write-backs skipped entirely because the replica was clean.
-    puts_noop: int = 0
-    #: Refreshes served from the master's change log as field deltas.
-    refreshes_delta: int = 0
-    #: Refreshes that re-fetched full state.
+    #: Refreshes that re-fetched state through ``get``.
     refreshes_full: int = 0
-    #: Estimated full-state bytes that delta syncs avoided shipping.
-    delta_bytes_saved: int = 0
-    #: Delta attempts the peer answered with ``NEED_FULL`` (or whose
-    #: merged state failed the fingerprint check locally).
-    need_full_downgrades: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def add(
-        self,
-        *,
-        puts_delta: int = 0,
-        puts_full: int = 0,
-        puts_noop: int = 0,
-        refreshes_delta: int = 0,
-        refreshes_full: int = 0,
-        delta_bytes_saved: int = 0,
-        need_full_downgrades: int = 0,
-    ) -> None:
+    def add(self, *, puts_full: int = 0, refreshes_full: int = 0) -> None:
         """Atomically bump any subset of the counters."""
         with self._lock:
-            self.puts_delta += puts_delta
             self.puts_full += puts_full
-            self.puts_noop += puts_noop
-            self.refreshes_delta += refreshes_delta
             self.refreshes_full += refreshes_full
-            self.delta_bytes_saved += delta_bytes_saved
-            self.need_full_downgrades += need_full_downgrades
 
     def snapshot(self) -> dict[str, int]:
         """A mutually-consistent reading of all counters."""
         with self._lock:
-            return {
-                "puts_delta": self.puts_delta,
-                "puts_full": self.puts_full,
-                "puts_noop": self.puts_noop,
-                "refreshes_delta": self.refreshes_delta,
-                "refreshes_full": self.refreshes_full,
-                "delta_bytes_saved": self.delta_bytes_saved,
-                "need_full_downgrades": self.need_full_downgrades,
-            }
+            return {"puts_full": self.puts_full, "refreshes_full": self.refreshes_full}
 
     def reset(self) -> dict[str, int]:
         """Zero the counters; returns the values they had."""
         with self._lock:
-            before = {
-                "puts_delta": self.puts_delta,
-                "puts_full": self.puts_full,
-                "puts_noop": self.puts_noop,
-                "refreshes_delta": self.refreshes_delta,
-                "refreshes_full": self.refreshes_full,
-                "delta_bytes_saved": self.delta_bytes_saved,
-                "need_full_downgrades": self.need_full_downgrades,
-            }
-            self.puts_delta = 0
+            before = {"puts_full": self.puts_full, "refreshes_full": self.refreshes_full}
             self.puts_full = 0
-            self.puts_noop = 0
-            self.refreshes_delta = 0
             self.refreshes_full = 0
-            self.delta_bytes_saved = 0
-            self.need_full_downgrades = 0
         return before
 
 
@@ -341,14 +295,9 @@ class TelemetrySnapshot:
     #: Pooled-TCP reuse attributed to this site as caller; 0 on transports
     #: without a connection pool.
     connections_reused: int
-    #: Delta-sync counters (see :class:`SyncPathStats`).
-    puts_delta: int
+    #: Write-back and refresh counters (see :class:`SyncPathStats`).
     puts_full: int
-    puts_noop: int
-    refreshes_delta: int
     refreshes_full: int
-    delta_bytes_saved: int
-    need_full_downgrades: int
     #: Causal-tracing collector state (obitrace, PR 5); zeros while the
     #: site has never traced.
     tracing_enabled: bool
@@ -394,11 +343,8 @@ class TelemetrySnapshot:
             f"{self.prefetch_hits} prefetch hits, "
             f"{self.coalesced_faults} coalesced faults, "
             f"{self.connections_reused} connections reused\n"
-            f"  deltasync: {self.puts_delta} delta / {self.puts_full} full / "
-            f"{self.puts_noop} no-op puts, "
-            f"{self.refreshes_delta} delta / {self.refreshes_full} full refreshes, "
-            f"{self.need_full_downgrades} NEED_FULL downgrades, "
-            f"~{self.delta_bytes_saved} B saved\n"
+            f"  sync    : {self.puts_full} puts, "
+            f"{self.refreshes_full} refreshes\n"
             f"  stripes : {self.stripe_count} stripes, "
             f"{self.stripe_acquire_waits} acquire waits, "
             f"max depth {self.stripe_max_depth}\n"
@@ -474,13 +420,8 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         prefetch_hits=site.fault_stats.prefetch_hits,
         coalesced_faults=site.fault_stats.coalesced_faults,
         connections_reused=connections_reused,
-        puts_delta=sync["puts_delta"],
         puts_full=sync["puts_full"],
-        puts_noop=sync["puts_noop"],
-        refreshes_delta=sync["refreshes_delta"],
         refreshes_full=sync["refreshes_full"],
-        delta_bytes_saved=sync["delta_bytes_saved"],
-        need_full_downgrades=sync["need_full_downgrades"],
         tracing_enabled=site.tracer.enabled,
         spans_recorded=span_stats["recorded"],
         spans_dropped=span_stats["dropped"],

@@ -1,8 +1,8 @@
 """obifeed: primary/follower change-feed replication (PR 10).
 
-The paper's incremental replication machinery (per-master
-:class:`~repro.core.versions.ChangeLog` + the delta codec) is an event
-log; this package streams it.  A :class:`~repro.feed.primary.FeedPrimary`
+Every site journals the changes it applies to its masters in a
+:class:`~repro.core.versions.ChangeLog`; this package streams that
+journal.  A :class:`~repro.feed.primary.FeedPrimary`
 turns a site into the group's write master: every local change is
 journaled with a dense serial number and pushed to subscribed followers
 as a :class:`~repro.core.packages.FeedFrame`.  A

@@ -195,10 +195,10 @@ class FeedFollower:
         return FeedAck(epoch=epoch, applied_serial=applied_serial, accepted=True)
 
     def _note_applied(self, frame: "FeedFrame", *, serial: int) -> None:
-        # Mirror the event into our own journal (whole-state entry) so a
+        # Mirror the event into our own journal so a
         # promotion continues the group's serial numbering, then advance
         # the cursor and wake write-through waiters.
-        self.site.change_log.record_mirror(serial, frame.oid, frame.version, None)
+        self.site.change_log.record_mirror(serial, frame.oid, frame.version)
         with self._applied:
             if frame.provider is not None:
                 self._providers[frame.oid] = frame.provider

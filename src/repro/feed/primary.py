@@ -2,7 +2,7 @@
 
 A :class:`FeedPrimary` attaches to a site's
 :class:`~repro.core.versions.ChangeLog` as an observer: every local
-change (full put, delta put, ``touch``) is already journaled with a
+change (``put``, ``touch``) is already journaled with a
 dense serial, and the observer turns each journal batch — all the events
 of one put — into one :class:`~repro.core.packages.FeedBatch` (a
 :class:`~repro.core.packages.FeedFrame` per event) pushed to every live
@@ -135,7 +135,7 @@ class FeedPrimary:
         site = self.site
         site.change_log.record_many(
             [
-                (oid, site.master_version(record.obj), None)
+                (oid, site.master_version(record.obj))
                 for oid, record in site.iter_masters()
                 if not site.change_log.has_history(oid)
             ]
@@ -278,8 +278,8 @@ class FeedPrimary:
     def _catch_up_frames(self, events: "list[FeedEvent]") -> list[FeedFrame]:
         """One frame per distinct oid, at its highest event serial.
 
-        Catch-up re-encodes *current* state (the journal stores field
-        names, not payloads), so replaying collapsed history is safe:
+        Catch-up re-encodes *current* state (the journal stores oids and
+        versions, not payloads), so replaying collapsed history is safe:
         the frame's version is the current version and the follower's
         monotonic guard handles any overlap with live pushes.
         """

@@ -102,21 +102,6 @@ class InvokeBatchResponse:
     results: list = field(default_factory=list)
 
 
-@dataclass(slots=True)
-class NeedFull:
-    """Control reply: a delta-encoded request cannot be applied here.
-
-    Returned (not raised) by the delta put/refresh verbs when the
-    receiver must see full state — base version mismatch, fingerprint
-    divergence, or missing delta history.  Travelling as an ordinary
-    return value keeps the downgrade on the normal success path: the
-    consumer reissues the legacy full-state operation and both sides
-    converge.
-    """
-
-    reason: str = ""
-
-
 #: Middleware exception types that cross the wire losslessly.
 _WELL_KNOWN: dict[str, type[BaseException]] = {
     name: obj
@@ -133,6 +118,5 @@ for _protocol_cls, _wire_name in (
     (InvokeFailure, "rmi.InvokeFailure"),
     (InvokeBatchRequest, "rmi.InvokeBatchRequest"),
     (InvokeBatchResponse, "rmi.InvokeBatchResponse"),
-    (NeedFull, "rmi.NeedFull"),
 ):
     global_registry.register(_protocol_cls, name=_wire_name)

@@ -108,7 +108,7 @@ class UnknownWireTagError(SerializationError):
 class UnknownReplicaError(ReplicationError):
     """A protocol message referenced an object id unknown at this site.
 
-    Raised when a ``put`` (full or delta) targets an object that is not
+    Raised when a ``put`` targets an object that is not
     mastered at the receiving site, or when a version map returned by a
     master omits an object the consumer wrote back.  Subclasses
     :class:`ReplicationError` so existing handlers keep working; exists as
@@ -120,9 +120,9 @@ class UnknownReplicaError(ReplicationError):
 class RetentionGapError(ReplicationError):
     """A serial range fell out of the change log's retention window.
 
-    Raised by :meth:`repro.core.versions.ChangeLog.events_since` (and the
-    strict :meth:`changed_fields`) when the journal can no longer prove it
-    covers every event after the requested serial — the caller must fall
+    Raised by :meth:`repro.core.versions.ChangeLog.events_since` when the
+    journal can no longer prove it covers every event after the requested
+    serial — the caller must fall
     back to a full-snapshot bootstrap instead of an incremental catch-up.
     :attr:`requested` is the serial the caller had, :attr:`earliest` /
     :attr:`latest` bound what the log still retains.

@@ -53,10 +53,6 @@ class TestExtraction:
             "core.ReplicaPackage",
             "core.PutEntry",
             "core.PutPackage",
-            "core.PutDeltaEntry",
-            "core.PutDeltaPackage",
-            "core.RefreshDeltaRequest",
-            "core.RefreshDeltaReply",
             "core.ReplicationMode",
             "core.Interface",
             "rmi.InvokeRequest",
@@ -64,7 +60,6 @@ class TestExtraction:
             "rmi.InvokeFailure",
             "rmi.InvokeBatchRequest",
             "rmi.InvokeBatchResponse",
-            "rmi.NeedFull",
             "rmi.RemoteRef",
             "consistency.VersionVector",
         }
@@ -110,10 +105,9 @@ class TestExtraction:
     def test_core_verbs_extracted(self, tree_spec):
         assert {"get", "put", "demand", "get_version"} <= tree_spec.verbs
 
-    def test_delta_and_feed_verbs_extracted_flat(self, tree_spec):
-        # Delta and feed verbs sit in the same flat set: no fallback edges.
+    def test_feed_verbs_extracted_flat(self, tree_spec):
+        # Feed verbs sit in the same flat set as the core ones: no fallback edges.
         assert {
-            "put_delta", "get_delta",
             "feed_subscribe", "feed_events", "feed_snapshot", "promote",
         } <= tree_spec.verbs
         assert json.loads(tree_spec.to_json())["verbs"] == sorted(tree_spec.verbs)
@@ -217,7 +211,7 @@ class TestDiff:
         changes = diff_specs(_spec(), gone)
         assert has_breaking(changes)
         assert [(c.category, c.entity) for c in changes] == [("verb-removed", "get")]
-        added = _spec(verbs=frozenset({"get", "get_delta"}))
+        added = _spec(verbs=frozenset({"get", "get_version"}))
         assert not has_breaking(diff_specs(_spec(), added))
 
     def test_new_verb_is_a_compatible_addition(self):

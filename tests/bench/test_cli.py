@@ -27,7 +27,6 @@ def test_all_commands_registered():
         "strategy-study",
         "memory-study",
         "fault-batching",
-        "delta-sync",
         "tracing-overhead",
     }
     assert set(COMMANDS) == expected

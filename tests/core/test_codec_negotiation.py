@@ -105,7 +105,7 @@ class TestGetDirection:
         provider.export(master, name="counter")
         replica = consumer.replicate("counter")
         master.value = 5
-        provider.touch(master, fields=("value",))
+        provider.touch(master)
         before = _serial(consumer)["decodes_fast"]
         consumer.refresh(replica)
         assert replica.read() == 5
@@ -148,18 +148,6 @@ class TestPutDirection:
         consumer.put_back(replica)
         assert master.value == "stringly"
         assert _serial(consumer)["encodes_reflective"] == before + 1
-
-    def test_works_alongside_delta_sync(self, csites):
-        provider, consumer = csites
-        provider.delta_sync = True
-        consumer.delta_sync = True
-        master = Counter(1)
-        provider.export(master, name="counter")
-        replica = consumer.replicate("counter")
-        replica.increment(4)
-        consumer.put_back(replica)
-        assert master.read() == 5
-        assert consumer.sync_stats.puts_delta + consumer.sync_stats.puts_full == 1
 
 
 # ----------------------------------------------------------------------

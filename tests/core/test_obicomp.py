@@ -213,6 +213,27 @@ class TestCompile:
             compile_class(NoMethods)
         assert not is_compiled_class(NoMethods)
 
+    def test_setattr_left_alone(self):
+        class Plain:
+            def m(self):
+                pass
+
+        class Validating:
+            def __setattr__(self, name, value):
+                if name == "forbidden":
+                    raise AttributeError(name)
+                object.__setattr__(self, name, value)
+
+            def m(self):
+                pass
+
+        own = Validating.__setattr__
+        compile_class(Plain)
+        compile_class(Validating)
+        assert "__setattr__" not in vars(Plain)
+        assert Plain.__setattr__ is object.__setattr__
+        assert vars(Validating)["__setattr__"] is own
+
 
 class TestPorting:
     def test_port_legacy_class(self):

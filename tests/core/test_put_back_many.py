@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.interfaces import Cluster
 from repro.core.meta import obi_id_of
-from repro.core.packages import PutEntry
-from repro.core.replication import build_put, build_put_delta
+from repro.core.packages import PutEntry, PutPackage
+from repro.core.replication import apply_put, build_put
 from repro.rmi.protocol import InvokeRequest
 from repro.serial import tags
 from repro.serial.encoder import Encoder
@@ -79,23 +79,6 @@ class TestSinglePutSendsTheSameFrame:
         consumer.put_back(replica)
         assert requests_on_the_wire == [expected]
 
-    def test_delta(self, zsites, requests_on_the_wire):
-        provider, consumer = zsites
-        provider.delta_sync = consumer.delta_sync = True
-        provider.export(Counter(1), name="counter")
-        replica = consumer.replicate("counter")
-        replica.increment()
-        dirty = consumer.dirty_tracker.capture(replica).fields
-        expected = self._frame(
-            consumer, replica, "put_delta", build_put_delta(consumer, [(replica, dirty)])
-        )
-        requests_on_the_wire.clear()
-        consumer.put_back(replica)
-        assert requests_on_the_wire == [expected]
-        requests_on_the_wire.clear()
-        consumer.put_back(replica)  # clean now: no traffic at all
-        assert requests_on_the_wire == []
-
 
 class TestPutBackMany:
     def test_one_put_per_provider_site(self, zero_world):
@@ -121,39 +104,6 @@ class TestPutBackMany:
         assert consumer.put_back_many([]) == {}
         assert zero_world.network.stats.total_messages == before
 
-    def test_each_replica_takes_its_own_delta_decision(self, zsites, zero_world):
-        provider, consumer = zsites
-        provider.delta_sync = consumer.delta_sync = True
-        masters = _export_counters(provider, 3)
-        replicas = [consumer.replicate(f"c{i}") for i in range(3)]
-        replicas[0].increment(5)  # dirty field → delta
-        replicas[1].increment(6)
-        consumer.dirty_tracker.mark_whole(replicas[1])  # forced onto the full path
-        before = zero_world.network.stats.total_messages  # replicas[2] stays clean
-        versions = consumer.put_back_many(replicas)
-        assert zero_world.network.stats.total_messages - before == 4
-        assert [m.value for m in masters] == [5, 7, 2]
-        assert [versions[obi_id_of(r)] for r in replicas] == [2, 2, 1]
-        stats = consumer.sync_stats
-        assert (stats.puts_delta, stats.puts_full, stats.puts_noop) == (1, 1, 1)
-        before = zero_world.network.stats.total_messages
-        consumer.put_back_many(replicas)  # everything re-baselined: all clean
-        assert zero_world.network.stats.total_messages == before
-
-    def test_need_full_downgrades_the_delta_entries_together(self, zsites):
-        provider, consumer = zsites
-        provider.delta_sync = consumer.delta_sync = True
-        masters = _export_counters(provider, 2)
-        replicas = [consumer.replicate(f"c{i}") for i in range(2)]
-        for replica in replicas:
-            replica.increment(5)
-        provider.touch(masters[1])  # base version mismatch → NEED_FULL
-        versions = consumer.put_back_many(replicas)
-        assert [m.value for m in masters] == [5, 6]
-        assert [versions[obi_id_of(r)] for r in replicas] == [2, 3]
-        assert consumer.sync_stats.need_full_downgrades == 1
-        assert consumer.sync_stats.puts_full == 1
-
     def test_cluster_members_are_refused_before_any_traffic(self, zsites, zero_world):
         provider, consumer = zsites
         provider.export(make_chain(3), name="chain")
@@ -165,6 +115,52 @@ class TestPutBackMany:
         with pytest.raises(ClusterError):
             consumer.put_back_many([counter, root.get_next()])
         assert zero_world.network.stats.total_messages == before
+
+    def test_cluster_put_ships_every_member(self, zsites):
+        provider, consumer = zsites
+        masters = make_chain(4)
+        provider.export(masters, name="list")
+        root = consumer.replicate("list", mode=Cluster(size=4))
+        root.set_index(41)
+        versions = consumer.put_back_cluster(root)
+        assert len(versions) == 4
+        assert masters.index == 41
+        assert consumer.sync_stats.puts_full == 1
+
+
+class TestSyncCounters:
+    def test_snapshot_carries_sync_counters(self, zsites):
+        provider, consumer = zsites
+        provider.export(Box(1), name="box")
+        replica = consumer.replicate("box")
+        replica.set(2)
+        consumer.put_back(replica)
+        consumer.put_back(replica)  # unchanged: still a put
+        consumer.refresh(replica)
+        assert consumer.sync_stats.snapshot() == {"puts_full": 2, "refreshes_full": 1}
+        assert consumer.sync_stats.reset() == {"puts_full": 2, "refreshes_full": 1}
+        assert consumer.sync_stats.snapshot() == {"puts_full": 0, "refreshes_full": 0}
+
+
+class TestUnknownReplica:
+    def test_is_a_replication_error(self):
+        assert issubclass(UnknownReplicaError, ReplicationError)
+        assert not issubclass(UnknownReplicaError, KeyError)
+
+    def test_apply_put_raises_typed_error_for_unknown_id(self, zsites):
+        provider, _consumer = zsites
+        package = PutPackage(entries=[PutEntry(obi_id="ghost")])
+        with pytest.raises(UnknownReplicaError, match="ghost"):
+            apply_put(provider, package)
+
+    def test_unknown_replica_error_crosses_the_wire(self, zsites):
+        provider, consumer = zsites
+        provider.export(Box(1), name="box")
+        replica = consumer.replicate("box")
+        ref = consumer.replica_info(obi_id_of(replica)).provider
+        package = PutPackage(entries=[PutEntry(obi_id="ghost")])
+        with pytest.raises(UnknownReplicaError, match="ghost"):
+            consumer.endpoint.invoke(ref, "put", (package,))
 
 
 class TestValidateThenApply:
@@ -200,7 +196,7 @@ class TestValidateThenApply:
         (batch,) = batches
         assert [event.serial for event in batch] == [head + 1, head + 2, head + 3]
         assert [event.oid for event in batch] == [obi_id_of(m) for m in masters]
-        assert all(event.fields is None for event in batch)
+        assert [event.version for event in batch] == [2, 2, 2]
 
     def test_entries_applied_before_a_failure_are_journaled(self, zsites, monkeypatch):
         provider, consumer = zsites

@@ -11,14 +11,13 @@ import threading
 import pytest
 
 from repro.core.meta import obi_id_of
-from repro.core.runtime import FaultPathStats, World
+from repro.core.runtime import FaultPathStats
 from repro.core.striping import (
     DEFAULT_STRIPES,
     StripedStats,
     StripeLock,
     stripe_of,
 )
-from repro.util.errors import ReplicationError
 from tests.models import Box
 
 
@@ -40,20 +39,9 @@ class TestStripeRouting:
         assert all(stripe_of(f"obj:{i}", 1) == 0 for i in range(50))
 
     def test_site_stripe_of_uses_site_count(self, zero_world):
-        site = zero_world.create_site("s", stripes=4)
-        assert site.stripe_count == 4
+        site = zero_world.create_site("s")
         for i in range(100):
-            assert site._stripe_of(f"obj:{i}") == stripe_of(f"obj:{i}", 4)
-
-    def test_world_default_stripes_knob(self):
-        with World.loopback() as world:
-            world.default_stripes = 8
-            assert world.create_site("a").stripe_count == 8
-            assert world.create_site("b", stripes=2).stripe_count == 2
-
-    def test_invalid_stripe_count_rejected(self, zero_world):
-        with pytest.raises(ReplicationError):
-            zero_world.create_site("bad", stripes=0)
+            assert site._stripe_of(f"obj:{i}") == stripe_of(f"obj:{i}", DEFAULT_STRIPES)
 
 
 class TestStripeLock:
@@ -150,7 +138,7 @@ class TestConcurrentChurn:
     PER_THREAD = 25
 
     def test_no_lost_or_duplicated_masters(self, zero_world):
-        site = zero_world.create_site("churn", stripes=8)
+        site = zero_world.create_site("churn")
         boxes = {
             t: [Box((t, i)) for i in range(self.PER_THREAD)]
             for t in range(self.THREADS)
@@ -228,8 +216,8 @@ class TestConcurrentChurn:
         assert consumer.replica_count() == 0
 
     def test_stripe_metrics_shape(self, zero_world):
-        site = zero_world.create_site("m", stripes=4)
+        site = zero_world.create_site("m")
         metrics = site.stripe_metrics()
-        assert metrics == {"stripes": 4, "acquire_waits": 0, "max_depth": 0}
+        assert metrics == {"stripes": DEFAULT_STRIPES, "acquire_waits": 0, "max_depth": 0}
         site.note_master(Box("x"))
         assert site.stripe_metrics()["max_depth"] >= 1

@@ -1,6 +1,7 @@
 """Tests for site telemetry snapshots."""
 
 from repro.core.interfaces import Cluster, Incremental
+from repro.core.striping import DEFAULT_STRIPES
 from repro.core.telemetry import snapshot
 from tests.models import Box, make_chain
 
@@ -67,14 +68,13 @@ def test_stripes_line_in_render(zsites):
     provider.export(Box("v"), name="box")
     consumer.replicate("box")
     snap = snapshot(consumer)
-    assert snap.stripe_count == consumer.stripe_count
+    assert snap.stripe_count == DEFAULT_STRIPES
     text = snap.render()
-    assert f"stripes : {consumer.stripe_count} stripes" in text
+    assert f"stripes : {DEFAULT_STRIPES} stripes" in text
     assert "acquire waits" in text
     assert "max depth" in text
-    # The stripes line slots in without disturbing the deltasync line
-    # existing consumers parse.
-    assert "deltasync" in text
+    # The stripes line slots in without disturbing the sync line.
+    assert "sync    : 0 puts, 0 refreshes" in text
 
 
 def test_tracing_line_off_by_default(zsites):

@@ -68,7 +68,7 @@ class TestGetDirection:
 
         replica = consumer.replicate("counter")
         master.value = 9
-        provider.touch(master, fields=("value",))
+        provider.touch(master)
         consumer.refresh(replica)
 
         assert replica.read() == 9

@@ -195,6 +195,23 @@ class TestCatchUpAndBootstrap:
         assert late.site.feed_stats.snapshot()["snapshot_bootstraps"] == 1
         assert primary_site.feed_stats.snapshot()["snapshots_served"] == 1
 
+    def test_join_rejournals_nothing_rolled_out_of_retention(self, feed_world):
+        # Every master was journaled once, but the journal only retains the
+        # last four events: the two earliest oids are no longer in it.  They
+        # still have history, so a joining follower must not re-journal them.
+        primary_site = feed_world.create_site("P")
+        primary_site.change_log = ChangeLog(journal_retention=4)
+        primary_site.feed_primary()
+        boxes = [Box(index) for index in range(6)]
+        for index, box in enumerate(boxes):
+            primary_site.export(box, name=f"box{index}")
+            primary_site.touch(box)
+        head = primary_site.change_log.latest_serial
+        assert head == 6 and primary_site.change_log.earliest_serial == 3
+        late = feed_world.create_site("F1").feed_follow("P")
+        assert primary_site.change_log.latest_serial == head
+        assert [mirror_of(late, box).get() for box in boxes] == list(range(6))
+
     def test_live_join_does_not_disturb_the_write_path(self, group):
         # Writes land immediately before and after a third follower
         # joins mid-stream: nothing quiesces, nobody regresses.

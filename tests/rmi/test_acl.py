@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.meta import obi_id_of
-from repro.core.replication import build_put, build_put_delta
+from repro.core.replication import build_put
 from repro.rmi.acl import AccessGuard, AccessPolicy
 from repro.util.errors import ReplicationError, SecurityError
 from tests.models import Counter
@@ -185,15 +185,6 @@ class TestPutAuthorisedPerEntry:
         with pytest.raises(SecurityError):
             d.consumer.endpoint.invoke(d.provider_of_b, "put", (package,))
         assert (d.a.value, d.b.value) == (1, 10)  # nothing applied, not even b
-
-    def test_delta_put_is_authorised_the_same_way(self, doors):
-        d = doors
-        d.replica_a.increment()
-        package = build_put_delta(d.consumer, [(d.replica_a, frozenset({"value"}))])
-        with pytest.raises(SecurityError):
-            d.consumer.endpoint.invoke(d.provider_of_b, "put_delta", (package,))
-        assert d.a.value == 1
-        assert d.guard_of_a.denials == 1
 
     def test_authorised_caller_writes_through_either_door(self, zero_world):
         provider = zero_world.create_site("S2")

@@ -5,9 +5,9 @@ share and cycle references, and hold ``None``, containers and proxy-out
 stand-ins in any slots.  What must hold: decode(encode(g)) is isomorphic
 to g — aliasing and memo-slot order included; a truncated frame raises
 :class:`TruncatedFrameError` and nothing rawer; drifted instances take
-the generic path and still round-trip; and the state fingerprints the
-delta and reconcile protocols compare are what they were before the
-schema frame became the only frame.
+the generic path and still round-trip; and the state fingerprints that
+convergence checks and the reconciler compare are what they were before
+the schema frame became the only frame.
 """
 
 import hashlib
@@ -23,8 +23,8 @@ from repro.core.telemetry import SerialPathStats
 from repro.mobility.reconcile import Reconciler
 from repro.serial import tags
 from repro.serial.decoder import Decoder
-from repro.serial.delta import Fingerprinter
 from repro.serial.encoder import Encoder
+from repro.serial.fingerprint import Fingerprinter
 from repro.serial.registry import TypeRegistry
 from repro.serial.swizzle import SwizzleDescriptor
 from repro.util.errors import SerializationError, TruncatedFrameError
