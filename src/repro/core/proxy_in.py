@@ -82,9 +82,16 @@ class ProxyIn:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def get_version(self) -> int:
-        """Current master version (bumped on every applied put)."""
-        return self._obi_site.master_version(self._obi_master)
+    def get_version(self, oids: list[str] | None = None) -> int | list[int]:
+        """Current master version (bumped on every applied put).
+
+        With ``oids``, the versions of those masters of this site instead,
+        in the same order: the reconnect probe, one frame per provider site
+        (see :meth:`Site.probe_versions`).
+        """
+        if oids is None:
+            return self._obi_site.master_version(self._obi_master)
+        return self._obi_site.probe_versions(oids)
 
     # ------------------------------------------------------------------
     # RMI-mode forwarding of the user interface

@@ -406,5 +406,5 @@ def _authorized_master(site: "Site", oid: str) -> object:
             f"put targets object {oid!r} which is not mastered at "
             f"site {site.name!r}"
         )
-    site.authorize_put(oid)
+    site.authorize(oid, "put")
     return master

@@ -64,6 +64,7 @@ from repro.simnet.tcp import TcpNetwork
 from repro.util.clock import Clock, SimClock, WallClock
 from repro.util.errors import (
     ClusterError,
+    ProtocolError,
     ReplicationError,
     UnknownReplicaError,
 )
@@ -370,26 +371,30 @@ class Site:
     def master_versions(self, records: Iterable[ReplicaRecord]) -> dict[str, int]:
         """The current master version behind each replica record.
 
-        One batched round trip per provider *site*; each ``get_version``
-        is still dispatched through its own provider reference, so
-        per-object access guards apply exactly as for a single call.  A
-        probe that failed re-raises its typed error.
+        One round trip per provider *site*: a single ``get_version`` call,
+        made through the first record's provider reference, carries the
+        oids of every record bound for that site.  The provider checks each
+        oid against its own export (see :meth:`probe_versions`), so a
+        dropped master or a denying guard fails the whole probe with its
+        typed error, as a per-object call would have.
         """
-        by_site: dict[str, list[tuple[str, RemoteRef]]] = {}
+        by_site: dict[str, tuple[RemoteRef, list[str]]] = {}
         for record in records:
-            by_site.setdefault(record.provider.site_id, []).append(
-                (obi_id_of(record.obj), record.provider)
-            )
+            provider = record.provider
+            probe = by_site.get(provider.site_id)
+            if probe is None:
+                probe = by_site[provider.site_id] = (provider, [])
+            probe[1].append(obi_id_of(record.obj))
         versions: dict[str, int] = {}
-        for site_id, probes in by_site.items():
-            with self.tracer.span("master_versions", dst=site_id, probes=len(probes)):
-                outcomes = self.endpoint.invoke_batch(
-                    site_id, [(ref, "get_version", ()) for _oid, ref in probes]
+        for site_id, (provider, oids) in by_site.items():
+            with self.tracer.span("master_versions", dst=site_id, probes=len(oids)):
+                probed = self.endpoint.invoke(provider, "get_version", (oids,))
+            if not isinstance(probed, list) or len(probed) != len(oids):
+                raise ProtocolError(
+                    f"version probe of {len(oids)} oids on {site_id!r} returned "
+                    f"{type(probed).__name__}"
                 )
-            for (oid, _ref), outcome in zip(probes, outcomes):
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                versions[oid] = outcome
+            versions.update(zip(oids, probed))
         return versions
 
     def put_back_cluster(self, root: object) -> dict[str, int]:
@@ -678,21 +683,43 @@ class Site:
         return record.obj if record is not None else None
 
     @snapshot_read
-    def authorize_put(self, oid: str) -> None:
-        """Check a remote write of master ``oid`` against the guard it was
-        exported behind (see :meth:`export_guarded`).
+    def authorize(self, oid: str, method: str) -> None:
+        """Check a remote ``method`` on master ``oid`` against the guard it
+        was exported behind (see :meth:`export_guarded`).
 
-        A ``put`` names masters by oid and may arrive through *any*
-        proxy-in of this site, so the receiving export's policy alone does
-        not protect its neighbours: every entry is checked against its own
-        export, for the caller being served and the method ``put``.
-        Masters with no export of their own (cluster members, feed
-        mirrors) stay governed by the proxy-in that received the call.
+        A ``put`` and a version probe name masters by oid and may arrive
+        through *any* proxy-in of this site, so the receiving export's
+        policy alone does not protect its neighbours: every oid is checked
+        against its own export, for the caller being served.  Masters with
+        no export of their own (cluster members, feed mirrors) stay
+        governed by the proxy-in that received the call.
         """
         idx = self._stripe_of(oid)
         ref = self._provider_refs[idx].get(oid)
         if ref is not None:
-            authorize(self.endpoint.objects.get(ref.object_id), "put")
+            authorize(self.endpoint.objects.get(ref.object_id), method)
+
+    @snapshot_read
+    def probe_versions(self, oids: Iterable[str]) -> list[int]:
+        """The master versions of ``oids``, in order: a remote version probe.
+
+        The probe stands in for one ``get_version`` per oid dispatched
+        through that oid's own proxy-in, so each oid must have a live
+        export here and pass its guard; the first that does not fails the
+        whole probe with the error that dispatch would have raised.
+        """
+        versions = []
+        for oid in oids:
+            idx = self._stripe_of(oid)
+            ref = self._provider_refs[idx].get(oid)
+            if ref is None or ref.object_id not in self.endpoint.objects:
+                raise ProtocolError(f"no exported object for {oid!r} on site {self.name!r}")
+            self.authorize(oid, "get_version")
+            record = self._masters[idx].get(oid)
+            if record is None:
+                raise ReplicationError(f"object {oid!r} is not mastered at site {self.name!r}")
+            versions.append(record.version)
+        return versions
 
     @snapshot_read
     def master_version(self, master: object) -> int:

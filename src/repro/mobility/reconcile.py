@@ -13,23 +13,26 @@ dirty      unchanged                       ``PUSHED`` (put local state)
 dirty      changed                         ``CONFLICT`` → resolver
 ========== =============================== ============================
 
-Dirtiness is detected by comparing the replica's serialized state against
-a baseline captured when the replica was last in sync — no write
-interception needed, which keeps replicas plain objects (the property the
-whole OBIWAN design leans on).
+Dirtiness is detected by comparing a snapshot of the replica's own
+attributes against the snapshot taken when the replica was last in sync —
+no write interception needed, which keeps replicas plain objects (the
+property the whole OBIWAN design leans on).  A snapshot is a tuple, not
+serialised state: plain values are kept as they are, floats by their IEEE
+bits, OBIWAN references by the oid they name, and only containers and
+other values are digested (:meth:`Fingerprinter.of_value`).  Two
+snapshots differ exactly when the encodings of the two states would.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.meta import is_obiwan, obi_id_of
 from repro.core.proxy_out import ProxyOutBase
-from repro.serial.encoder import Encoder
-from repro.serial.swizzle import SwizzleDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import Site
@@ -79,12 +82,18 @@ class ReconcileReport:
         return f"ReconcileReport({parts})"
 
 
+#: Values a snapshot keeps as they are: immutable, and equal exactly when
+#: their encodings are (the type rides along, so ``1`` is not ``True``).
+_PLAIN = frozenset({int, bool, str, bytes, type(None)})
+_F64 = struct.Struct("!d").pack
+
+
 class Reconciler:
     """Tracks baselines and reconciles on demand."""
 
     def __init__(self, site: "Site"):
         self.site = site
-        self._baselines: dict[str, bytes] = {}
+        self._baselines: dict[str, tuple] = {}
         site.events.subscribe("replica_registered", self._on_registered)
         site.events.subscribe("replica_refreshed", self._on_refreshed)
 
@@ -93,7 +102,7 @@ class Reconciler:
     # ------------------------------------------------------------------
     def track(self, replica: object) -> object:
         """Record the replica's current state as its in-sync baseline."""
-        self._baselines[obi_id_of(replica)] = self._fingerprint(replica)
+        self._baselines[obi_id_of(replica)] = self._snapshot(replica)
         return replica
 
     def is_dirty(self, replica: object) -> bool:
@@ -101,7 +110,7 @@ class Reconciler:
         baseline = self._baselines.get(oid)
         if baseline is None:
             return False  # never tracked → nothing to claim
-        return self._fingerprint(replica) != baseline
+        return self._snapshot(replica) != baseline
 
     # ------------------------------------------------------------------
     # reconciliation
@@ -111,18 +120,21 @@ class Reconciler:
     ) -> ReconcileReport:
         """Run a full pass over tracked replicas (call when back online).
 
-        Costs two round trips per provider *site* — one batched version
-        probe, one put carrying every PUSHED replica — plus one per
-        PULLED object and whatever the resolver spends on a CONFLICT.  A
-        failed probe raises before anything is pushed or pulled.
+        Costs two round trips per provider *site* — one version probe
+        carrying every tracked oid, one put carrying every PUSHED replica
+        — plus one per PULLED object and whatever the resolver spends on a
+        CONFLICT.  A failed probe raises before anything is pushed or
+        pulled.  Baselines of evicted replicas are dropped.
         """
         site = self.site
         tracked = []
         for oid in sorted(self._baselines):
             record = site.replica_info(oid)
-            if record is None or record.provider is None:
-                continue  # evicted, or cluster member handled via its root
-            tracked.append((oid, record))
+            if record is None:
+                del self._baselines[oid]  # evicted: nothing left to reconcile
+            elif record.provider is not None:
+                tracked.append((oid, record))
+            # else: a cluster member, handled via its root
         master_versions = site.master_versions(record for _oid, record in tracked)
 
         report = ReconcileReport()
@@ -135,8 +147,7 @@ class Reconciler:
             if not dirty and not master_moved:
                 report.actions[oid] = ReconcileAction.UP_TO_DATE
             elif not dirty and master_moved:
-                site.refresh(replica)
-                self.track(replica)
+                site.refresh(replica)  # re-tracked through replica_refreshed
                 report.actions[oid] = ReconcileAction.PULLED
             elif dirty and not master_moved:
                 pushed.append(replica)
@@ -155,16 +166,54 @@ class Reconciler:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _fingerprint(self, replica: object) -> bytes:
-        """Deterministic encoding of the replica's state.
+    def _snapshot(self, replica: object) -> tuple:
+        """The replica's own state, as a comparable tuple.
 
-        OBIWAN references are flattened to their logical ids, so the
-        fingerprint captures the replica's own state rather than its
-        neighbours' — and taking it has no side effects.
+        One entry per attribute, in attribute order.  Every other value —
+        an OBIWAN reference or a container — contributes its name, and all
+        of them together one trailing key (:meth:`_node_key`).
         """
-        return Encoder(self.site.registry, _FingerprintSwizzler()).encode(
-            dict(vars(replica))
-        )
+        entries: list = []
+        nodes: list = []
+        for name, value in vars(replica).items():
+            kind = type(value)
+            if kind in _PLAIN:
+                entries.append((name, kind, value))
+            elif kind is float:
+                entries.append((name, float, _F64(value)))
+            else:
+                entries.append(name)
+                nodes.append(value)
+        if nodes:
+            entries.append(self._node_key(nodes))
+        return tuple(entries)
+
+    def _node_key(self, nodes: list) -> tuple | str:
+        """Identity of the attribute values that are not plain.
+
+        When all of them are OBIWAN references, a tuple naming each by its
+        oid — or, for a reference repeated across attributes, by the slot
+        of its first occurrence — so a proxy-out and the replica it
+        resolved to compare equal.  Otherwise one digest of all of them
+        together, references collapsed to their oids, which also sees
+        containers mutated in place and aliasing across attributes.
+        """
+        key: list = []
+        slots: dict[int, int] = {}
+        for node in nodes:
+            if isinstance(node, ProxyOutBase):
+                oid = node._obi_target_id
+            elif is_obiwan(node):
+                oid = obi_id_of(node)
+            else:
+                return self.site.fingerprinter.of_value(nodes)
+            slot = slots.get(id(node))
+            if slot is None:
+                slots[id(node)] = len(slots)
+                key.append(oid)
+            else:
+                key.append(slot)
+        return tuple(key)
 
     def _on_registered(self, *, site: "Site", root: object, package: object) -> None:
         # Every object that just arrived is by definition in sync.
@@ -174,17 +223,3 @@ class Reconciler:
 
     def _on_refreshed(self, *, site: "Site", replica: object) -> None:
         self.track(replica)
-
-
-class _FingerprintSwizzler:
-    """Flattens OBIWAN references to their ids; purely observational."""
-
-    def swizzle(self, value: object) -> SwizzleDescriptor | None:
-        if isinstance(value, ProxyOutBase):
-            return SwizzleDescriptor("fingerprint.ref", value._obi_target_id)
-        if is_obiwan(value):
-            return SwizzleDescriptor("fingerprint.ref", obi_id_of(value))
-        return None
-
-    def unswizzle(self, descriptor: SwizzleDescriptor) -> object:  # pragma: no cover
-        raise NotImplementedError("fingerprints are never decoded")

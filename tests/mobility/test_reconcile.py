@@ -13,7 +13,8 @@ from repro.mobility.reconcile import (
     keep_local,
     keep_master,
 )
-from repro.util.errors import ConsistencyError, ProtocolError
+from repro.rmi.acl import AccessPolicy
+from repro.util.errors import ConsistencyError, ProtocolError, SecurityError
 from tests.models import Counter
 
 
@@ -181,12 +182,19 @@ def _reconcile_per_object(reconciler, on_conflict=None):
     return report
 
 
+@pytest.fixture
+def new_world():
+    """Builds the world a batched-pass scenario runs in (overridden by the
+    TCP re-run in ``test_reconcile_tcp.py``)."""
+    return lambda: World.loopback(costs=CostModel.zero())
+
+
 class TestBatchedPass:
     @pytest.fixture
-    def fleet(self):
+    def fleet(self, new_world):
         """(world, node, {site name: (site, masters, replicas)}) with eight
         tracked counters on each of two provider sites."""
-        with World.loopback(costs=CostModel.zero()) as world:
+        with new_world() as world:
             world.create_site("NS")
             offices = {name: _office_with(world, name, 8) for name in ("hq", "branch")}
             node = MobileNode(world.create_site("pda"))
@@ -233,10 +241,27 @@ class TestBatchedPass:
         assert world.network.stats.total_messages - before == 4  # probes only
         assert report.count(ReconcileAction.UP_TO_DATE) == 16
 
+    def test_probe_costs_bytes_per_oid(self, new_world):
+        """The probe is one request naming each oid once; nothing else
+        grows with the number of replicas."""
+        count = 32
+        with new_world() as world:
+            world.create_site("NS")
+            _office_with(world, "hq", count)
+            node = MobileNode(world.create_site("pda"))
+            replicas = _hoard_all(node, "hq", count)
+            link = world.network.stats.link("pda", "hq")
+            messages, sent = link.messages, link.bytes
+            report = node.reconciler.reconcile()
+            assert report.count(ReconcileAction.UP_TO_DATE) == count
+            assert link.messages - messages == 1
+            oid_bytes = sum(len(obi_id_of(r)) for r in replicas)
+            assert link.bytes - sent <= oid_bytes + 8 * count + 200
+
     @pytest.mark.parametrize("resolver", [None, keep_local, keep_master])
-    def test_mixed_pass_matches_the_per_object_table(self, resolver):
+    def test_mixed_pass_matches_the_per_object_table(self, new_world, resolver):
         def scenario(reconcile):
-            with World.loopback(costs=CostModel.zero()) as world:
+            with new_world() as world:
                 world.create_site("NS")
                 office, masters = _office_with(world, "hq", 8)
                 node = MobileNode(world.create_site("pda"))
@@ -283,3 +308,74 @@ class TestBatchedPass:
         assert masters[0].value == 0
         assert replicas[1].value == 1
         assert node.reconciler.is_dirty(replicas[0])
+
+    def test_denied_probe_raises_before_anything_moves(self, new_world):
+        """A guard that denies ``get_version`` fails the probe even when
+        the probe arrives through another object's proxy-in."""
+        with new_world() as world:
+            world.create_site("NS")
+            office = world.create_site("hq")
+            open_master, guarded_master = Counter(1), Counter(2)
+            # Oids in reconcile order: the probe travels through the first
+            # tracked oid's proxy-in, here the one that allows it.
+            vars(open_master)["_obi_id"] = "oid:probe-a"
+            vars(guarded_master)["_obi_id"] = "oid:probe-b"
+            open_ref = office.export_guarded(
+                open_master, AccessPolicy(default_allow=True), name="open"
+            )
+            guarded_ref = office.export_guarded(
+                guarded_master,
+                AccessPolicy(default_allow=True).deny("pda", "get_version"),
+                name="guarded",
+            )
+            node = MobileNode(world.create_site("pda"))
+            open_replica = node.hoard("open")
+            node.hoard("guarded")
+            open_replica.increment(10)  # would be PUSHED
+            with pytest.raises(SecurityError):
+                node.reconciler.reconcile()
+            objects = office.endpoint.objects
+            assert objects.get(guarded_ref.object_id).denials == 1
+            assert objects.get(open_ref.object_id).denials == 0
+            assert open_master.value == 1
+            assert node.reconciler.is_dirty(open_replica)
+
+
+class TestBaselineUpkeep:
+    def test_evicted_replicas_lose_their_baselines(self, new_world):
+        with new_world() as world:
+            world.create_site("NS")
+            _office_with(world, "hq", 8)
+            node = MobileNode(world.create_site("pda"))
+            replicas = _hoard_all(node, "hq", 8)
+            for replica in replicas[:3]:
+                node.site.evict(replica)
+            report = node.reconciler.reconcile()
+            assert report.count(ReconcileAction.UP_TO_DATE) == 5
+            assert sorted(node.reconciler._baselines) == sorted(
+                obi_id_of(r) for r in replicas[3:]
+            )
+
+    def test_one_baseline_capture_per_pulled_object(self, new_world, monkeypatch):
+        with new_world() as world:
+            world.create_site("NS")
+            office, masters = _office_with(world, "hq", 4)
+            node = MobileNode(world.create_site("pda"))
+            replicas = _hoard_all(node, "hq", 4)
+            for master in masters[:2]:
+                master.value += 100
+                office.touch(master)
+            reconciler = node.reconciler
+            captured = []
+            track = reconciler.track
+
+            def spy(replica):
+                captured.append(obi_id_of(replica))
+                return track(replica)
+
+            monkeypatch.setattr(reconciler, "track", spy)
+            report = reconciler.reconcile()
+            assert report.count(ReconcileAction.PULLED) == 2
+            assert sorted(captured) == sorted(obi_id_of(r) for r in replicas[:2])
+            assert [r.value for r in replicas] == [100, 101, 2, 3]
+            assert not any(reconciler.is_dirty(r) for r in replicas)

@@ -10,7 +10,6 @@ convergence checks and the reconciler compare are what they were before
 the schema frame became the only frame.
 """
 
-import hashlib
 import threading
 
 import pytest
@@ -334,18 +333,32 @@ def test_delta_fingerprints_are_pinned_and_site_independent():
 
 
 def test_reconciler_fingerprints_are_pinned_and_site_independent():
+    """A reconcile baseline is a snapshot: plain values as they are, OBIWAN
+    references by oid, and one digest for the values that are neither."""
     head, folder = _fingerprinted_graph()
     with obiwan.World.loopback(costs=CostModel.zero()) as world:
-        digests = []
+        baselines = []
         for name in ("A", "B"):
             reconciler = Reconciler(world.create_site(name))
-            digests.append(
-                [
-                    hashlib.blake2b(reconciler._fingerprint(obj), digest_size=16).hexdigest()
-                    for obj in (head, folder)
-                ]
+            reconciler.track(head)
+            reconciler.track(folder)
+            baselines.append(
+                [reconciler._baselines[oid] for oid in ("oid:fp-head", "oid:fp-folder")]
             )
-    assert digests[0] == digests[1] == [
-        "5b20a1e78d2841e3458fffde3fbc6232",
-        "bc7a3c7e6b976d94ccb1aa0339ee2120",
+    assert baselines[0] == baselines[1] == [
+        (
+            ("index", int, 1),
+            "next",
+            ("payload", bytes, b"\x00\xffpayload"),
+            ("_obi_id", str, "oid:fp-head"),
+            ("oid:fp-tail",),
+        ),
+        (
+            ("name", str, "docs"),
+            "children",
+            "index",
+            "tags",
+            ("_obi_id", str, "oid:fp-folder"),
+            "cc6eb204bc41de09ef3c7e238a593bb4",
+        ),
     ]
