@@ -158,7 +158,7 @@ NETWORK_SEND_METHODS: frozenset[str] = frozenset(
 
 #: Decorator names that declare a method a lock-free snapshot read
 #: (``repro.core.striping.snapshot_read``).  The flow layer keys on the
-#: declaration: OBI203/OBI207 exempt the unlocked *reads*, and OBI209
+#: declaration: OBI203 exempts the unlocked *reads*, and OBI209
 #: enforces that no path out of a declared snapshot read mutates
 #: guarded state.
 SNAPSHOT_READ_DECORATORS: frozenset[str] = frozenset({"snapshot_read"})

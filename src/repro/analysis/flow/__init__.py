@@ -19,7 +19,7 @@ before:
    :mod:`~repro.analysis.flow.protocol` (the paper's
    get/demand/updateMember/put replica lifecycle).
 
-The rules themselves (OBI201–206) live in
+The rules themselves (OBI201–206, OBI209, OBI210) live in
 :mod:`~repro.analysis.flow.rules` and register through the ordinary
 ``rules/`` catalog; they share one :class:`~repro.analysis.flow.project.Project`
 per engine run through the project-rule cache.

@@ -15,7 +15,10 @@ called under the lock counts as locked):
   state anywhere.
 
 Constructors are exempt because the instance is not yet shared.  Lock
-attributes themselves are never treated as guarded state.
+attributes themselves are never treated as guarded state.  A method
+declared ``@snapshot_read`` may *read* guarded fields without the lock;
+the other half of that contract — no path out of it writes guarded
+state — is :func:`snapshot_mutations` (OBI209).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.locks import LockAnalysis
 from repro.analysis.flow.symbols import ClassInfo, FunctionInfo, SymbolTable
 
@@ -73,10 +77,8 @@ class GuardedStateAnalysis:
             if summary is None:
                 continue
             for access in summary.accesses:
-                if access.attr in cls.lock_attrs or access.attr in cls.lock_families:
+                if access.attr in cls.lock_attrs:
                     continue
-                if access.attr in cls.stripe_tables:
-                    continue  # stripe-key discipline is OBI207's job
                 if access.kind == "read" and func.snapshot_read:
                     continue  # declared lock-free read (OBI209 owns writes)
                 held = self.locks.effective_held(func, access.held) & own_locks
@@ -120,3 +122,56 @@ def _majority_lock(locked_writes: list[tuple]) -> str:
         for lock in held:
             counts[lock] = counts.get(lock, 0) + 1
     return max(sorted(counts), key=lambda lock: counts[lock])
+
+
+@dataclass
+class SnapshotMutation:
+    """A guarded-state write reachable from a declared snapshot read."""
+
+    reader: FunctionInfo
+    writer: FunctionInfo
+    attr: str
+    node: ast.AST
+    chain: tuple[str, ...]
+
+
+def snapshot_mutations(
+    symtab: SymbolTable, graph: CallGraph, locks: LockAnalysis, guarded: GuardedStateAnalysis
+) -> list[SnapshotMutation]:
+    """Writes to guarded fields on any call path out of a ``@snapshot_read``.
+
+    The declaration bought lock-free reads by promising read-only
+    behaviour, so every function reachable from it is scanned
+    (breadth-first, constructors excepted) for a write to a field some
+    lock owns.
+    """
+    owned = {(field.cls.name, field.attr) for field in guarded.fields}
+    found: list[SnapshotMutation] = []
+    for reader in symtab.functions:
+        if not reader.snapshot_read:
+            continue
+        seen = {reader.key}
+        queue: list[tuple[FunctionInfo, tuple[str, ...]]] = [(reader, (reader.qualname,))]
+        while queue:
+            current, chain = queue.pop(0)
+            summary = locks.summaries.get(current.key)
+            owner = current.class_name
+            if summary is not None and owner is not None:
+                for access in summary.accesses:
+                    if access.kind == "write" and (owner, access.attr) in owned:
+                        found.append(
+                            SnapshotMutation(
+                                reader=reader,
+                                writer=current,
+                                attr=f"{owner}.{access.attr}",
+                                node=access.node,
+                                chain=chain,
+                            )
+                        )
+            for site in graph.sites_of(current):
+                for callee in site.callees:
+                    if callee.key in seen or callee.name in _CONSTRUCTORS:
+                        continue
+                    seen.add(callee.key)
+                    queue.append((callee, chain + (callee.qualname,)))
+    return found

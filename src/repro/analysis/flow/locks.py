@@ -32,18 +32,12 @@ instances.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.contract import NETWORK_SEND_METHODS
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.symbols import (
-    FunctionInfo,
-    SymbolTable,
-    _is_lock_factory_call,
-    _looks_lock_like,
-)
+from repro.analysis.flow.symbols import FunctionInfo, SymbolTable, _is_lock_factory_call
 from repro.analysis.visitor import dotted_name, resolve_call_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,15 +63,17 @@ MUTATING_METHODS: frozenset[str] = frozenset(
 )
 
 
+def _looks_lock_like(tail: str) -> bool:
+    """Heuristic: does this name read as a lock?"""
+    lowered = tail.lower()
+    return "lock" in lowered or "mutex" in lowered
+
+
 @dataclass
 class Acquire:
     lock: str
     held: tuple[str, ...]
     node: ast.AST
-    #: The acquire's stripe key is a loop variable of an ascending
-    #: ``for k in range(...)`` / ``for k in sorted(...)`` — multi-stripe
-    #: acquisition in index order (see OBI208).
-    ordered: bool = False
 
 
 @dataclass
@@ -99,9 +95,6 @@ class Access:
     kind: str  # "read" | "write"
     node: ast.AST
     held: tuple[str, ...]
-    #: Canonical subscript key for ``self.attr[key]`` accesses — the
-    #: stripe-key expression OBI207 matches against held family locks.
-    subscript_key: str | None = None
 
 
 @dataclass
@@ -111,10 +104,6 @@ class FunctionSummary:
     calls: list[LocalCall] = field(default_factory=list)
     blocking: list[Blocking] = field(default_factory=list)
     accesses: list[Access] = field(default_factory=list)
-    #: Variable → (group, rank) from ``lo, hi = sorted((i, j))`` unpacks:
-    #: within one group, a smaller rank is provably ≤ a larger one, so
-    #: acquiring family locks in rank order ascends by stripe index.
-    sorted_ranks: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +121,6 @@ class _Walker:
         #: access (a mutator call, subscript store, or augmented
         #: assignment) — the plain branches must not report them again.
         self._claimed: set[int] = set()
-        #: Loop variables of ascending ``for k in range/sorted(...)``
-        #: loops currently in scope — acquires keyed by them are ordered.
-        self._ordered_vars: set[str] = set()
-        self._sorted_groups = 0
 
     def walk(self) -> FunctionSummary:
         self._visit_block(self.func.node, ())
@@ -150,25 +135,11 @@ class _Walker:
                 for item in child.items:
                     lock = self.lock_id(item.context_expr)
                     if lock is not None:
-                        self.summary.acquires.append(
-                            Acquire(
-                                lock=lock,
-                                held=held,
-                                node=child,
-                                ordered=self._is_ordered_acquire(item.context_expr),
-                            )
-                        )
+                        self.summary.acquires.append(Acquire(lock=lock, held=held, node=child))
                         acquired.append(lock)
                     else:
                         self._visit_expr(item.context_expr, held)
                 self._visit_block(child, held + tuple(acquired))
-                continue
-            if isinstance(child, ast.For):
-                saved = set(self._ordered_vars)
-                if _is_ascending_loop(child):
-                    self._ordered_vars.add(child.target.id)
-                self._visit_block(child, held)
-                self._ordered_vars = saved
                 continue
             self._visit_expr(child, held)
             self._visit_block(child, held)
@@ -191,49 +162,24 @@ class _Walker:
             if id(node) in self._claimed:
                 return
             # self.x[k] = v parses as Subscript(Store) over Attribute(Load);
-            # self.x[i][k] = v nests a second Subscript — there the *inner*
-            # index picks the stripe, so that key is the one recorded.
+            # a store into a nested container, self.x[i][k] = v, writes x too.
             if isinstance(node.ctx, ast.Store | ast.Del):
-                attr = self._self_attr(node.value)
+                target = node.value
+                if isinstance(target, ast.Subscript) and self._self_attr(target.value):
+                    self._claimed.add(id(target))
+                    target = target.value
+                attr = self._self_attr(target)
                 if attr is not None:
-                    self._claimed.add(id(node.value))
+                    self._claimed.add(id(target))
                     self.summary.accesses.append(
-                        Access(
-                            attr=attr,
-                            kind="write",
-                            node=node,
-                            held=held,
-                            subscript_key=self._canon_key(node.slice),
-                        )
+                        Access(attr=attr, kind="write", node=node, held=held)
                     )
-                    return
-                inner = node.value
-                if isinstance(inner, ast.Subscript):
-                    attr = self._self_attr(inner.value)
-                    if attr is not None:
-                        self._claimed.add(id(inner))
-                        self._claimed.add(id(inner.value))
-                        self.summary.accesses.append(
-                            Access(
-                                attr=attr,
-                                kind="write",
-                                node=node,
-                                held=held,
-                                subscript_key=self._canon_key(inner.slice),
-                            )
-                        )
                 return
             attr = self._self_attr(node.value)
             if attr is not None:
                 self._claimed.add(id(node.value))
                 self.summary.accesses.append(
-                    Access(
-                        attr=attr,
-                        kind="read",
-                        node=node,
-                        held=held,
-                        subscript_key=self._canon_key(node.slice),
-                    )
+                    Access(attr=attr, kind="read", node=node, held=held)
                 )
         elif isinstance(node, ast.AugAssign):
             attr = self._self_attr(node.target)
@@ -242,12 +188,10 @@ class _Walker:
                 self.summary.accesses.append(
                     Access(attr=attr, kind="write", node=node, held=held)
                 )
-        elif isinstance(node, ast.Assign):
-            self._record_sorted_unpack(node)
 
     def _record_mutator_call(self, node: ast.Call, held: tuple[str, ...]) -> None:
         """``self.x.append(...)`` and friends are writes to ``self.x`` —
-        including the striped form ``self.x[i].setdefault(...)``."""
+        including into a nested container, ``self.x[i].setdefault(...)``."""
         func_expr = node.func
         if not isinstance(func_expr, ast.Attribute):
             return
@@ -267,40 +211,8 @@ class _Walker:
                 self._claimed.add(id(receiver))
                 self._claimed.add(id(receiver.value))
                 self.summary.accesses.append(
-                    Access(
-                        attr=attr,
-                        kind="write",
-                        node=node,
-                        held=held,
-                        subscript_key=self._canon_key(receiver.slice),
-                    )
+                    Access(attr=attr, kind="write", node=node, held=held)
                 )
-
-    def _record_sorted_unpack(self, node: ast.Assign) -> None:
-        """``lo, hi = sorted((i, j))`` proves ``lo <= hi`` — record ranks."""
-        if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Tuple):
-            return
-        value = node.value
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "sorted"
-        ):
-            return
-        elts = node.targets[0].elts
-        if not all(isinstance(elt, ast.Name) for elt in elts):
-            return
-        group = self._sorted_groups
-        self._sorted_groups += 1
-        for rank, elt in enumerate(elts):
-            self.summary.sorted_ranks[elt.id] = (group, rank)
-
-    def _is_ordered_acquire(self, expr: ast.expr) -> bool:
-        return (
-            isinstance(expr, ast.Subscript)
-            and isinstance(expr.slice, ast.Name)
-            and expr.slice.id in self._ordered_vars
-        )
 
     def _self_attr(self, node: ast.AST) -> str | None:
         if (
@@ -323,17 +235,7 @@ class _Walker:
 
     # ------------------------------------------------------------------
     def lock_id(self, expr: ast.expr) -> str | None:
-        """Class- or module-qualified identity of a lock expression.
-
-        ``self._stripe_locks[idx]`` — one member of a lock *family* —
-        gets a key-qualified identity ``Cls._stripe_locks[idx]``.  Keys
-        are canonical source text (frame-local): two acquisitions match
-        only when their key expressions read the same, which is why
-        helpers taking a stripe index should call the parameter ``idx``
-        like their callers do.
-        """
-        if isinstance(expr, ast.Subscript):
-            return self._family_lock_id(expr)
+        """Class- or module-qualified identity of a lock expression."""
         name = dotted_name(expr)
         if name is None:
             return None
@@ -373,43 +275,6 @@ class _Walker:
         if _looks_lock_like(tail):
             return f"?{self.func.qualname}.{name}"
         return None
-
-    def _family_lock_id(self, expr: ast.Subscript) -> str | None:
-        """``self.<family>[key]`` → ``Cls.<family>[<canonical key>]``."""
-        attr = self._self_attr(expr.value)
-        owner = self.func.class_name
-        if attr is None or owner is None:
-            return None
-        key = self._canon_key(expr.slice)
-        for cls in self.symtab.class_named(owner):
-            if attr in cls.lock_families:
-                return f"{owner}.{attr}[{key}]"
-        if _looks_lock_like(attr):
-            return f"{owner}.{attr}[{key}]"
-        return None
-
-    def _canon_key(self, slice_expr: ast.expr) -> str:
-        """Canonical source text of a subscript key.
-
-        The only normalization is the self parameter's name — so a
-        method using ``s`` instead of ``self`` still produces keys that
-        match across methods.  Everything else is textual: key matching
-        is deliberately frame-local.
-        """
-        key = ast.unparse(slice_expr)
-        if self.self_name is not None and self.self_name != "self":
-            key = re.sub(rf"\b{re.escape(self.self_name)}\b", "self", key)
-        return key
-
-
-def _is_ascending_loop(node: ast.For) -> bool:
-    """``for k in range(...)`` / ``for k in sorted(...)`` — k ascends."""
-    return (
-        isinstance(node.target, ast.Name)
-        and isinstance(node.iter, ast.Call)
-        and isinstance(node.iter.func, ast.Name)
-        and node.iter.func.id in {"range", "sorted"}
-    )
 
 
 def _self_arg(func: FunctionInfo) -> str | None:

@@ -12,10 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analysis.flow.callgraph import CallGraph
-from repro.analysis.flow.guarded import GuardedStateAnalysis
+from repro.analysis.flow.guarded import (
+    GuardedStateAnalysis,
+    SnapshotMutation,
+    snapshot_mutations,
+)
 from repro.analysis.flow.locks import LockAnalysis
 from repro.analysis.flow.protocol import ProtocolAnalysis
-from repro.analysis.flow.stripes import StripeAnalysis
 from repro.analysis.flow.symbols import SymbolTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,7 +37,7 @@ class Project:
         self._locks: LockAnalysis | None = None
         self._guarded: GuardedStateAnalysis | None = None
         self._protocol: ProtocolAnalysis | None = None
-        self._stripes: StripeAnalysis | None = None
+        self._snapshot_mutations: list[SnapshotMutation] | None = None
 
     @classmethod
     def of(cls, modules: list["ModuleSource"], cache: dict) -> "Project":
@@ -75,9 +78,9 @@ class Project:
         return self._protocol
 
     @property
-    def stripes(self) -> StripeAnalysis:
-        if self._stripes is None:
-            self._stripes = StripeAnalysis(
+    def snapshot_mutations(self) -> list[SnapshotMutation]:
+        if self._snapshot_mutations is None:
+            self._snapshot_mutations = snapshot_mutations(
                 self.symtab, self.graph, self.locks, self.guarded
             )
-        return self._stripes
+        return self._snapshot_mutations

@@ -1,4 +1,4 @@
-"""The flow rules: OBI201–OBI210.
+"""The flow rules: OBI201–OBI206, OBI209 and OBI210.
 
 Each rule is a thin adapter from one flow analysis to findings — the
 heavy lifting lives in :mod:`~repro.analysis.flow.locks`,
@@ -6,7 +6,7 @@ heavy lifting lives in :mod:`~repro.analysis.flow.locks`,
 :mod:`~repro.analysis.flow.protocol`, shared through the per-run
 :class:`~repro.analysis.flow.project.Project`.
 
-All six are warnings: interprocedural facts rest on a conservative call
+All eight are warnings: interprocedural facts rest on a conservative call
 graph, so a finding is a strong signal but not a proof the way the
 per-module errors are.  CI runs ``--strict``, where warnings fail too;
 a deliberate exception carries a justified suppression.
@@ -217,78 +217,12 @@ class SpliceEscapeRule(_FlowRule):
             )
 
 
-class StripeKeyMismatchRule(_FlowRule):
-    """OBI207: a striped-table access without its own stripe's lock."""
-
-    id = "OBI207"
-    name = "stripe-key-mismatch"
-    description = "stripe-partitioned table accessed without the matching stripe lock"
-    rationale = (
-        "A striped table's shard i is owned by stripe lock i.  Holding "
-        "stripe j's lock — or none — while touching shard i is exactly "
-        "the race the old global lock prevented, hidden behind a lock "
-        "that LOOKS held.  The key expressions must match."
-    )
-
-    def check_flow(self, project: Project) -> Iterator[Finding]:
-        for mismatch in project.stripes.key_mismatches:
-            if mismatch.key is None:
-                detail = (
-                    "accessed whole-table with no stripe lock of "
-                    f"{mismatch.family} held"
-                )
-            elif mismatch.held_keys:
-                held = ", ".join(f"[{key}]" for key in mismatch.held_keys)
-                detail = (
-                    f"accessed with key [{mismatch.key}] while holding "
-                    f"{mismatch.family}{held} — keys do not match"
-                )
-            else:
-                detail = (
-                    f"accessed with key [{mismatch.key}] while holding no "
-                    f"stripe lock of {mismatch.family}"
-                )
-            yield self.flow_finding(
-                mismatch.func.module,
-                mismatch.node,
-                f"{mismatch.cls.name}.{mismatch.attr} is stripe-partitioned "
-                f"under {mismatch.family} but {detail} in "
-                f"{mismatch.func.qualname}()",
-            )
-
-
-class StripeOrderRule(_FlowRule):
-    """OBI208: multi-stripe acquisitions must ascend by stripe index."""
-
-    id = "OBI208"
-    name = "stripe-order"
-    description = "a second stripe lock taken without an ascending-index proof"
-    rationale = (
-        "Two threads nesting stripes i-then-j and j-then-i deadlock the "
-        "same way two named locks do (OBI201), but the conflict hides "
-        "inside one family.  Ascending by index — a range/sorted loop, "
-        "or a lo/hi = sorted((i, j)) unpack — makes the order total."
-    )
-
-    def check_flow(self, project: Project) -> Iterator[Finding]:
-        for violation in project.stripes.order_violations:
-            yield self.flow_finding(
-                violation.func.module,
-                violation.node,
-                f"{violation.family}[{violation.acquired_key}] taken while "
-                f"holding {violation.family}[{violation.held_key}] in "
-                f"{violation.func.qualname}() without an ascending-index "
-                "proof (iterate stripes via range()/sorted(), or unpack "
-                "lo, hi = sorted((i, j)) and lock lo first)",
-            )
-
-
 class SnapshotReadMutationRule(_FlowRule):
     """OBI209: a declared snapshot read reaches a guarded-state write."""
 
     id = "OBI209"
     name = "snapshot-read-mutation"
-    description = "a @snapshot_read path mutates lock-guarded or striped state"
+    description = "a @snapshot_read path mutates lock-guarded state"
     rationale = (
         "@snapshot_read buys lock-free reads by promising read-only "
         "behaviour; a write on any path out of one runs unsynchronized "
@@ -297,7 +231,7 @@ class SnapshotReadMutationRule(_FlowRule):
     )
 
     def check_flow(self, project: Project) -> Iterator[Finding]:
-        for mutation in project.stripes.snapshot_mutations:
+        for mutation in project.snapshot_mutations:
             path = " -> ".join(mutation.chain)
             yield self.flow_finding(
                 mutation.writer.module,

@@ -6,9 +6,9 @@ analyses need:
 * every module-level function, class, and method (nested functions are
   indexed too — they run outside their enclosing function's locks, so
   they get summaries of their own);
-* per-class **lock attributes**: ``self.x = threading.Lock()`` in any
-  method, or a dataclass field whose ``default_factory`` (or annotation)
-  is a lock;
+* per-class **lock attributes**: ``self.x = threading.Lock()`` (or the
+  runtime's ``StripeLock()``) in any method, or a dataclass field whose
+  ``default_factory`` (or annotation) is a lock;
 * light **attribute-type inference** so the call graph can resolve
   bound-method dispatch: ``self.endpoint = endpoint`` with an annotated
   parameter, ``self.x = ClassName(...)``, and annotated assignments.
@@ -33,23 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Constructors whose result is a lock (order/guard analyses track these).
 LOCK_FACTORIES = frozenset(
-    {"threading.Lock", "threading.RLock", "threading.Condition"}
-)
-
-#: Constructors whose result is a mutable container — the element shape
-#: a stripe-partitioned table holds per stripe.
-CONTAINER_FACTORIES = frozenset(
     {
-        "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
-        "Counter", "WeakValueDictionary", "WeakKeyDictionary",
+        "threading.Lock",
+        "threading.RLock",
+        "threading.Condition",
+        "repro.core.striping.StripeLock",
     }
 )
-
-
-def _looks_lock_like(tail: str) -> bool:
-    """Heuristic: does this name read as a lock?"""
-    lowered = tail.lower()
-    return "lock" in lowered or "mutex" in lowered
 
 
 @dataclass
@@ -85,12 +75,6 @@ class ClassInfo:
     node: ast.ClassDef
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     lock_attrs: set[str] = field(default_factory=set)
-    #: Attributes holding an *array of locks* keyed by a stripe index
-    #: (``self._stripe_locks = [StripeLock() for _ in range(n)]``).
-    lock_families: set[str] = field(default_factory=set)
-    #: Attributes holding an array of mutable containers partitioned the
-    #: same way (``self._masters = [{} for _ in range(n)]``).
-    stripe_tables: set[str] = field(default_factory=set)
     #: ``self.x`` → simple class name, when inferable.
     attr_types: dict[str, str] = field(default_factory=dict)
     base_names: set[str] = field(default_factory=set)
@@ -142,50 +126,6 @@ def _is_lock_factory_call(value: ast.expr, imports: dict[str, str]) -> bool:
                 if factory in LOCK_FACTORIES:
                     return True
     return False
-
-
-def _list_elements(value: ast.expr) -> list[ast.expr] | None:
-    """The element expressions of a list display or one-clause listcomp."""
-    if isinstance(value, ast.List) and value.elts:
-        return value.elts
-    if isinstance(value, ast.ListComp) and len(value.generators) == 1:
-        return [value.elt]
-    return None
-
-
-def _is_lock_family_value(value: ast.expr, imports: dict[str, str]) -> bool:
-    """``[Lock() for _ in range(n)]`` / ``[RLock(), RLock()]`` — a lock array."""
-    elts = _list_elements(value)
-    if elts is None:
-        return False
-    for elt in elts:
-        if _is_lock_factory_call(elt, imports):
-            continue
-        if isinstance(elt, ast.Call):
-            resolved = resolve_call_name(elt.func, imports)
-            if resolved is not None and _looks_lock_like(resolved.rsplit(".", 1)[-1]):
-                continue
-        return False
-    return True
-
-
-def _is_stripe_table_value(value: ast.expr, imports: dict[str, str]) -> bool:
-    """``[{} for _ in range(n)]`` and friends — an array of mutable tables."""
-    elts = _list_elements(value)
-    if elts is None:
-        return False
-    for elt in elts:
-        if isinstance(elt, ast.Dict | ast.Set | ast.List):
-            continue
-        if isinstance(elt, ast.Call):
-            resolved = resolve_call_name(elt.func, imports)
-            if (
-                resolved is not None
-                and resolved.rsplit(".", 1)[-1] in CONTAINER_FACTORIES
-            ):
-                continue
-        return False
-    return True
 
 
 def _is_snapshot_read(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
@@ -336,12 +276,6 @@ class SymbolTable:
                     if node.value is not None and _is_lock_factory_call(node.value, imports):
                         info.lock_attrs.add(attr)
                         continue
-                    if node.value is not None and _is_lock_family_value(node.value, imports):
-                        info.lock_families.add(attr)
-                        continue
-                    if node.value is not None and _is_stripe_table_value(node.value, imports):
-                        info.stripe_tables.add(attr)
-                        continue
                     annotated = _annotation_class(node.annotation)
                     if annotated is not None and annotated in self.classes:
                         info.attr_types.setdefault(attr, annotated)
@@ -353,10 +287,6 @@ class SymbolTable:
                             continue
                         if _is_lock_factory_call(value, imports):
                             info.lock_attrs.add(attr)
-                        elif _is_lock_family_value(value, imports):
-                            info.lock_families.add(attr)
-                        elif _is_stripe_table_value(value, imports):
-                            info.stripe_tables.add(attr)
                         else:
                             inferred = self._value_class(value, param_types, imports)
                             if inferred is not None:

@@ -16,8 +16,6 @@ from repro.analysis.flow.rules import (
     PutWithoutSourceRule,
     SnapshotReadMutationRule,
     SpliceEscapeRule,
-    StripeKeyMismatchRule,
-    StripeOrderRule,
     UnguardedStateRule,
 )
 from repro.analysis.rules.compiled import (
@@ -56,8 +54,6 @@ def build_rules() -> list[Rule]:
         PutWithoutSourceRule(),
         DemandOutsideFaultPathRule(),
         SpliceEscapeRule(),
-        StripeKeyMismatchRule(),
-        StripeOrderRule(),
         SnapshotReadMutationRule(),
         FeedApplyEpochGuardRule(),
         # Wire-contract rules (see repro.analysis.wire).

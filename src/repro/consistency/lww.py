@@ -88,7 +88,7 @@ class LwwReplica(ConsistencyProtocol):
         oid = obi_id_of(replica)
         package = build_put(site, [replica], self._coordinator_site)
         versions = self._coordinator.try_put(package, site.clock.now())
-        site.sync_stats.add(oid=oid, puts_full=1)
+        site.sync_stats.add(puts_full=1)
         info = site.replica_info(oid)
         if info is not None:
             info.version = versions[oid]

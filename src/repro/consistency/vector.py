@@ -217,5 +217,5 @@ class VectorReplica(ConsistencyProtocol):
         site = self.site
         package = build_put(site, [replica], self._coordinator_site)
         result = self._coordinator.vector_put(package, base, site.name)
-        site.sync_stats.add(oid=obi_id_of(replica), puts_full=1)
+        site.sync_stats.add(puts_full=1)
         return result

@@ -85,7 +85,7 @@ def _demand(site: "Site", proxy: ProxyOutBase) -> object:
     target_id = proxy._obi_target_id
     leader, handle = site.begin_demand(target_id)
     if not leader:
-        site.fault_stats.add(oid=target_id, coalesced_faults=1)
+        site.fault_stats.add(coalesced_faults=1)
         with site.tracer.span("demand.wait", name=target_id, coalesced=True):
             if not handle.event.wait(COALESCE_TIMEOUT_S):
                 raise ObjectFaultError(
@@ -121,11 +121,7 @@ def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
         # No piggyback candidates: still one round trip, but the provider
         # widens the scope to mode.demand_scope() (see ProxyIn.demand).
         package = _invoke_demand(site, proxy, mode)
-        stats.add(
-            oid=proxy._obi_target_id,
-            demands_batched=1,
-            prefetch_hits=_read_ahead_count(mode, package),
-        )
+        stats.add(demands_batched=1, prefetch_hits=_read_ahead_count(mode, package))
         return _integrate_demand(site, proxy, package)
 
     calls = [(proxy._obi_provider, "demand", (mode,))]
@@ -139,7 +135,7 @@ def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
         for sibling, handle in siblings:
             site.finish_demand(sibling._obi_target_id, handle, error=exc)
         raise
-    stats.add(oid=proxy._obi_target_id, demands_batched=1)
+    stats.add(demands_batched=1)
 
     primary = results[0]
     if isinstance(primary, BaseException):
@@ -147,7 +143,7 @@ def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
             _finish_sibling(site, sibling, handle, outcome)
         raise primary
     local = _integrate_demand(site, proxy, primary)
-    stats.add(oid=proxy._obi_target_id, prefetch_hits=_read_ahead_count(mode, primary))
+    stats.add(prefetch_hits=_read_ahead_count(mode, primary))
     for (sibling, handle), outcome in zip(siblings, results[1:]):
         _finish_sibling(site, sibling, handle, outcome)
     return local
@@ -205,7 +201,7 @@ def _finish_sibling(
         site.finish_demand(target_id, handle, error=exc)
         return
     site.finish_demand(target_id, handle, result=replica)
-    site.fault_stats.add(oid=target_id, prefetch_hits=1)
+    site.fault_stats.add(prefetch_hits=1)
     if sibling._obi_resolved is None:
         splice(sibling, replica)
         site.finish_fault(sibling, replica)

@@ -20,7 +20,6 @@ run-time decision the paper puts in the application's hands.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from collections.abc import Iterable
@@ -41,14 +40,8 @@ from repro.core.packages import ObjectMeta
 from repro.core.proxy_in import ProxyIn
 from repro.core.proxy_out import ProxyOutBase
 from repro.core.replication import build_put, integrate_package
-from repro.core.striping import (
-    DEFAULT_STRIPES,
-    StripedStats,
-    StripeLock,
-    snapshot_read,
-    stripe_of,
-)
-from repro.core.telemetry import FeedStats, SerialPathStats, SyncPathStats
+from repro.core.striping import StripeLock, snapshot_read
+from repro.core.telemetry import FaultPathStats, FeedStats, SerialPathStats, SyncPathStats
 from repro.core.versions import ChangeLog
 from repro.obs.context import NULL_TRACER, Tracer
 from repro.obs.spans import SpanCollector
@@ -72,84 +65,12 @@ from repro.util.events import EventBus
 from repro.util.ids import new_site_id
 
 
-#: Site-global registration order for table records.  ``itertools.count``
-#: advances atomically under the GIL, so stamping needs no lock; the
-#: striped iterators sort by it to preserve the registration-order
-#: iteration the single-table runtime gave for free (cluster member
-#: order depends on it).
-_record_seq = itertools.count()
-
-
 @dataclass
 class MasterRecord:
     """Bookkeeping for one object mastered at this site."""
 
     obj: object
     version: int = 1
-    seq: int = field(default_factory=_record_seq.__next__)
-
-
-@dataclass
-class FaultPathStats:
-    """Counters for the batched/prefetching fault fast path.
-
-    Faulting threads race on these (coalesced faults exist precisely
-    because resolution is concurrent), so increments go through
-    :meth:`add` under the internal lock — a bare ``+= 1`` loses counts
-    across a read-modify-write.  Reading individual attributes is fine
-    for monitoring; use :meth:`snapshot` when the three counters must be
-    mutually consistent.
-    """
-
-    #: Demand round trips that went through the batched fast path
-    #: (widened scope and/or piggybacked sibling demands).
-    demands_batched: int = 0
-    #: Objects replicated ahead of need: read-ahead members beyond the
-    #: mode's own chunk, plus sibling proxies resolved without a round
-    #: trip of their own.
-    prefetch_hits: int = 0
-    #: Faults that waited on another thread's in-flight demand instead of
-    #: issuing a duplicate round trip.
-    coalesced_faults: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        demands_batched: int = 0,
-        prefetch_hits: int = 0,
-        coalesced_faults: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.demands_batched += demands_batched
-            self.prefetch_hits += prefetch_hits
-            self.coalesced_faults += coalesced_faults
-
-    def snapshot(self) -> dict[str, int]:
-        """A mutually-consistent reading of all three counters."""
-        with self._lock:
-            return {
-                "demands_batched": self.demands_batched,
-                "prefetch_hits": self.prefetch_hits,
-                "coalesced_faults": self.coalesced_faults,
-            }
-
-    def reset(self) -> dict[str, int]:
-        """Zero the counters; returns the values they had (snapshot-then-
-        reset is atomic, so no increment can fall between the two)."""
-        with self._lock:
-            before = {
-                "demands_batched": self.demands_batched,
-                "prefetch_hits": self.prefetch_hits,
-                "coalesced_faults": self.coalesced_faults,
-            }
-            self.demands_batched = 0
-            self.prefetch_hits = 0
-            self.coalesced_faults = 0
-        return before
 
 
 class _InflightDemand:
@@ -175,7 +96,6 @@ class ReplicaRecord:
     #: Set by the consistency layer (invalidation/lease protocols).
     invalidated: bool = field(default=False)
     lease_expires_at: float | None = field(default=None)
-    seq: int = field(default_factory=_record_seq.__next__)
 
 
 @dataclass(slots=True)
@@ -196,9 +116,9 @@ class Site:
         self.endpoint = endpoint
         self.costs: CostModel = world.costs
         self.gc_stats = GcStats()
-        self.fault_stats = StripedStats(FaultPathStats, DEFAULT_STRIPES)
-        self.sync_stats = StripedStats(SyncPathStats, DEFAULT_STRIPES)
-        self.serial_stats = StripedStats(SerialPathStats, DEFAULT_STRIPES)
+        self.fault_stats = FaultPathStats()
+        self.sync_stats = SyncPathStats()
+        self.serial_stats = SerialPathStats()
         #: Causal tracer (obitrace, PR 5).  :data:`NULL_TRACER` — whose
         #: ``span()`` hands back one shared no-op context manager — until
         #: :meth:`enable_tracing` swaps in a live one.  Shared with the
@@ -221,36 +141,24 @@ class Site:
         #: promotion swaps behaviour without re-exporting anything.
         self.feed_role = None
         self._closed = False
-        #: Per-stripe locks guarding the object tables: provider-side
+        #: The one lock guarding the object tables below: provider-side
         #: dispatcher threads and application threads touch them
-        #: concurrently on the TCP transport.  Each stripe's
-        #: lock is re-entrant because engine paths nest within one oid
-        #: (e.g. drop_master -> retract of the same object).  obiflow
-        #: machine-checks the discipline: an access to a striped table
-        #: must hold the stripe lock derived from the same key (OBI207),
-        #: multi-stripe acquisitions must ascend (OBI208), and declared
-        #: snapshot reads must not mutate (OBI209).  Striping is
-        #: node-local: peers never see the stripe count.
-        self._stripe_locks = [StripeLock() for _ in range(DEFAULT_STRIPES)]
-        self._masters: list[dict[str, MasterRecord]] = [{} for _ in range(DEFAULT_STRIPES)]
-        self._replicas: list[dict[str, ReplicaRecord]] = [{} for _ in range(DEFAULT_STRIPES)]
-        self._provider_refs: list[dict[str, RemoteRef]] = [{} for _ in range(DEFAULT_STRIPES)]
-        #: Pending proxy-outs stay one table: proxies are keyed by target
-        #: id but scanned whole (``pending_siblings``), so a dedicated
-        #: small lock beats stripe routing here.
-        self._proxies_lock = threading.Lock()
+        #: concurrently on the TCP transport.  Re-entrant because engine
+        #: paths nest (e.g. drop_master -> retract of the same object).
+        #: obiflow machine-checks the discipline: every access outside a
+        #: declared ``@snapshot_read`` holds it (OBI203), and snapshot
+        #: reads never write (OBI209).  Each table keeps registration
+        #: order, which cluster member order and the iterators rely on.
+        self._lock = StripeLock()
+        self._masters: dict[str, MasterRecord] = {}
+        self._replicas: dict[str, ReplicaRecord] = {}
+        self._provider_refs: dict[str, RemoteRef] = {}
         self._pending_proxies: "weakref.WeakValueDictionary[str, ProxyOutBase]" = (
             weakref.WeakValueDictionary()
         )
         #: Demands currently on the wire, keyed by target obi id; faults
         #: racing on one target coalesce through these handles.
-        self._inflight_demands: list[dict[str, _InflightDemand]] = [
-            {} for _ in range(DEFAULT_STRIPES)
-        ]
-
-    def _stripe_of(self, oid: str) -> int:
-        """The stripe an obi id routes to (deterministic, node-local)."""
-        return stripe_of(oid, DEFAULT_STRIPES)
+        self._inflight_demands: dict[str, _InflightDemand] = {}
 
     # ------------------------------------------------------------------
     # public API: provider role
@@ -277,9 +185,8 @@ class Site:
         Must be called before any unguarded export of the same object.
         """
         oid = obi_id_of(obj)
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            if oid in self._provider_refs[idx]:
+        with self._lock:
+            if oid in self._provider_refs:
                 raise ReplicationError(
                     f"object {oid!r} is already exported unguarded; "
                     "export_guarded must come first"
@@ -287,9 +194,9 @@ class Site:
             interface = interface_of(obj)
             guard = AccessGuard(self.endpoint, ProxyIn(self, obj), policy)
             ref = self.endpoint.export(guard, interface=interface.name)
-            self._provider_refs[idx][oid] = ref
-            if oid not in self._replicas[idx]:
-                self._masters[idx].setdefault(oid, MasterRecord(obj=obj))
+            self._provider_refs[oid] = ref
+            if oid not in self._replicas:
+                self._masters.setdefault(oid, MasterRecord(obj=obj))
         self.events.publish("provider_exported", site=self, oid=oid, ref=ref)
         if name is not None:
             self.naming.rebind(name, ref)
@@ -365,7 +272,7 @@ class Site:
                 package = build_put(self, [item.replica for item in items], provider.site_id)
                 acked = self.endpoint.invoke(provider, "put", (package,))
             _commit_versions(acked, items, versions)
-            self.sync_stats.add(oid=items[0].oid, puts_full=1)
+            self.sync_stats.add(puts_full=1)
         return versions
 
     def master_versions(self, records: Iterable[ReplicaRecord]) -> dict[str, int]:
@@ -407,21 +314,16 @@ class Site:
             package = build_put(self, members, info.provider.site_id)
             versions = self.endpoint.invoke(info.provider, "put", (package,))
             self._apply_versions(versions)
-            self.sync_stats.add(oid=obi_id_of(root), puts_full=1)
+            self.sync_stats.add(puts_full=1)
             return versions
 
     def _apply_versions(self, versions: dict[str, int]) -> None:
-        """Commit master-acknowledged versions onto the replica records.
-
-        Stripes are visited in sorted-oid order, one lock at a time —
-        no stripe lock is ever held while taking another.
-        """
-        for oid in sorted(versions):
-            idx = self._stripe_of(oid)
-            with self._stripe_locks[idx]:
-                record = self._replicas[idx].get(oid)
+        """Commit master-acknowledged versions onto the replica records."""
+        with self._lock:
+            for oid, version in versions.items():
+                record = self._replicas.get(oid)
                 if record is not None:
-                    record.version = versions[oid]
+                    record.version = version
 
     def refresh(self, replica: object) -> object:
         """Re-fetch a replica's state from its master, updating in place
@@ -489,23 +391,17 @@ class Site:
         counted as pointers rather than followed (every replica is
         already summed once).
         """
-        total = 0
-        for idx in range(DEFAULT_STRIPES):
-            with self._stripe_locks[idx]:
-                total += sum(
-                    _own_state_size(record.obj)
-                    for record in self._replicas[idx].values()
-                )
-        return total
+        with self._lock:
+            records = list(self._replicas.values())
+        return sum(_own_state_size(record.obj) for record in records)
 
     def evict(self, replica: object) -> None:
         """Drop replication bookkeeping for a replica (memory pressure on
         an info-appliance).  The object itself stays usable as a plain
         local object; it can no longer be put back or refreshed."""
         oid = obi_id_of(replica)
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            self._replicas[idx].pop(oid, None)
+        with self._lock:
+            self._replicas.pop(oid, None)
 
     # ------------------------------------------------------------------
     # causal tracing (obitrace, PR 5)
@@ -570,17 +466,16 @@ class Site:
     def ensure_provider_for(self, obj: object) -> tuple[RemoteRef, bool]:
         """Make sure ``obj`` has an exported proxy-in; returns (ref, created)."""
         oid = obi_id_of(obj)
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            existing = self._provider_refs[idx].get(oid)
+        with self._lock:
+            existing = self._provider_refs.get(oid)
             if existing is not None:
                 return existing, False
             interface = interface_of(obj)
             proxy_in = ProxyIn(self, obj)
             ref = self.endpoint.export(proxy_in, interface=interface.name)
-            self._provider_refs[idx][oid] = ref
-            if oid not in self._replicas[idx]:
-                self._masters[idx].setdefault(oid, MasterRecord(obj=obj))
+            self._provider_refs[oid] = ref
+            if oid not in self._replicas:
+                self._masters.setdefault(oid, MasterRecord(obj=obj))
         self.events.publish("provider_exported", site=self, oid=oid, ref=ref)
         return ref, True
 
@@ -591,31 +486,23 @@ class Site:
         unaffected — if the application still references it, it lives on
         as plain local state and can be re-exported later.
         """
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            self._retract_provider_locked(idx, oid)
-            dropped = self._masters[idx].pop(oid, None) is not None
+        with self._lock:
+            self._retract_provider_locked(oid)
+            dropped = self._masters.pop(oid, None) is not None
         self.change_log.drop(oid)
         return dropped
 
     def iter_masters(self):
-        items: list[tuple[str, MasterRecord]] = []
-        for idx in range(DEFAULT_STRIPES):
-            with self._stripe_locks[idx]:
-                items.extend(self._masters[idx].items())
-        items.sort(key=lambda pair: pair[1].seq)
-        return iter(items)
+        """``(oid, record)`` pairs in registration order."""
+        with self._lock:
+            return iter(list(self._masters.items()))
 
     def exported_oids(self) -> list[str]:
-        """Oids with a live proxy-in export, in registration order."""
-        pairs: list[tuple[int, str]] = []
-        for idx in range(DEFAULT_STRIPES):
-            with self._stripe_locks[idx]:
-                for oid in self._provider_refs[idx]:
-                    record = self._masters[idx].get(oid)
-                    pairs.append((record.seq if record is not None else -1, oid))
-        pairs.sort()
-        return [oid for _seq, oid in pairs]
+        """Oids with a live proxy-in export: exported replicas (no master
+        record) sorted by oid, then masters in registration order."""
+        with self._lock:
+            replicas = sorted(oid for oid in self._provider_refs if oid not in self._masters)
+            return replicas + [oid for oid in self._masters if oid in self._provider_refs]
 
     def retract_provider(self, oid: str) -> bool:
         """Withdraw an object's proxy-in (distributed-GC reclamation).
@@ -625,12 +512,11 @@ class Site:
         "no such object in table" after a DGC lease expires.  A later
         ``ensure_provider_for`` exports a fresh proxy-in.
         """
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            return self._retract_provider_locked(idx, oid)
+        with self._lock:
+            return self._retract_provider_locked(oid)
 
-    def _retract_provider_locked(self, idx: int, oid: str) -> bool:
-        ref = self._provider_refs[idx].pop(oid, None)
+    def _retract_provider_locked(self, oid: str) -> bool:
+        ref = self._provider_refs.pop(oid, None)
         if ref is None:
             return False
         self.endpoint.unexport(ref.object_id)
@@ -644,42 +530,36 @@ class Site:
         can find them.
         """
         oid = obi_id_of(obj)
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            if oid not in self._replicas[idx]:
-                self._masters[idx].setdefault(oid, MasterRecord(obj=obj))
+        with self._lock:
+            if oid not in self._replicas:
+                self._masters.setdefault(oid, MasterRecord(obj=obj))
 
     @snapshot_read
     def version_of(self, obj: object) -> int:
         oid = obi_id_of(obj)
-        idx = self._stripe_of(oid)
-        master = self._masters[idx].get(oid)
+        master = self._masters.get(oid)
         if master is not None:
             return master.version
-        replica = self._replicas[idx].get(oid)
+        replica = self._replicas.get(oid)
         if replica is not None:
             return replica.version
         return 1
 
     @snapshot_read
     def is_master(self, oid: str) -> bool:
-        idx = self._stripe_of(oid)
-        return oid in self._masters[idx]
+        return oid in self._masters
 
     @snapshot_read
     def is_replica(self, oid: str) -> bool:
-        idx = self._stripe_of(oid)
-        return oid in self._replicas[idx]
+        return oid in self._replicas
 
     @snapshot_read
     def has_exported(self, oid: str) -> bool:
-        idx = self._stripe_of(oid)
-        return oid in self._provider_refs[idx]
+        return oid in self._provider_refs
 
     @snapshot_read
     def master_object_for(self, oid: str) -> object | None:
-        idx = self._stripe_of(oid)
-        record = self._masters[idx].get(oid)
+        record = self._masters.get(oid)
         return record.obj if record is not None else None
 
     @snapshot_read
@@ -694,8 +574,7 @@ class Site:
         no export of their own (cluster members, feed mirrors) stay
         governed by the proxy-in that received the call.
         """
-        idx = self._stripe_of(oid)
-        ref = self._provider_refs[idx].get(oid)
+        ref = self._provider_refs.get(oid)
         if ref is not None:
             authorize(self.endpoint.objects.get(ref.object_id), method)
 
@@ -710,12 +589,11 @@ class Site:
         """
         versions = []
         for oid in oids:
-            idx = self._stripe_of(oid)
-            ref = self._provider_refs[idx].get(oid)
+            ref = self._provider_refs.get(oid)
             if ref is None or ref.object_id not in self.endpoint.objects:
                 raise ProtocolError(f"no exported object for {oid!r} on site {self.name!r}")
             self.authorize(oid, "get_version")
-            record = self._masters[idx].get(oid)
+            record = self._masters.get(oid)
             if record is None:
                 raise ReplicationError(f"object {oid!r} is not mastered at site {self.name!r}")
             versions.append(record.version)
@@ -724,16 +602,14 @@ class Site:
     @snapshot_read
     def master_version(self, master: object) -> int:
         oid = obi_id_of(master)
-        idx = self._stripe_of(oid)
-        record = self._masters[idx].get(oid)
+        record = self._masters.get(oid)
         if record is None:
             raise ReplicationError(f"object is not mastered at site {self.name!r}")
         return record.version
 
     def bump_master_version(self, oid: str) -> int:
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            record = self._masters[idx].get(oid)
+        with self._lock:
+            record = self._masters.get(oid)
             if record is None:
                 raise ReplicationError(f"no master {oid!r} at site {self.name!r}")
             record.version += 1
@@ -749,9 +625,8 @@ class Site:
         across the group.  Monotonic (never lowers), publishes nothing —
         mirrored changes are not local writes.
         """
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            record = self._masters[idx].get(oid)
+        with self._lock:
+            record = self._masters.get(oid)
             if record is None:
                 raise ReplicationError(f"no master {oid!r} at site {self.name!r}")
             if version > record.version:
@@ -760,11 +635,10 @@ class Site:
 
     def oid_for_export(self, object_id: str) -> str | None:
         """The obi id whose proxy-in is exported as ``object_id``, if any."""
-        for idx in range(DEFAULT_STRIPES):
-            with self._stripe_locks[idx]:
-                for oid, ref in self._provider_refs[idx].items():
-                    if ref.object_id == object_id:
-                        return oid
+        with self._lock:
+            for oid, ref in self._provider_refs.items():
+                if ref.object_id == object_id:
+                    return oid
         return None
 
     # ------------------------------------------------------------------
@@ -815,11 +689,10 @@ class Site:
         demand path coalesces through :meth:`begin_demand`), so racing a
         concurrent registration at worst costs one extra round trip.
         """
-        idx = self._stripe_of(oid)
-        master = self._masters[idx].get(oid)
+        master = self._masters.get(oid)
         if master is not None:
             return master.obj
-        replica = self._replicas[idx].get(oid)
+        replica = self._replicas.get(oid)
         if replica is not None:
             return replica.obj
         return None
@@ -834,50 +707,40 @@ class Site:
 
     @snapshot_read
     def replica_info(self, oid: str) -> ReplicaRecord | None:
-        idx = self._stripe_of(oid)
-        return self._replicas[idx].get(oid)
+        return self._replicas.get(oid)
 
     def iter_replicas(self):
-        records: list[ReplicaRecord] = []
-        for idx in range(DEFAULT_STRIPES):
-            with self._stripe_locks[idx]:
-                records.extend(self._replicas[idx].values())
-        records.sort(key=lambda record: record.seq)
-        return iter(records)
+        """Replica records in registration order."""
+        with self._lock:
+            return iter(list(self._replicas.values()))
 
     def register_replica(self, obj: object, meta: ObjectMeta, mode: ReplicationMode) -> None:
+        """Record a replica; re-registering one updates it in place."""
         oid = meta.obi_id
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            self._register_replica_locked(idx, obj, meta, mode)
-
-    def _register_replica_locked(
-        self, idx: int, obj: object, meta: ObjectMeta, mode: ReplicationMode
-    ) -> None:
-        oid = meta.obi_id
-        existing = self._replicas[idx].get(oid)
-        if existing is not None:
+        with self._lock:
+            existing = self._replicas.get(oid)
+            if existing is None:
+                self._replicas[oid] = ReplicaRecord(
+                    obj=obj,
+                    provider=meta.provider,
+                    version=meta.version,
+                    mode=mode,
+                    cluster_root=meta.cluster_root,
+                )
+                return
             existing.obj = obj
             existing.version = meta.version
             existing.invalidated = False
             if meta.provider is not None:
                 existing.provider = meta.provider
                 existing.cluster_root = None
-            return
-        self._replicas[idx][oid] = ReplicaRecord(
-            obj=obj,
-            provider=meta.provider,
-            version=meta.version,
-            mode=mode,
-            cluster_root=meta.cluster_root,
-        )
 
     def make_proxy_out(
         self, target_id: str, interface_name: str, provider: RemoteRef, mode: ReplicationMode
     ) -> ProxyOutBase:
         entry = compiled_registry.by_interface(interface_name)
         proxy = entry.proxy_out_cls(self, target_id, provider, entry.interface, mode)
-        with self._proxies_lock:
+        with self._lock:
             self._pending_proxies[target_id] = proxy
         self.gc_stats.track_created()
         return proxy
@@ -888,7 +751,7 @@ class Site:
         return faults.resolve_fault(self, proxy)
 
     def finish_fault(self, proxy: ProxyOutBase, replica: object) -> None:
-        with self._proxies_lock:
+        with self._lock:
             self._pending_proxies.pop(proxy._obi_target_id, None)
         self.gc_stats.track_resolved(proxy)
 
@@ -903,13 +766,12 @@ class Site:
         another thread's demand is already on the wire — wait on
         ``handle.event`` and read ``handle.result`` / ``handle.error``.
         """
-        idx = self._stripe_of(target_id)
-        with self._stripe_locks[idx]:
-            existing = self._inflight_demands[idx].get(target_id)
+        with self._lock:
+            existing = self._inflight_demands.get(target_id)
             if existing is not None:
                 return False, existing
             handle = _InflightDemand()
-            self._inflight_demands[idx][target_id] = handle
+            self._inflight_demands[target_id] = handle
             return True, handle
 
     def finish_demand(
@@ -921,9 +783,8 @@ class Site:
         error: BaseException | None = None,
     ) -> None:
         """Release an in-flight demand slot and wake coalesced waiters."""
-        idx = self._stripe_of(target_id)
-        with self._stripe_locks[idx]:
-            self._inflight_demands[idx].pop(target_id, None)
+        with self._lock:
+            self._inflight_demands.pop(target_id, None)
         handle.result = result
         handle.error = error
         handle.event.set()
@@ -943,7 +804,7 @@ class Site:
         if not demander_ids:
             return []
         provider_site = proxy._obi_provider.site_id
-        with self._proxies_lock:
+        with self._lock:
             pending = sorted(self._pending_proxies.items())
         siblings: list[ProxyOutBase] = []
         for _target_id, candidate in pending:
@@ -983,9 +844,8 @@ class Site:
         if not is_obiwan(replica):
             raise ReplicationError(f"{type(replica).__name__} is not an OBIWAN object")
         oid = obi_id_of(replica)
-        idx = self._stripe_of(oid)
-        with self._stripe_locks[idx]:
-            record = self._replicas[idx].get(oid)
+        with self._lock:
+            record = self._replicas.get(oid)
         if record is None:
             raise ReplicationError(
                 f"object {obi_id_of(replica)!r} is not a replica on site {self.name!r}"
@@ -998,13 +858,13 @@ class Site:
 
     @snapshot_read
     def master_count(self) -> int:
-        """Number of exported masters across every stripe."""
-        return sum(len(shard) for shard in self._masters)
+        """Number of masters recorded at this site."""
+        return len(self._masters)
 
     @snapshot_read
     def replica_count(self) -> int:
-        """Number of registered replicas across every stripe."""
-        return sum(len(shard) for shard in self._replicas)
+        """Number of registered replicas."""
+        return len(self._replicas)
 
     @snapshot_read
     def pending_proxy_count(self) -> int:
@@ -1012,18 +872,8 @@ class Site:
         return len(self._pending_proxies)
 
     def stripe_metrics(self) -> dict[str, int]:
-        """Contention counters aggregated over the stripe locks."""
-        waits = 0
-        max_depth = 0
-        for lock in self._stripe_locks:
-            waits += lock.waits
-            if lock.max_depth > max_depth:
-                max_depth = lock.max_depth
-        return {
-            "stripes": DEFAULT_STRIPES,
-            "acquire_waits": waits,
-            "max_depth": max_depth,
-        }
+        """Contention counters of the table lock."""
+        return {"acquire_waits": self._lock.waits, "max_depth": self._lock.max_depth}
 
     @snapshot_read
     def __repr__(self) -> str:

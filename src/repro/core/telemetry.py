@@ -9,24 +9,93 @@ traffic it has generated and where the simulated time went.  A
 
 from __future__ import annotations
 
+import functools
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import Site
 
 
 @dataclass
-class SyncPathStats:
-    """Counters for write-backs and refreshes.
+class Counters:
+    """A group of counters bumped from many threads.
 
-    Application threads and dispatcher threads both sync replicas, so
-    increments go through :meth:`add` under the internal lock, exactly
-    like ``FaultPathStats`` — a bare ``+= 1`` loses counts across a
-    read-modify-write.  Reading individual attributes is fine for
-    monitoring; :meth:`snapshot` gives a mutually-consistent reading.
+    Increments go through :meth:`add` under one lock — a bare ``+= 1``
+    loses counts across a read-modify-write.  Reading one attribute is
+    fine for monitoring; :meth:`snapshot` gives a mutually-consistent
+    reading of every public field, and :meth:`reset` zeroes the counters
+    atomically with that reading.  Subclasses declare their counters as
+    ``int`` fields; names listed in ``GAUGES`` are set, not accumulated.
     """
+
+    GAUGES: ClassVar[frozenset[str]] = frozenset()
+
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def add(self, **counts: int) -> None:
+        """Atomically bump any subset of the counters."""
+        names = _counter_names(type(self))
+        with self._lock:
+            for name, count in counts.items():
+                if name not in names:
+                    raise TypeError(f"{type(self).__name__} has no counter {name!r}")
+                setattr(self, name, getattr(self, name) + count)
+
+    def snapshot(self) -> dict[str, object]:
+        """A mutually-consistent reading of every public field."""
+        with self._lock:
+            return self._reading()
+
+    def reset(self) -> dict[str, object]:
+        """Zero the counters (gauges keep their values); returns the
+        reading they had, so no increment falls between the two."""
+        with self._lock:
+            before = self._reading()
+            for name in _counter_names(type(self)):
+                setattr(self, name, 0)
+        return before
+
+    def _reading(self) -> dict[str, object]:
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("_")
+        }
+
+
+@functools.cache
+def _counter_names(cls: type[Counters]) -> frozenset[str]:
+    return frozenset(
+        f.name for f in fields(cls) if not f.name.startswith("_") and f.name not in cls.GAUGES
+    )
+
+
+@dataclass
+class FaultPathStats(Counters):
+    """Counters for the batched/prefetching fault fast path.
+
+    Faulting threads race on these (coalesced faults exist precisely
+    because resolution is concurrent).
+    """
+
+    #: Demand round trips that went through the batched fast path
+    #: (widened scope and/or piggybacked sibling demands).
+    demands_batched: int = 0
+    #: Objects replicated ahead of need: read-ahead members beyond the
+    #: mode's own chunk, plus sibling proxies resolved without a round
+    #: trip of their own.
+    prefetch_hits: int = 0
+    #: Faults that waited on another thread's in-flight demand instead of
+    #: issuing a duplicate round trip.
+    coalesced_faults: int = 0
+
+
+@dataclass
+class SyncPathStats(Counters):
+    """Counters for write-backs and refreshes, which application threads
+    and dispatcher threads both perform."""
 
     #: ``put`` round trips that shipped replica state to a master (one
     #: per provider site of a ``put_back_many``, one per cluster put,
@@ -34,39 +103,16 @@ class SyncPathStats:
     puts_full: int = 0
     #: Refreshes that re-fetched state through ``get``.
     refreshes_full: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(self, *, puts_full: int = 0, refreshes_full: int = 0) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.puts_full += puts_full
-            self.refreshes_full += refreshes_full
-
-    def snapshot(self) -> dict[str, int]:
-        """A mutually-consistent reading of all counters."""
-        with self._lock:
-            return {"puts_full": self.puts_full, "refreshes_full": self.refreshes_full}
-
-    def reset(self) -> dict[str, int]:
-        """Zero the counters; returns the values they had."""
-        with self._lock:
-            before = {"puts_full": self.puts_full, "refreshes_full": self.refreshes_full}
-            self.puts_full = 0
-            self.refreshes_full = 0
-        return before
 
 
 @dataclass
-class SerialPathStats:
+class SerialPathStats(Counters):
     """Counters for the serializer (obicodec, PR 7).
 
-    Frames are encoded/decoded on application *and* dispatcher threads,
-    so increments go through :meth:`add` under the lock, like
-    :class:`SyncPathStats`.  Time is real nanoseconds
-    (:func:`repro.util.clock.perf_ns`), not simulated cost-model time:
-    the point is to see what the serializer itself costs.
+    Frames are encoded/decoded on application *and* dispatcher threads.
+    Time is real nanoseconds (:func:`repro.util.clock.perf_ns`), not
+    simulated cost-model time: the point is to see what the serializer
+    itself costs.
     """
 
     #: Objects encoded through a compiled OBJECT_SCHEMA codec.
@@ -82,75 +128,18 @@ class SerialPathStats:
     #: Wall nanoseconds spent inside encode() / decode().
     encode_ns: int = 0
     decode_ns: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        encodes_fast: int = 0,
-        encodes_reflective: int = 0,
-        decodes_fast: int = 0,
-        frames_encoded: int = 0,
-        frames_decoded: int = 0,
-        encode_ns: int = 0,
-        decode_ns: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.encodes_fast += encodes_fast
-            self.encodes_reflective += encodes_reflective
-            self.decodes_fast += decodes_fast
-            self.frames_encoded += frames_encoded
-            self.frames_decoded += frames_decoded
-            self.encode_ns += encode_ns
-            self.decode_ns += decode_ns
-
-    def snapshot(self) -> dict[str, int]:
-        """A mutually-consistent reading of all counters."""
-        with self._lock:
-            return {
-                "encodes_fast": self.encodes_fast,
-                "encodes_reflective": self.encodes_reflective,
-                "decodes_fast": self.decodes_fast,
-                "frames_encoded": self.frames_encoded,
-                "frames_decoded": self.frames_decoded,
-                "encode_ns": self.encode_ns,
-                "decode_ns": self.decode_ns,
-            }
-
-    def reset(self) -> dict[str, int]:
-        """Zero the counters; returns the values they had."""
-        with self._lock:
-            before = {
-                "encodes_fast": self.encodes_fast,
-                "encodes_reflective": self.encodes_reflective,
-                "decodes_fast": self.decodes_fast,
-                "frames_encoded": self.frames_encoded,
-                "frames_decoded": self.frames_decoded,
-                "encode_ns": self.encode_ns,
-                "decode_ns": self.decode_ns,
-            }
-            self.encodes_fast = 0
-            self.encodes_reflective = 0
-            self.decodes_fast = 0
-            self.frames_encoded = 0
-            self.frames_decoded = 0
-            self.encode_ns = 0
-            self.decode_ns = 0
-        return before
 
 
 @dataclass
-class FeedStats:
+class FeedStats(Counters):
     """Counters and gauges for the change-feed layer (obifeed, PR 10).
 
     Feed frames are pushed from whatever thread recorded the change and
-    applied on dispatcher threads, so counter bumps go through
-    :meth:`add` under the lock like :class:`SyncPathStats`.  The gauges
-    (``role``/``epoch``/``lag_serials``) are set, not accumulated.
+    applied on dispatcher threads.  The gauges (``role``/``epoch``/
+    ``lag_serials``) are set through :meth:`set_gauges`, not accumulated.
     """
+
+    GAUGES: ClassVar[frozenset[str]] = frozenset({"role", "epoch", "lag_serials"})
 
     #: ``"none"``, ``"primary"``, ``"follower"`` or ``"demoted"``.
     role: str = "none"
@@ -177,34 +166,6 @@ class FeedStats:
     write_throughs: int = 0
     #: Pushes that failed to reach a subscriber (marked stalled).
     push_failures: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        frames_pushed: int = 0,
-        frames_applied: int = 0,
-        stale_epoch_rejects: int = 0,
-        catch_up_events: int = 0,
-        snapshots_served: int = 0,
-        snapshot_bootstraps: int = 0,
-        promotions: int = 0,
-        write_throughs: int = 0,
-        push_failures: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.frames_pushed += frames_pushed
-            self.frames_applied += frames_applied
-            self.stale_epoch_rejects += stale_epoch_rejects
-            self.catch_up_events += catch_up_events
-            self.snapshots_served += snapshots_served
-            self.snapshot_bootstraps += snapshot_bootstraps
-            self.promotions += promotions
-            self.write_throughs += write_throughs
-            self.push_failures += push_failures
 
     def set_gauges(
         self,
@@ -221,52 +182,6 @@ class FeedStats:
                 self.epoch = epoch
             if lag_serials is not None:
                 self.lag_serials = lag_serials
-
-    def snapshot(self) -> dict[str, object]:
-        """A mutually-consistent reading of gauges and counters."""
-        with self._lock:
-            return {
-                "role": self.role,
-                "epoch": self.epoch,
-                "lag_serials": self.lag_serials,
-                "frames_pushed": self.frames_pushed,
-                "frames_applied": self.frames_applied,
-                "stale_epoch_rejects": self.stale_epoch_rejects,
-                "catch_up_events": self.catch_up_events,
-                "snapshots_served": self.snapshots_served,
-                "snapshot_bootstraps": self.snapshot_bootstraps,
-                "promotions": self.promotions,
-                "write_throughs": self.write_throughs,
-                "push_failures": self.push_failures,
-            }
-
-    def reset(self) -> dict[str, object]:
-        """Zero the counters (gauges keep their values); returns the prior reading."""
-        with self._lock:
-            before = {
-                "role": self.role,
-                "epoch": self.epoch,
-                "lag_serials": self.lag_serials,
-                "frames_pushed": self.frames_pushed,
-                "frames_applied": self.frames_applied,
-                "stale_epoch_rejects": self.stale_epoch_rejects,
-                "catch_up_events": self.catch_up_events,
-                "snapshots_served": self.snapshots_served,
-                "snapshot_bootstraps": self.snapshot_bootstraps,
-                "promotions": self.promotions,
-                "write_throughs": self.write_throughs,
-                "push_failures": self.push_failures,
-            }
-            self.frames_pushed = 0
-            self.frames_applied = 0
-            self.stale_epoch_rejects = 0
-            self.catch_up_events = 0
-            self.snapshots_served = 0
-            self.snapshot_bootstraps = 0
-            self.promotions = 0
-            self.write_throughs = 0
-            self.push_failures = 0
-        return before
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,7 +203,7 @@ class TelemetrySnapshot:
     bytes_received: int
     messages_sent: int
     messages_received: int
-    #: Fault fast-path counters (see ``repro.core.runtime.FaultPathStats``).
+    #: Fault fast-path counters (see :class:`FaultPathStats`).
     demands_batched: int
     prefetch_hits: int
     coalesced_faults: int
@@ -304,9 +219,8 @@ class TelemetrySnapshot:
     spans_recorded: int
     spans_dropped: int
     span_high_water: int
-    #: Stripe-lock contention (PR 6): stripe count, blocking acquires,
-    #: deepest reentrancy seen across the site's stripe locks.
-    stripe_count: int
+    #: Table-lock contention: blocking acquires and the deepest
+    #: reentrancy seen on the site's one table lock.
     stripe_acquire_waits: int
     stripe_max_depth: int
     #: Serializer fast-path counters (obicodec, PR 7); see
@@ -345,8 +259,7 @@ class TelemetrySnapshot:
             f"{self.connections_reused} connections reused\n"
             f"  sync    : {self.puts_full} puts, "
             f"{self.refreshes_full} refreshes\n"
-            f"  stripes : {self.stripe_count} stripes, "
-            f"{self.stripe_acquire_waits} acquire waits, "
+            f"  lock    : {self.stripe_acquire_waits} acquire waits, "
             f"max depth {self.stripe_max_depth}\n"
             f"  serial  : {self.serial_fast_encodes} fast / "
             f"{self.serial_reflective_encodes} reflective encodes, "
@@ -376,23 +289,17 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
     replicas = list(site.iter_replicas())
     cluster_members = sum(1 for r in replicas if r.cluster_root is not None)
 
-    bytes_sent = messages_sent = bytes_received = messages_received = 0
-    for (src, dst), link in site.world.network.stats.per_link.items():
-        if src == site.name:
-            bytes_sent += link.bytes
-            messages_sent += link.messages
-        if dst == site.name:
-            bytes_received += link.bytes
-            messages_received += link.messages
+    traffic = site.world.network.stats.site_totals(site.name)
 
     pool_stats = getattr(site.world.network, "pool_stats", None)
     connections_reused = (
         pool_stats.reused_from(site.name) if pool_stats is not None else 0
     )
+    fault = site.fault_stats.snapshot()
     sync = site.sync_stats.snapshot()
     serial = site.serial_stats.snapshot()
     feed = site.feed_stats.snapshot()
-    stripe_metrics = site.stripe_metrics()
+    lock_metrics = site.stripe_metrics()
     collector = getattr(site.tracer, "collector", None)
     span_stats = (
         collector.stats()
@@ -412,13 +319,13 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         proxies_created=site.gc_stats.proxies_created,
         faults_resolved=site.gc_stats.faults_resolved,
         proxies_collected=site.gc_stats.resolved_collected,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
-        messages_sent=messages_sent,
-        messages_received=messages_received,
-        demands_batched=site.fault_stats.demands_batched,
-        prefetch_hits=site.fault_stats.prefetch_hits,
-        coalesced_faults=site.fault_stats.coalesced_faults,
+        bytes_sent=traffic["bytes_sent"],
+        bytes_received=traffic["bytes_received"],
+        messages_sent=traffic["messages_sent"],
+        messages_received=traffic["messages_received"],
+        demands_batched=fault["demands_batched"],
+        prefetch_hits=fault["prefetch_hits"],
+        coalesced_faults=fault["coalesced_faults"],
         connections_reused=connections_reused,
         puts_full=sync["puts_full"],
         refreshes_full=sync["refreshes_full"],
@@ -426,9 +333,8 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         spans_recorded=span_stats["recorded"],
         spans_dropped=span_stats["dropped"],
         span_high_water=span_stats["high_water"],
-        stripe_count=stripe_metrics["stripes"],
-        stripe_acquire_waits=stripe_metrics["acquire_waits"],
-        stripe_max_depth=stripe_metrics["max_depth"],
+        stripe_acquire_waits=lock_metrics["acquire_waits"],
+        stripe_max_depth=lock_metrics["max_depth"],
         serial_fast_encodes=serial["encodes_fast"],
         serial_reflective_encodes=serial["encodes_reflective"],
         serial_fast_decodes=serial["decodes_fast"],

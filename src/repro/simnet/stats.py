@@ -73,6 +73,24 @@ class NetworkStats:
             backward = self.per_link.get((b, a))
         return (forward.bytes if forward else 0) + (backward.bytes if backward else 0)
 
+    def site_totals(self, site: str) -> dict[str, int]:
+        """Messages and bytes ``site`` sent and received, over every link.
+
+        Senders add links concurrently, so the walk holds the lock.
+        """
+        totals = dict.fromkeys(
+            ("bytes_sent", "messages_sent", "bytes_received", "messages_received"), 0
+        )
+        with self._lock:
+            for (src, dst), link in self.per_link.items():
+                if src == site:
+                    totals["bytes_sent"] += link.bytes
+                    totals["messages_sent"] += link.messages
+                if dst == site:
+                    totals["bytes_received"] += link.bytes
+                    totals["messages_received"] += link.messages
+        return totals
+
     def reset(self) -> None:
         with self._lock:
             self.per_link.clear()

@@ -1,14 +1,13 @@
 """Seeded defect: a declared snapshot read that mutates state (OBI209).
 
 ``observe`` is decorated ``@snapshot_read`` — a promise of lock-free,
-read-only behaviour — yet it calls ``_bump``, which writes a striped
-table.  The helper even takes the correct stripe lock, so OBI207 is
+read-only behaviour — yet it calls ``_bump``, which writes the
+lock-guarded table.  The helper even takes the lock, so OBI203 is
 satisfied; the defect is purely that a mutation is reachable from a
 path declared to be a read.
 """
 
 import threading
-import zlib
 
 
 def snapshot_read(func):
@@ -16,17 +15,16 @@ def snapshot_read(func):
     return func
 
 
-class StripedCounter:
+class Counter:
     def __init__(self):
-        self._stripe_locks = [threading.Lock() for _ in range(8)]
-        self._counts = [{} for _ in range(8)]
+        self._lock = threading.Lock()
+        self._counts = {}
 
-    def _bump(self, oid, idx):
-        with self._stripe_locks[idx]:
-            self._counts[idx][oid] = self._counts[idx].get(oid, 0) + 1
+    def _bump(self, oid):
+        with self._lock:
+            self._counts[oid] = self._counts.get(oid, 0) + 1
 
     @snapshot_read
     def observe(self, oid):
-        idx = zlib.crc32(oid.encode("utf-8")) % 8
-        self._bump(oid, idx)
-        return self._counts[idx].get(oid)
+        self._bump(oid)
+        return self._counts.get(oid)

@@ -149,9 +149,9 @@ class TestEngine:
 
 
 class TestCatalog:
-    def test_twenty_three_rules_shipped(self):
-        assert len(ALL_RULES) == 23
-        assert len({rule.id for rule in ALL_RULES}) == 23
+    def test_twenty_one_rules_shipped(self):
+        assert len(ALL_RULES) == 21
+        assert len({rule.id for rule in ALL_RULES}) == 21
 
     def test_ids_and_names_stable(self):
         catalog = {rule.id: rule.name for rule in ALL_RULES}
@@ -170,8 +170,6 @@ class TestCatalog:
             "OBI204": "put-without-source",
             "OBI205": "demand-outside-fault-path",
             "OBI206": "splice-escape",
-            "OBI207": "stripe-key-mismatch",
-            "OBI208": "stripe-order",
             "OBI209": "snapshot-read-mutation",
             "OBI210": "feed-apply-outside-epoch-check",
             "OBI301": "tag-collision",

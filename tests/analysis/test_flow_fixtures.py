@@ -22,14 +22,18 @@ CASES = [
     ("obi204_put_without_source.py", "OBI204"),
     ("obi205_demand_outside_fault.py", "OBI205"),
     ("obi206_splice_escape.py", "OBI206"),
-    ("obi207_stripe_key_mismatch.py", "OBI207"),
-    ("obi208_stripe_order.py", "OBI208"),
     ("obi209_snapshot_read_mutation.py", "OBI209"),
     ("obi210_feed_apply_epoch.py", "OBI210"),
 ]
 
-#: The stripe fixtures are each built to trip exactly one discipline.
-STRIPE_CASES = [case for case in CASES if case[1] in {"OBI207", "OBI208", "OBI209"}]
+#: Fixtures built to trip exactly one flow rule, with every flow rule running.
+EXACT_CASES = [case for case in CASES if case[1] == "OBI209"]
+
+
+def _flow_rule_ids():
+    from repro.analysis.rules import build_rules
+
+    return {rule.id for rule in build_rules() if rule.id.startswith("OBI2")}
 
 
 @pytest.mark.parametrize(("fixture", "rule"), CASES)
@@ -40,18 +44,25 @@ def test_fixture_detected_by_its_rule(fixture, rule):
 
 
 def test_every_flow_rule_has_a_fixture():
-    from repro.analysis.rules import build_rules
-
-    flow_ids = {rule.id for rule in build_rules() if rule.id.startswith("OBI2")}
-    assert flow_ids == {rule for _fixture, rule in CASES}
+    assert _flow_rule_ids() == {rule for _fixture, rule in CASES}
 
 
-@pytest.mark.parametrize(("fixture", "rule"), STRIPE_CASES)
+@pytest.mark.parametrize(("fixture", "rule"), EXACT_CASES)
 def test_stripe_fixture_triggers_exactly_its_rule(fixture, rule):
-    """With every flow rule running, each stripe fixture trips only its own."""
-    all_flow = {f"OBI20{n}" for n in range(1, 10)} | {"OBI210"}
-    report = analyze_paths([FIXTURES / fixture], select=all_flow)
+    """With every flow rule running, the fixture trips only its own."""
+    report = analyze_paths([FIXTURES / fixture], select=_flow_rule_ids())
     assert {finding.rule for finding in report.all_findings()} == {rule}
+
+
+def test_site_tables_write_outside_the_lock_fires_obi203_once():
+    """A Site-shaped store under one ``StripeLock``: the unlocked write is
+    the only finding of any rule, and its locked twin is clean."""
+    report = analyze_paths([FIXTURES / "obi203_site_tables.py"])
+    (finding,) = report.all_findings()
+    assert finding.rule == "OBI203"
+    assert "Site._masters" in finding.message
+    assert "adopt_master" in finding.message
+    assert analyze_paths([FIXTURES / "clean_site_tables.py"]).all_findings() == []
 
 
 def test_obi203_fixture_flags_both_evict_and_lookup():

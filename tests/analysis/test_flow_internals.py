@@ -66,6 +66,40 @@ class TestSymbols:
         (site,) = project.symtab.class_named("Site")
         assert site.name == "Site"
 
+    def test_snapshot_read_flag_set(self, flow_project):
+        project = flow_project(
+            mod="""
+            def snapshot_read(func):
+                return func
+
+            class Table:
+                @snapshot_read
+                def peek(self):
+                    pass
+
+                def poke(self):
+                    pass
+            """
+        )
+        assert _func(project, "Table.peek").snapshot_read
+        assert not _func(project, "Table.poke").snapshot_read
+
+    def test_stripe_lock_attr_is_a_lock(self, flow_project):
+        """The runtime's table lock is a ``StripeLock``, so the guarded-state
+        analysis (OBI203) must see it as one."""
+        project = flow_project(
+            mod="""
+            from repro.core.striping import StripeLock
+
+            class Site:
+                def __init__(self):
+                    self._lock = StripeLock()
+                    self._masters = {}
+            """
+        )
+        (cls,) = project.symtab.class_named("Site")
+        assert cls.lock_attrs == {"_lock"}
+
 
 class TestCallGraph:
     def test_self_method_and_module_function_resolve(self, flow_project):
@@ -331,129 +365,3 @@ class TestLockAnalysis:
         )
         kinds = {(v.func.qualname, v.kind) for v in project.guarded.violations}
         assert ("Cache.drop", "write") in kinds
-
-
-STRIPED_MOD = """
-import threading
-
-class Striped:
-    def __init__(self):
-        self._stripe_locks = [threading.Lock() for _ in range(8)]
-        self._tables = [{} for _ in range(8)]
-"""
-
-
-class TestStripeInternals:
-    def test_lock_family_and_stripe_table_detected(self, flow_project):
-        project = flow_project(mod=STRIPED_MOD)
-        (cls,) = project.symtab.class_named("Striped")
-        assert cls.lock_families == {"_stripe_locks"}
-        assert cls.stripe_tables == {"_tables"}
-        assert cls.lock_attrs == set()
-
-    def test_annassign_style_detected(self, flow_project):
-        project = flow_project(
-            mod="""
-            import threading
-
-            class Striped:
-                def __init__(self, count):
-                    self._stripe_locks: list = [threading.RLock() for _ in range(count)]
-                    self._masters: list[dict] = [{} for _ in range(count)]
-            """
-        )
-        (cls,) = project.symtab.class_named("Striped")
-        assert cls.lock_families == {"_stripe_locks"}
-        assert cls.stripe_tables == {"_masters"}
-
-    def test_snapshot_read_flag_set(self, flow_project):
-        project = flow_project(
-            mod="""
-            def snapshot_read(func):
-                return func
-
-            class Striped:
-                @snapshot_read
-                def peek(self):
-                    pass
-
-                def poke(self):
-                    pass
-            """
-        )
-        assert _func(project, "Striped.peek").snapshot_read
-        assert not _func(project, "Striped.poke").snapshot_read
-
-    def test_family_acquire_gets_keyed_identity(self, flow_project):
-        project = flow_project(
-            mod=STRIPED_MOD
-            + """
-    def put(self, idx, oid, value):
-        with self._stripe_locks[idx]:
-            self._tables[idx][oid] = value
-            """
-        )
-        put = _func(project, "Striped.put")
-        summary = project.locks.summaries[put.key]
-        assert [a.lock for a in summary.acquires] == ["Striped._stripe_locks[idx]"]
-        (write,) = [a for a in summary.accesses if a.kind == "write"]
-        assert write.attr == "_tables"
-        assert write.subscript_key == "idx"
-        assert write.held == ("Striped._stripe_locks[idx]",)
-
-    def test_canonical_key_normalizes_self_name(self, flow_project):
-        """A method whose self parameter is named ``site`` still produces
-        ``self``-relative keys, so caller and callee contexts compare."""
-        project = flow_project(
-            mod=STRIPED_MOD
-            + """
-    def shard(self):
-        return 0
-
-    def put(site, idx, oid, value):
-        with site._stripe_locks[site.shard()]:
-            pass
-            """
-        )
-        put = _func(project, "Striped.put")
-        summary = project.locks.summaries[put.key]
-        assert [a.lock for a in summary.acquires] == [
-            "Striped._stripe_locks[self.shard()]"
-        ]
-
-    def test_ascending_range_loop_marks_acquire_ordered(self, flow_project):
-        project = flow_project(
-            mod=STRIPED_MOD
-            + """
-    def drain(self):
-        for idx in range(8):
-            with self._stripe_locks[idx]:
-                pass
-
-    def grab_two(self, i, j):
-        with self._stripe_locks[i]:
-            with self._stripe_locks[j]:
-                pass
-            """
-        )
-        drain = _func(project, "Striped.drain")
-        (ordered,) = project.locks.summaries[drain.key].acquires
-        assert ordered.ordered
-        grab = _func(project, "Striped.grab_two")
-        assert all(not a.ordered for a in project.locks.summaries[grab.key].acquires)
-
-    def test_sorted_unpack_records_ranks(self, flow_project):
-        project = flow_project(
-            mod=STRIPED_MOD
-            + """
-    def pair(self, i, j):
-        lo, hi = sorted((i, j))
-        with self._stripe_locks[lo]:
-            with self._stripe_locks[hi]:
-                pass
-            """
-        )
-        pair = _func(project, "Striped.pair")
-        ranks = project.locks.summaries[pair.key].sorted_ranks
-        assert ranks["lo"][1] < ranks["hi"][1]
-        assert ranks["lo"][0] == ranks["hi"][0]

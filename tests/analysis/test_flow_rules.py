@@ -1,4 +1,4 @@
-"""Positive and negative cases for the flow rules OBI201–OBI209."""
+"""Positive and negative cases for the flow rules OBI201–OBI206 and OBI209."""
 
 from __future__ import annotations
 
@@ -384,190 +384,6 @@ class TestOBI206SpliceEscape:
         assert findings == []
 
 
-STRIPED_HEADER = """
-import threading
-
-class Striped:
-    def __init__(self):
-        self._stripe_locks = [threading.Lock() for _ in range(8)]
-        self._tables = [{} for _ in range(8)]
-"""
-
-
-class TestOBI207StripeKeyMismatch:
-    def test_matching_key_clean(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def put(self, idx, oid, value):
-        with self._stripe_locks[idx]:
-            self._tables[idx][oid] = value
-            """,
-            rule="OBI207",
-        )
-        assert findings == []
-
-    def test_wrong_key_flagged(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def put(self, idx, other, oid, value):
-        with self._stripe_locks[idx]:
-            self._tables[other][oid] = value
-            """,
-            rule="OBI207",
-        )
-        assert rules_of(findings) == {"OBI207"}
-        assert "keys do not match" in findings[0].message
-
-    def test_no_lock_flagged(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def peek(self, idx, oid):
-        return self._tables[idx].get(oid)
-            """,
-            rule="OBI207",
-        )
-        assert rules_of(findings) == {"OBI207"}
-        assert "no" in findings[0].message
-
-    def test_whole_table_access_needs_some_stripe_lock(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def total(self):
-        return sum(len(shard) for shard in self._tables)
-            """,
-            rule="OBI207",
-        )
-        assert rules_of(findings) == {"OBI207"}
-        assert "whole-table" in findings[0].message
-
-    def test_snapshot_read_read_exempt(self, lint):
-        findings = lint(
-            """
-            import threading
-
-            def snapshot_read(func):
-                return func
-
-            class Striped:
-                def __init__(self):
-                    self._stripe_locks = [threading.Lock() for _ in range(8)]
-                    self._tables = [{} for _ in range(8)]
-
-                @snapshot_read
-                def peek(self, idx, oid):
-                    return self._tables[idx].get(oid)
-            """,
-            rule="OBI207",
-        )
-        assert findings == []
-
-    def test_helper_with_must_held_entry_clean(self, lint):
-        """A private helper only ever called under stripe ``idx``'s lock
-        inherits that context — provided it names the key ``idx`` too."""
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def put(self, idx, oid, value):
-        with self._stripe_locks[idx]:
-            self._store(idx, oid, value)
-
-    def _store(self, idx, oid, value):
-        self._tables[idx][oid] = value
-            """,
-            rule="OBI207",
-        )
-        assert findings == []
-
-    def test_constructor_exempt(self, lint):
-        """__init__ builds the shards bare-handed — the instance is not
-        shared yet, so the whole-table rebind is not a violation."""
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def resize(self, idx):
-        with self._stripe_locks[idx]:
-            self._tables[idx].clear()
-            """,
-            rule="OBI207",
-        )
-        assert findings == []
-
-
-class TestOBI208StripeOrder:
-    def test_unordered_nesting_flagged(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def move(self, oid, src, dst):
-        with self._stripe_locks[src]:
-            with self._stripe_locks[dst]:
-                pass
-            """,
-            rule="OBI208",
-        )
-        assert rules_of(findings) == {"OBI208"}
-        assert "ascending" in findings[0].message
-
-    def test_sorted_unpack_proof_clean(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def move(self, oid, i, j):
-        lo, hi = sorted((i, j))
-        with self._stripe_locks[lo]:
-            with self._stripe_locks[hi]:
-                pass
-            """,
-            rule="OBI208",
-        )
-        assert findings == []
-
-    def test_sorted_unpack_wrong_way_flagged(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def move(self, oid, i, j):
-        lo, hi = sorted((i, j))
-        with self._stripe_locks[hi]:
-            with self._stripe_locks[lo]:
-                pass
-            """,
-            rule="OBI208",
-        )
-        assert rules_of(findings) == {"OBI208"}
-
-    def test_ascending_range_loop_clean(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def drain(self):
-        held = []
-        for idx in range(8):
-            with self._stripe_locks[idx]:
-                held.append(idx)
-            """,
-            rule="OBI208",
-        )
-        assert findings == []
-
-    def test_reentrant_same_stripe_clean(self, lint):
-        findings = lint(
-            STRIPED_HEADER
-            + """
-    def touch(self, idx):
-        with self._stripe_locks[idx]:
-            with self._stripe_locks[idx]:
-                pass
-            """,
-            rule="OBI208",
-        )
-        assert findings == []
-
-
 class TestOBI209SnapshotReadMutation:
     def test_reachable_write_flagged(self, lint):
         findings = lint(
@@ -577,19 +393,19 @@ class TestOBI209SnapshotReadMutation:
             def snapshot_read(func):
                 return func
 
-            class Striped:
+            class Table:
                 def __init__(self):
-                    self._stripe_locks = [threading.Lock() for _ in range(8)]
-                    self._tables = [{} for _ in range(8)]
+                    self._lock = threading.Lock()
+                    self._entries = {}
 
-                def _bump(self, idx, oid):
-                    with self._stripe_locks[idx]:
-                        self._tables[idx][oid] = 1
+                def _bump(self, oid):
+                    with self._lock:
+                        self._entries[oid] = 1
 
                 @snapshot_read
-                def observe(self, idx, oid):
-                    self._bump(idx, oid)
-                    return self._tables[idx].get(oid)
+                def observe(self, oid):
+                    self._bump(oid)
+                    return self._entries.get(oid)
             """,
             rule="OBI209",
         )
@@ -604,15 +420,19 @@ class TestOBI209SnapshotReadMutation:
             def snapshot_read(func):
                 return func
 
-            class Striped:
+            class Table:
                 def __init__(self):
-                    self._stripe_locks = [threading.Lock() for _ in range(8)]
-                    self._tables = [{} for _ in range(8)]
+                    self._lock = threading.Lock()
+                    self._entries = {}
+
+                def store(self, oid):
+                    with self._lock:
+                        self._entries[oid] = 1
 
                 @snapshot_read
-                def observe(self, idx, oid):
-                    self._tables[idx][oid] = 1
-                    return self._tables[idx].get(oid)
+                def observe(self, oid):
+                    self._entries[oid] = 1
+                    return self._entries.get(oid)
             """,
             rule="OBI209",
         )
@@ -626,17 +446,21 @@ class TestOBI209SnapshotReadMutation:
             def snapshot_read(func):
                 return func
 
-            class Striped:
+            class Table:
                 def __init__(self):
-                    self._stripe_locks = [threading.Lock() for _ in range(8)]
-                    self._tables = [{} for _ in range(8)]
+                    self._lock = threading.Lock()
+                    self._entries = {}
 
-                def _shard(self, idx):
-                    return self._tables[idx]
+                def store(self, oid):
+                    with self._lock:
+                        self._entries[oid] = 1
+
+                def _lookup(self, oid):
+                    return self._entries.get(oid)
 
                 @snapshot_read
-                def observe(self, idx, oid):
-                    return self._shard(idx).get(oid)
+                def observe(self, oid):
+                    return self._lookup(oid)
             """,
             rule="OBI209",
         )
@@ -644,7 +468,7 @@ class TestOBI209SnapshotReadMutation:
 
     def test_writes_to_unguarded_state_clean(self, lint):
         """A snapshot read may touch fields no lock owns (e.g. a plain
-        counter) — only guarded or striped state is protected."""
+        counter) — only lock-guarded state is protected."""
         findings = lint(
             """
             def snapshot_read(func):

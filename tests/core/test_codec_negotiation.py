@@ -161,7 +161,7 @@ class TestPreCodecPeerInterop:
         replica = consumer.replicate("counter")
 
         oid = obi_id_of(master)
-        ref = provider._provider_refs[provider._stripe_of(oid)][oid]
+        ref = provider._provider_refs[oid]
         table = provider.endpoint.objects
         inner = table.get(ref.object_id)
 

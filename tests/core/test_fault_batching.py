@@ -141,7 +141,7 @@ class TestCoalescing:
             # Wait for the leader to register its in-flight demand.
             for _ in range(500):
                 target_id = proxy._obi_target_id
-                if target_id in consumer._inflight_demands[consumer._stripe_of(target_id)]:
+                if target_id in consumer._inflight_demands:
                     break
                 threading.Event().wait(0.01)
             threads[1].start()

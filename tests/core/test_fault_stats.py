@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.runtime import FaultPathStats
+from repro.core.telemetry import FaultPathStats
 from repro.simnet.tcp import PoolStats
 
 THREADS = 8

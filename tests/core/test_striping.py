@@ -1,47 +1,15 @@
-"""Tests for the striped Site runtime and its primitives.
+"""Tests for the Site's table lock and the tables it guards.
 
-Three invariants carry the whole design: the routing function sends
-every oid to exactly one stripe, the striped stats facade is
-indistinguishable from one merged counter object, and concurrent table
-churn across 32 threads neither loses nor duplicates entries.
+The lock is reentrant and counts contention; the tables keep
+registration order; and concurrent table churn across 32 threads
+neither loses nor duplicates entries.
 """
 
 import threading
 
-import pytest
-
 from repro.core.meta import obi_id_of
-from repro.core.runtime import FaultPathStats
-from repro.core.striping import (
-    DEFAULT_STRIPES,
-    StripedStats,
-    StripeLock,
-    stripe_of,
-)
+from repro.core.striping import StripeLock
 from tests.models import Box
-
-
-class TestStripeRouting:
-    def test_every_oid_maps_to_exactly_one_stripe(self):
-        for i in range(2000):
-            oid = f"obj:{i}"
-            idx = stripe_of(oid, DEFAULT_STRIPES)
-            assert 0 <= idx < DEFAULT_STRIPES
-            # Deterministic: the same oid routes to the same stripe, every
-            # time — cross-thread agreement rests on this.
-            assert stripe_of(oid, DEFAULT_STRIPES) == idx
-
-    def test_all_stripes_reachable(self):
-        hit = {stripe_of(f"obj:{i}", DEFAULT_STRIPES) for i in range(2000)}
-        assert hit == set(range(DEFAULT_STRIPES))
-
-    def test_single_stripe_degenerates_to_zero(self):
-        assert all(stripe_of(f"obj:{i}", 1) == 0 for i in range(50))
-
-    def test_site_stripe_of_uses_site_count(self, zero_world):
-        site = zero_world.create_site("s")
-        for i in range(100):
-            assert site._stripe_of(f"obj:{i}") == stripe_of(f"obj:{i}", DEFAULT_STRIPES)
 
 
 class TestStripeLock:
@@ -83,56 +51,61 @@ class TestStripeLock:
         assert lock.waits >= 1
 
 
-class TestStripedStats:
-    def test_merged_totals_equal_sum_of_per_stripe(self):
-        stats = StripedStats(FaultPathStats, 8)
-        for i in range(200):
-            stats.add(oid=f"obj:{i}", demands_batched=1, prefetch_hits=i % 3)
-        merged = stats.snapshot()
-        shards = stats.per_stripe()
-        assert len(shards) == 8
-        for field in merged:
-            assert merged[field] == sum(shard[field] for shard in shards)
-        assert merged["demands_batched"] == 200
+class TestRegistrationOrder:
+    """The tables iterate in registration order: re-registering an entry
+    keeps its place, and dropping then re-registering moves it to the end."""
 
-    def test_attribute_reads_sum_across_shards(self):
-        stats = StripedStats(FaultPathStats, 4)
-        stats.add(oid="obj:1", coalesced_faults=2)
-        stats.add(oid="obj:2", coalesced_faults=3)
-        assert stats.coalesced_faults == 5
+    def test_iter_masters(self, zero_world):
+        site = zero_world.create_site("m")
+        boxes = [Box(i) for i in range(4)]
+        for box in boxes:
+            site.note_master(box)
+        oids = [obi_id_of(box) for box in boxes]
+        site.note_master(boxes[0])
+        assert [oid for oid, _record in site.iter_masters()] == oids
+        site.drop_master(oids[1])
+        site.note_master(boxes[1])
+        assert [oid for oid, _record in site.iter_masters()] == [
+            oids[0], oids[2], oids[3], oids[1]
+        ]
 
-    def test_keyed_add_lands_on_routed_shard(self):
-        stats = StripedStats(FaultPathStats, 8)
-        oid = "obj:42"
-        stats.add(oid=oid, prefetch_hits=7)
-        shards = stats.per_stripe()
-        owner = stripe_of(oid, 8)
-        assert shards[owner]["prefetch_hits"] == 7
-        assert all(
-            shard["prefetch_hits"] == 0
-            for idx, shard in enumerate(shards)
-            if idx != owner
-        )
+    def test_iter_replicas(self, zsites):
+        provider, consumer = zsites
+        for i in range(4):
+            provider.export(Box(i), name=f"box:{i}")
+        replicas = [consumer.replicate(f"box:{i}") for i in range(4)]
+        oids = [obi_id_of(replica) for replica in replicas]
 
-    def test_reset_returns_totals_and_zeroes(self):
-        stats = StripedStats(FaultPathStats, 4)
-        stats.add(oid="obj:9", demands_batched=5)
-        before = stats.reset()
-        assert before["demands_batched"] == 5
-        assert stats.snapshot()["demands_batched"] == 0
+        def order():
+            return [obi_id_of(record.obj) for record in consumer.iter_replicas()]
 
-    def test_unknown_counter_raises(self):
-        stats = StripedStats(FaultPathStats, 2)
-        with pytest.raises(AttributeError):
-            stats.no_such_counter
+        assert order() == oids
+        consumer.refresh(replicas[0])
+        assert order() == oids
+        consumer.evict(replicas[1])
+        consumer.replicate("box:1")
+        assert order() == [oids[0], oids[2], oids[3], oids[1]]
 
-    def test_zero_stripes_rejected(self):
-        with pytest.raises(ValueError):
-            StripedStats(FaultPathStats, 0)
+    def test_exported_oids_follow_master_registration(self, zero_world):
+        site = zero_world.create_site("e")
+        first, second, third = Box("a"), Box("b"), Box("c")
+        # ``first`` is mastered before anything is exported, so it leads
+        # even though its proxy-in is exported last.
+        site.note_master(first)
+        site.export(second)
+        site.export(third)
+        site.export(first)
+        oids = [obi_id_of(box) for box in (first, second, third)]
+        assert site.exported_oids() == oids
+        # Re-exporting keeps the master record, and with it the place.
+        site.retract_provider(oids[1])
+        assert site.exported_oids() == [oids[0], oids[2]]
+        site.export(second)
+        assert site.exported_oids() == oids
 
 
 class TestConcurrentChurn:
-    """32 threads of register/bump/drop churn on one striped site."""
+    """32 threads of register/bump/drop churn on one site."""
 
     THREADS = 32
     PER_THREAD = 25
@@ -218,6 +191,6 @@ class TestConcurrentChurn:
     def test_stripe_metrics_shape(self, zero_world):
         site = zero_world.create_site("m")
         metrics = site.stripe_metrics()
-        assert metrics == {"stripes": DEFAULT_STRIPES, "acquire_waits": 0, "max_depth": 0}
+        assert metrics == {"acquire_waits": 0, "max_depth": 0}
         site.note_master(Box("x"))
         assert site.stripe_metrics()["max_depth"] >= 1

@@ -1,8 +1,11 @@
 """Tests for site telemetry snapshots."""
 
+import sys
+import threading
+
 from repro.core.interfaces import Cluster, Incremental
-from repro.core.striping import DEFAULT_STRIPES
 from repro.core.telemetry import snapshot
+from repro.util.clock import WallClock
 from tests.models import Box, make_chain
 
 
@@ -64,16 +67,17 @@ def test_render_is_human_readable(zsites):
 
 
 def test_stripes_line_in_render(zsites):
+    """The table lock's contention line: no waits single-threaded, and a
+    reentrant acquire shows as depth."""
     provider, consumer = zsites
     provider.export(Box("v"), name="box")
     consumer.replicate("box")
     snap = snapshot(consumer)
-    assert snap.stripe_count == DEFAULT_STRIPES
+    assert snap.stripe_acquire_waits == 0
+    assert snap.stripe_max_depth >= 1
     text = snap.render()
-    assert f"stripes : {DEFAULT_STRIPES} stripes" in text
-    assert "acquire waits" in text
-    assert "max depth" in text
-    # The stripes line slots in without disturbing the sync line.
+    assert f"lock    : 0 acquire waits, max depth {snap.stripe_max_depth}" in text
+    # The lock line slots in without disturbing the sync line.
     assert "sync    : 0 puts, 0 refreshes" in text
 
 
@@ -100,3 +104,46 @@ def test_tracing_counters_when_enabled(zsites):
     text = snap.render()
     assert "tracing : on" in text
     assert f"{stats['recorded']} spans recorded" in text
+
+
+def test_snapshot_while_senders_add_links(zsites):
+    """A sender adding a link mid-snapshot must not break the traffic walk.
+
+    Senders insert into the network's per-link table under its lock; a
+    snapshot that walked the table without that lock raised "dictionary
+    changed size during iteration" on most of these snapshots.
+    """
+    provider, _consumer = zsites
+    stats = provider.world.network.stats
+    stop = threading.Event()
+
+    def sender():
+        # New links keep arriving; clearing every 500 keeps the walk short.
+        i = 0
+        while not stop.is_set():
+            stats.record(f"s{i}", provider.name, 1, 0.0)
+            i += 1
+            if i % 500 == 0:
+                stats.reset()
+
+    failures = 0
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=sender, daemon=True)
+    thread.start()
+    clock = WallClock()
+    try:
+        start = clock.now()
+        for _ in range(2000):
+            try:
+                snapshot(provider)
+            except RuntimeError:
+                failures += 1
+            if clock.elapsed_since(start) > 5.0:
+                break
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        sys.setswitchinterval(previous)
+    assert failures == 0
+    assert snapshot(provider).messages_received == stats.site_totals(provider.name)["messages_received"]

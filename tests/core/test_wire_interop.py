@@ -17,7 +17,7 @@ from tests.models import Counter
 
 def _proxy_in(provider, master):
     oid = obi_id_of(master)
-    ref = provider._provider_refs[provider._stripe_of(oid)][oid]
+    ref = provider._provider_refs[oid]
     return provider.endpoint.objects, ref.object_id
 
 
