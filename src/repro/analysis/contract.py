@@ -36,12 +36,10 @@ PUT_FAMILY_VERBS: frozenset[str] = frozenset({"put", "try_put", "vector_put"})
 
 #: RMI verbs that acquire replica state — the legitimate "source" a
 #: component must reach before it may emit a put-family verb.
-#: The feed acquisition verbs are how a follower's mirrors come to
+#: The feed's acquisition verb is how a follower's mirrors come to
 #: exist, so its write-through ``put`` is a legitimate write-back, not
 #: unsourced traffic.
-REPLICA_SOURCE_VERBS: frozenset[str] = frozenset(
-    {"get", "demand", "feed_subscribe", "feed_snapshot"}
-)
+REPLICA_SOURCE_VERBS: frozenset[str] = frozenset({"get", "demand", "feed_subscribe"})
 
 #: Callables that apply a change-feed frame to local tables.  OBI210
 #: requires every call site to sit below an epoch comparison in the same

@@ -31,7 +31,6 @@ from repro.analysis.wire.rules import (
     SchemaInputDriftRule,
     TagCollisionRule,
     UnencodableWireFieldRule,
-    UnguardedWidenedTupleRule,
     WireBaselineDriftRule,
 )
 
@@ -60,7 +59,6 @@ def build_rules() -> list[Rule]:
         TagCollisionRule(),
         WireBaselineDriftRule(),
         UnencodableWireFieldRule(),
-        UnguardedWidenedTupleRule(),
         SchemaInputDriftRule(),
     ]
 

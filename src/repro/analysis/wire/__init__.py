@@ -2,16 +2,16 @@
 
 The wire contract of an OBIWAN deployment is scattered across four
 surfaces: the tag table (:mod:`repro.serial.tags`), the registered frame
-classes (:mod:`repro.core.packages`, :mod:`repro.rmi.protocol`, …), the
-conditionally-widened state tuples (``ReplicationMode``,
-``InvokeRequest``), and the RMI verbs the runtime actually issues.  A
-change to any of them is a *deployment* event — every peer build must
-agree — yet nothing in the codebase said so until now.
+classes (slots dataclasses in :mod:`repro.core.packages`,
+:mod:`repro.rmi.protocol`, …), the state hooks of the rest
+(``ReplicationMode``'s fixed 3-tuple, ``Interface``), and the RMI verbs
+the runtime actually issues.  Every class has one shape, and a change to
+any surface is a *deployment* event: every site runs the same build.
 
 This package extracts all four into one canonical, fingerprinted spec
 (:mod:`~repro.analysis.wire.spec`), diffs two specs for breaking changes
-(:mod:`~repro.analysis.wire.diff`), and enforces evolution rules
-OBI301–OBI306 through the ordinary obilint engine
+(:mod:`~repro.analysis.wire.diff`), and enforces rules OBI301–OBI303
+and OBI306 through the ordinary obilint engine
 (:mod:`~repro.analysis.wire.rules`).  The ``obiwire`` CLI
 (:mod:`~repro.analysis.wire.cli`) generates the spec, compares it
 against the committed ``.github/wire-baseline.json``, and reports

@@ -1,12 +1,14 @@
 """Breaking-change analysis between two wire specs.
 
-The evolution rules (docs/WIRE.md) boil down to: the wire surface is
-append-only.  Tags keep their values forever; a class's committed field
-prefix keeps its order; new fields join as a *guarded optional tail*;
-verbs are never removed while any peer may still issue them.  ``diff_specs`` classifies every
-difference between OLD and NEW against those rules — ``breaking`` means
-a mixed-version deployment can misparse a frame or dead-end an RPC;
-``compatible`` is the blessed evolution path.
+The evolution rules (docs/WIRE.md) boil down to: tags keep their values
+forever, a class's positional shape is fixed (removing, reordering or
+adding a field changes every frame of it), and a verb stays while any
+peer may still issue it.  New tags, classes and verbs are additions.
+``diff_specs`` classifies every difference between OLD and NEW against
+those rules — ``breaking`` means a build of OLD and a build of NEW can
+misparse each other's frames or dead-end an RPC; ``compatible`` is an
+addition neither side can misread.  OBI302 reports the breaking ones
+in the source.
 """
 
 from __future__ import annotations
@@ -165,35 +167,14 @@ def _diff_one_class(wire_name: str, old: WireSpec, new: WireSpec) -> list[Change
                 "tuples are positional",
             )
         )
-    old_by_name = {f.name: f for f in before.fields}
-    for f in after.fields:
-        if f.name not in old_by_name:
-            if f.optional:
-                changes.append(
-                    Change(
-                        COMPATIBLE,
-                        "optional-field-added",
-                        f"{wire_name}.{f.name}",
-                        "widened tail; old peers unpack it into *rest",
-                    )
-                )
-            else:
-                changes.append(
-                    Change(
-                        BREAKING,
-                        "required-field-added",
-                        f"{wire_name}.{f.name}",
-                        "old peers emit tuples without it; append as a "
-                        "guarded optional tail instead",
-                    )
-                )
-        elif old_by_name[f.name].optional and not f.optional:
+    for name in new_names:
+        if name not in old_names:
             changes.append(
                 Change(
                     BREAKING,
-                    "field-now-required",
-                    f"{wire_name}.{f.name}",
-                    "old peers omit it when unset",
+                    "field-added",
+                    f"{wire_name}.{name}",
+                    "a build on the committed shape cannot decode the longer frame",
                 )
             )
     return changes

@@ -15,11 +15,7 @@ alike):
   the positional frame :mod:`repro.serial.compiled` generates
   (``struct``).  For any other registered class the getter
   (``__getstate__`` or the ``get_state=`` function) yields the field
-  list in wire order; the *longest* tuple return is the full shape, the
-  setter's unpacking (``*rest`` / ``len(state)`` branching) decides how
-  many fields are required, and an ``if base.F`` test anywhere in the
-  getter records ``F`` as its own emission guard — the only-widen-when-
-  set discipline ``ReplicationMode`` follows;
+  list in wire order (its longest tuple return);
 * **verbs** — every literal RMI verb the flow layer sees
   (:func:`repro.analysis.flow.protocol.verb_events_of`).
 
@@ -71,8 +67,6 @@ class TagTable:
 @dataclass
 class FieldShape:
     name: str
-    optional: bool
-    guard: str | None
     node: ast.AST  # the tuple element introducing the field
 
 
@@ -85,10 +79,8 @@ class RegisteredClass:
     classdef: ast.ClassDef | None
     state: str  # "struct" | "tuple" | "passthrough" | "dict"
     custom_state: bool
-    optional_tail: bool
     fields: list[FieldShape] = field(default_factory=list)
     getter: ast.FunctionDef | None = None
-    setter: ast.FunctionDef | None = None
 
 
 @dataclass
@@ -245,10 +237,8 @@ def _registrations_of(module: "ModuleSource") -> list[RegisteredClass]:
                     classdef=classdef,
                     state=shape.state,
                     custom_state=custom_state,
-                    optional_tail=shape.optional_tail,
                     fields=shape.fields,
                     getter=shape.getter,
-                    setter=shape.setter,
                 )
             )
     return out
@@ -260,10 +250,8 @@ def _registrations_of(module: "ModuleSource") -> list[RegisteredClass]:
 @dataclass
 class _Shape:
     state: str
-    optional_tail: bool
     fields: list[FieldShape]
     getter: ast.FunctionDef | None
-    setter: ast.FunctionDef | None
 
 
 def _method(classdef: ast.ClassDef | None, name: str) -> ast.FunctionDef | None:
@@ -295,10 +283,10 @@ def _state_shape(
     if getter is None:
         if setter is None and _is_slots_dataclass(classdef):
             # The declaration is the schema: one positional slot per field.
-            return _Shape("struct", False, _declared_fields(classdef), None, None)
+            return _Shape("struct", _declared_fields(classdef), None)
         # Default state: the instance dict (its schema, if any, is read
         # off __init__ at run time and guarded by a hash on the wire).
-        return _Shape("dict", False, [], None, setter)
+        return _Shape("dict", [], None)
     base = _first_param(getter)
     returns = [
         r for r in ast.walk(getter) if isinstance(r, ast.Return) and r.value is not None
@@ -306,34 +294,13 @@ def _state_shape(
     tuple_returns = [r for r in returns if isinstance(r.value, ast.Tuple)]
     if not tuple_returns:
         if not returns:
-            return _Shape("dict", False, [], getter, setter)
+            return _Shape("dict", [], getter)
         value = returns[0].value
-        name = _field_name(value, base)
-        return _Shape(
-            "passthrough",
-            False,
-            [FieldShape(name=name, optional=False, guard=None, node=value)],
-            getter,
-            setter,
-        )
+        fields = [FieldShape(name=_field_name(value, base), node=value)]
+        return _Shape("passthrough", fields, getter)
     longest = max(tuple_returns, key=lambda r: len(r.value.elts))
-    elts = longest.value.elts
-    names = [_field_name(elt, base) for elt in elts]
-    required, optional_tail = _setter_shape(setter, fallback=min(
-        len(r.value.elts) for r in tuple_returns
-    ))
-    required = min(required, len(names))
-    guarded = _guard_attrs(getter, base)
-    fields = [
-        FieldShape(
-            name=name,
-            optional=index >= required,
-            guard=name if (index >= required and name in guarded) else None,
-            node=elts[index],
-        )
-        for index, name in enumerate(names)
-    ]
-    return _Shape("tuple", optional_tail, fields, getter, setter)
+    fields = [FieldShape(name=_field_name(elt, base), node=elt) for elt in longest.value.elts]
+    return _Shape("tuple", fields, getter)
 
 
 def _callee_tail(node: ast.expr) -> str | None:
@@ -361,7 +328,7 @@ def _is_slots_dataclass(classdef: ast.ClassDef | None) -> bool:
 
 def _declared_fields(classdef: ast.ClassDef) -> list[FieldShape]:
     return [
-        FieldShape(name=stmt.target.id, optional=False, guard=None, node=stmt)
+        FieldShape(name=stmt.target.id, node=stmt)
         for stmt in classdef.body
         if isinstance(stmt, ast.AnnAssign)
         and isinstance(stmt.target, ast.Name)
@@ -391,62 +358,6 @@ def _field_name(node: ast.expr, base: str) -> str:
     return ast.unparse(node)
 
 
-def _setter_shape(setter: ast.FunctionDef | None, *, fallback: int) -> tuple[int, bool]:
-    """(required field count, tolerates-short-tuples) from the setter.
-
-    ``a, b, c, *rest = state`` → (3, True); branches on ``len(state)``
-    with 4- and 5-name unpacks → (4, True); a plain n-name unpack →
-    (n, False).  Without a setter, the narrowest getter return decides.
-    """
-    if setter is None:
-        return fallback, False
-    lengths: set[int] = set()
-    star_required: int | None = None
-    for node in ast.walk(setter):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Tuple):
-            continue
-        star_at = next(
-            (i for i, elt in enumerate(target.elts) if isinstance(elt, ast.Starred)),
-            None,
-        )
-        if star_at is not None:
-            star_required = (
-                star_at if star_required is None else min(star_required, star_at)
-            )
-        else:
-            lengths.add(len(target.elts))
-    if star_required is not None:
-        return star_required, True
-    if not lengths:
-        return fallback, False
-    if len(lengths) > 1:
-        return min(lengths), True
-    return lengths.pop(), False
-
-
-def _guard_attrs(getter: ast.FunctionDef, base: str) -> set[str]:
-    """Attributes of ``base`` referenced by any If test in the getter.
-
-    Both widening spellings land here: ``if mode.prefetch: return
-    <wide>`` and ``if self.extra is None: return <narrow>``.
-    """
-    out: set[str] = set()
-    for node in ast.walk(getter):
-        if not isinstance(node, ast.If):
-            continue
-        for ref in ast.walk(node.test):
-            if (
-                isinstance(ref, ast.Attribute)
-                and isinstance(ref.value, ast.Name)
-                and ref.value.id == base
-            ):
-                out.add(ref.attr)
-    return out
-
-
 # ----------------------------------------------------------------------
 # verbs
 # ----------------------------------------------------------------------
@@ -474,11 +385,7 @@ def spec_of(extraction: Extraction) -> WireSpec:
                 module=reg.module.display_path.replace("\\", "/"),
                 state=reg.state,
                 custom_state=reg.custom_state,
-                optional_tail=reg.optional_tail,
-                fields=tuple(
-                    WireField(name=f.name, optional=f.optional, guard=f.guard)
-                    for f in reg.fields
-                ),
+                fields=tuple(WireField(name=f.name) for f in reg.fields),
             ),
         )
     return WireSpec(tags=tags, classes=classes, verbs=extraction.verbs)

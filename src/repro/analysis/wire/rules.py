@@ -1,11 +1,11 @@
-"""The wire rules: OBI301–OBI303, OBI305 and OBI306.
+"""The wire rules: OBI301–OBI303 and OBI306.
 
-All five run off the shared :class:`~repro.analysis.wire.extract.Extraction`
+All four run off the shared :class:`~repro.analysis.wire.extract.Extraction`
 (cached per engine run, like the flow Project).  The per-module errors
-among them are proofs — a duplicated tag byte *is* ambiguous, an
-unconditionally-widened tuple *will* reach old peers — so they are
-ERROR severity; the one that rests on cross-artifact inference (OBI306)
-is a warning, which still fails CI's ``--strict`` run.
+among them are proofs — a duplicated tag byte *is* ambiguous, a field
+the serializer rejects *will* fail its first encode — so they are ERROR
+severity; the one that rests on cross-artifact inference (OBI306) is a
+warning, which still fails CI's ``--strict`` run.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 from repro.analysis.contract import UNSERIALIZABLE_FACTORIES
 from repro.analysis.findings import Finding, ProjectRule, Severity
 from repro.analysis.visitor import is_compiled_classdef, resolve_call_name
-from repro.analysis.wire.extract import Extraction, RegisteredClass
+from repro.analysis.wire.diff import BREAKING, diff_specs
+from repro.analysis.wire.extract import Extraction, RegisteredClass, spec_of
 from repro.analysis.wire.spec import WireSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,7 +87,7 @@ class TagCollisionRule(_WireRule):
 
 
 class WireBaselineDriftRule(_WireRule):
-    """OBI302: a committed wire shape changed non-append-only."""
+    """OBI302: the source breaks the committed wire baseline."""
 
     id = "OBI302"
     name = "wire-baseline-drift"
@@ -94,72 +95,49 @@ class WireBaselineDriftRule(_WireRule):
     description = "a tag value or committed field layout differs from the wire baseline"
     rationale = (
         "The committed .github/wire-baseline.json records the wire contract "
-        "deployed peers were built against.  Changing a tag's value, "
-        "reordering a registered class's state tuple, or hardening an "
-        "optional field breaks every frame exchanged with those peers; "
-        "append a guarded optional tail instead, then refresh the baseline "
-        "with 'obiwire check --update'."
+        "deployed peers were built against.  Changing a tag's value, or "
+        "removing, reordering or adding a field of a registered class, "
+        "changes every frame exchanged with those peers.  Findings are the "
+        "breaking changes 'obiwire check' lists, placed where each entity "
+        "is declared; once every peer is rebuilt, refresh the baseline with "
+        "'obiwire check --update'."
     )
 
     def check_wire(self, extraction: Extraction, cache: dict) -> Iterator[Finding]:
         baseline = _load_baseline(extraction, cache)
         if baseline is None:
             return
-        for table in extraction.tag_tables:
-            for assign in table.assigns:
-                committed = baseline.tags.get(assign.name)
-                if committed is not None and committed != assign.value:
-                    yield self.finding(
-                        table.module,
-                        assign.node,
-                        f"tag {assign.name} changed 0x{committed:02x} -> "
-                        f"0x{assign.value:02x} vs the wire baseline; tag values "
-                        "are append-only",
-                    )
-        for reg in extraction.classes:
-            committed_cls = baseline.classes.get(reg.wire_name)
-            if committed_cls is None:
+        tags = {
+            assign.name: (table.module, assign.node)
+            for table in extraction.tag_tables
+            for assign in table.assigns
+        }
+        classes = {reg.wire_name: reg for reg in extraction.classes}
+        for change in diff_specs(baseline, spec_of(extraction)):
+            if change.kind != BREAKING:
                 continue
-            anchor = reg.getter if reg.getter is not None else reg.node
-            if committed_cls.state != reg.state:
-                yield self.finding(
-                    reg.module,
-                    anchor,
-                    f"{reg.wire_name}: state shape went {committed_cls.state} -> "
-                    f"{reg.state} vs the wire baseline",
+            # Only what the source still declares has a place to anchor:
+            # a removed tag, class or verb is for 'obiwire check' to report.
+            wire_name, _dot, field_name = change.entity.rpartition(".")
+            if change.entity in tags:
+                module, node = tags[change.entity]
+            elif change.entity in classes:
+                reg = classes[change.entity]
+                module, node = reg.module, _declaration(reg)
+            elif wire_name in classes:
+                reg = classes[wire_name]
+                module = reg.module
+                node = next(
+                    (f.node for f in reg.fields if f.name == field_name), _declaration(reg)
                 )
+            else:
                 continue
-            old_names = [f.name for f in committed_cls.fields]
-            new_names = [f.name for f in reg.fields]
-            common_old = [n for n in old_names if n in new_names]
-            common_new = [n for n in new_names if n in old_names]
-            if common_old != common_new:
-                yield self.finding(
-                    reg.module,
-                    anchor,
-                    f"{reg.wire_name}: committed field order {common_old} became "
-                    f"{common_new}; state tuples are positional, reordering "
-                    "scrambles every deployed peer's decode",
-                )
-            old_by_name = {f.name: f for f in committed_cls.fields}
-            for shape in reg.fields:
-                committed_field = old_by_name.get(shape.name)
-                if committed_field is None:
-                    if not shape.optional:
-                        yield self.finding(
-                            reg.module,
-                            shape.node,
-                            f"{reg.wire_name}.{shape.name}: new required field vs "
-                            "the wire baseline; old peers emit tuples without "
-                            "it — append it as a guarded optional tail",
-                        )
-                elif committed_field.optional and not shape.optional:
-                    yield self.finding(
-                        reg.module,
-                        shape.node,
-                        f"{reg.wire_name}.{shape.name}: optional in the wire "
-                        "baseline but now required; old peers omit it when unset",
-                    )
+            yield self.finding(
+                module,
+                node,
+                f"{change.category}: {change.entity} vs the wire baseline — "
+                f"{change.detail}",
+            )
 
 
 class UnencodableWireFieldRule(_WireRule):
@@ -248,37 +226,6 @@ class UnencodableWireFieldRule(_WireRule):
                     if factory in UNSERIALIZABLE_FACTORIES:
                         return UNSERIALIZABLE_FACTORIES[factory]
         return None
-
-
-class UnguardedWidenedTupleRule(_WireRule):
-    """OBI305: a widened state field is emitted unconditionally."""
-
-    id = "OBI305"
-    name = "unguarded-widened-tuple"
-    severity = Severity.ERROR
-    description = "an optional state-tuple field is emitted without a set-guard"
-    rationale = (
-        "The widened-tail idiom keeps the common frame narrow: the getter "
-        "emits the extra fields *only when set* (ReplicationMode returns a "
-        "3-tuple until prefetch is non-zero), so a default-mode demand does "
-        "not pay for a slot it leaves unset.  A getter that always emits "
-        "the wide tuple ships those bytes in every frame."
-    )
-
-    def check_wire(self, extraction: Extraction, cache: dict) -> Iterator[Finding]:
-        for reg in extraction.classes:
-            if reg.state != "tuple" or not reg.optional_tail:
-                continue
-            for shape in reg.fields:
-                if shape.optional and shape.guard is None:
-                    yield self.finding(
-                        reg.module,
-                        shape.node,
-                        f"{reg.wire_name}.{shape.name} is a widened optional "
-                        "field but the getter emits it unconditionally; gate "
-                        f"it on the attribute being set (if <obj>.{shape.name}: "
-                        "return the wide tuple)",
-                    )
 
 
 class SchemaInputDriftRule(_WireRule):
@@ -372,6 +319,12 @@ def _is_scalar_value(value: ast.expr) -> bool:
 
 
 # ----------------------------------------------------------------------
+def _declaration(reg: RegisteredClass) -> ast.AST:
+    """Where a class's wire shape is declared: its state getter, else its
+    class statement, else its registration."""
+    return reg.getter or reg.classdef or reg.node
+
+
 def _load_baseline(extraction: Extraction, cache: dict) -> WireSpec | None:
     """The committed wire baseline, or None when there is none to honor."""
     if _BASELINE_CACHE_KEY in cache:

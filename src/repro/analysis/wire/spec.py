@@ -6,8 +6,7 @@ must share to interoperate:
 * ``tags`` — the tag-byte table (name → value);
 * ``classes`` — every registered frame class, keyed by its *wire name*
   (the string both sides resolve), with its state shape: field names in
-  wire order, which fields are an optional widened tail, and the
-  attribute that guards each widened field's emission;
+  wire order (one fixed shape per class);
 * ``verbs`` — every RMI verb the runtime issues as a literal.
 
 The JSON form is canonical — keys sorted, compact separators — so the
@@ -34,26 +33,13 @@ class WireField:
     """One positional slot of a class's wire state tuple."""
 
     name: str
-    #: True for widened-tail fields: peers that predate the field never
-    #: see it (the getter omits it) and ignore it on receipt (``*rest``).
-    optional: bool = False
-    #: The attribute whose truthiness gates emission of this optional
-    #: field — ``None`` on an optional field is an OBI305 finding.
-    guard: str | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "optional": self.optional}
-        if self.guard is not None:
-            out["guard"] = self.guard
-        return out
+        return {"name": self.name}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WireField":
-        return cls(
-            name=str(raw["name"]),
-            optional=bool(raw.get("optional", False)),
-            guard=raw.get("guard"),
-        )
+        return cls(name=str(raw["name"]))
 
 
 @dataclass(frozen=True)
@@ -70,9 +56,6 @@ class WireClass:
     state: str = "tuple"
     #: Registered with custom get_state/set_state/factory hooks.
     custom_state: bool = False
-    #: The setter tolerates shorter-than-full tuples (``*rest`` or
-    #: ``len(state)`` branching) — the widened-tail compatibility idiom.
-    optional_tail: bool = False
     fields: tuple[WireField, ...] = ()
 
     def to_dict(self) -> dict:
@@ -81,7 +64,6 @@ class WireClass:
             "module": self.module,
             "state": self.state,
             "custom_state": self.custom_state,
-            "optional_tail": self.optional_tail,
             "fields": [f.to_dict() for f in self.fields],
         }
 
@@ -92,7 +74,6 @@ class WireClass:
             module=str(raw.get("module", "")),
             state=str(raw.get("state", "tuple")),
             custom_state=bool(raw.get("custom_state", False)),
-            optional_tail=bool(raw.get("optional_tail", False)),
             fields=tuple(WireField.from_dict(f) for f in raw.get("fields", [])),
         )
 

@@ -90,7 +90,8 @@ class UpdateSubscriber(ConsistencyProtocol):
     # remote surface (called by the disseminator, one-way)
     # ------------------------------------------------------------------
     def apply_update(self, package: "ReplicaPackage") -> None:
-        integrate_package(self.site, package)
+        # The disseminator builds every update with exactly this mode.
+        integrate_package(self.site, package, Incremental(1))
         self.updates_received += 1
 
     # ------------------------------------------------------------------

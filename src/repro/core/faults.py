@@ -15,9 +15,9 @@ When an interface method is invoked on an unresolved proxy-out:
 The batched fast path (``mode.prefetch > 0``) keeps those semantics but
 re-schedules the transfers:
 
-* the demand travels with a widened scope (``mode.demand_scope()``) so
-  the provider returns the target plus up to ``prefetch`` read-ahead
-  objects of the incremental chunk in the same round trip;
+* the demand asks for a widened scope (``mode.demand_scope()``) so the
+  provider returns the target plus up to ``prefetch`` read-ahead objects
+  of the incremental chunk in the same round trip;
 * up to ``prefetch`` *sibling* faults — other pending proxy-outs that
   share a demander with the faulting proxy and live on the same provider
   site — piggyback their own ``demand`` calls on the round trip through
@@ -35,7 +35,7 @@ from repro.core import graphwalk
 from repro.core.interfaces import UNBOUNDED, ReplicationMode
 from repro.core.proxy_out import ProxyOutBase
 from repro.core.replication import integrate_package
-from repro.util.errors import DisconnectedError, ObjectFaultError
+from repro.util.errors import ObjectFaultError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import Site
@@ -110,23 +110,23 @@ def _demand(site: "Site", proxy: ProxyOutBase) -> object:
 
 def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
     mode = proxy._obi_mode
+    scope = mode.demand_scope()  # the mode itself unless prefetch widens it
     if not mode.prefetch:
-        # The paper's protocol, byte for byte: one demand, one package.
-        package = _invoke_demand(site, proxy, mode)
+        # The paper's protocol: one demand, one package.
+        package = _invoke_demand(site, proxy, scope)
         return _integrate_demand(site, proxy, package)
 
     siblings = _claim_siblings(site, proxy, limit=mode.prefetch)
     stats = site.fault_stats
     if not siblings:
-        # No piggyback candidates: still one round trip, but the provider
-        # widens the scope to mode.demand_scope() (see ProxyIn.demand).
-        package = _invoke_demand(site, proxy, mode)
+        # No piggyback candidates: still one round trip, for the widened scope.
+        package = _invoke_demand(site, proxy, scope)
         stats.add(demands_batched=1, prefetch_hits=_read_ahead_count(mode, package))
         return _integrate_demand(site, proxy, package)
 
-    calls = [(proxy._obi_provider, "demand", (mode,))]
+    calls = [(proxy._obi_provider, "demand", (scope,))]
     calls.extend(
-        (sibling._obi_provider, "demand", (sibling._obi_mode,))
+        (sibling._obi_provider, "demand", (sibling._obi_mode.demand_scope(),))
         for sibling, _handle in siblings
     )
     try:
@@ -149,17 +149,13 @@ def _demand_over_network(site: "Site", proxy: ProxyOutBase) -> object:
     return local
 
 
-def _invoke_demand(site: "Site", proxy: ProxyOutBase, mode: ReplicationMode) -> object:
-    try:
-        return site.endpoint.invoke(proxy._obi_provider, "demand", (mode,))
-    except DisconnectedError:
-        raise  # the mobility layer reacts to disconnections specifically
-    except ObjectFaultError:
-        raise
+def _invoke_demand(site: "Site", proxy: ProxyOutBase, scope: ReplicationMode) -> object:
+    return site.endpoint.invoke(proxy._obi_provider, "demand", (scope,))
 
 
 def _integrate_demand(site: "Site", proxy: ProxyOutBase, package: object) -> object:
-    local = integrate_package(site, package)
+    """Integrate a demanded package under the faulting proxy's own mode."""
+    local = integrate_package(site, package, proxy._obi_mode)
     if local is None:
         raise ObjectFaultError(
             f"demand for {proxy._obi_target_id!r} returned no replica"

@@ -61,12 +61,13 @@ class ReplicationMode:
         Read-ahead budget for the object-fault fast path.  ``0`` (the
         default) keeps the paper's one-round-trip-per-fault protocol.
         ``k > 0`` lets one fault fetch up to ``k`` objects of the
-        incremental chunk in a single round trip (the provider widens the
-        demand scope) and piggyback up to ``k`` sibling faults pending on
-        the same provider site onto that round trip.  Prefetch is purely a
-        transfer-scheduling knob: per-object-pair mode still gives every
-        prefetched member its own proxy-in, and clustered fetches never
-        widen (cluster membership is a semantic boundary).
+        incremental chunk in a single round trip (the consumer demands
+        :meth:`demand_scope`) and piggyback up to ``k`` sibling faults
+        pending on the same provider site onto that round trip.  Prefetch
+        is purely consumer-side transfer scheduling and never travels:
+        per-object-pair mode still gives every prefetched member its own
+        proxy-in, and clustered fetches never widen (cluster membership
+        is a semantic boundary).
     """
 
     chunk: int = 1
@@ -79,19 +80,16 @@ class ReplicationMode:
             raise ClusterError("mode bounds must be >= 0 (0 means unbounded)")
         if self.prefetch < 0:
             raise ClusterError("prefetch must be >= 0 (0 disables read-ahead)")
-        if self.chunk == UNBOUNDED and self.depth == UNBOUNDED and self.clustered:
-            # A whole-graph cluster is legal; nothing to check.
-            pass
 
     @property
     def unbounded(self) -> bool:
         return self.chunk == UNBOUNDED and self.depth == UNBOUNDED
 
     def demand_scope(self) -> "ReplicationMode":
-        """The traversal bound a *fault-time* demand should use.
+        """The traversal bound a *fault-time* demand asks for.
 
-        With prefetch set on a chunk-bounded per-object mode, the provider
-        walks ``max(chunk, prefetch)`` objects so one round trip carries
+        With prefetch set on a chunk-bounded per-object mode, the consumer
+        demands ``max(chunk, prefetch)`` objects so one round trip carries
         the faulting target plus its read-ahead frontier.  Explicit
         ``get``/``replicate`` calls, clustered fetches and unbounded or
         depth-only modes keep their exact scope.
@@ -143,21 +141,18 @@ def Cluster(size: int = UNBOUNDED, *, depth: int = UNBOUNDED) -> ReplicationMode
 
 
 def _mode_state(mode: object) -> object:
+    # ``prefetch`` is the consumer's own scheduling and stays local: a
+    # demand already carries the widened scope it asks for.
     assert isinstance(mode, ReplicationMode)
-    if mode.prefetch:
-        return (mode.chunk, mode.depth, mode.clustered, mode.prefetch)
-    # With prefetch unset the 3-tuple keeps frames byte-identical to the
-    # original wire format (and to peers that predate the knob, which
-    # unpack the extra into ``*rest`` and ignore it).
     return (mode.chunk, mode.depth, mode.clustered)
 
 
 def _mode_set_state(mode: object, state: object) -> None:
-    chunk, depth, clustered, *rest = state  # type: ignore[misc]
+    chunk, depth, clustered = state  # type: ignore[misc]
     object.__setattr__(mode, "chunk", chunk)
     object.__setattr__(mode, "depth", depth)
     object.__setattr__(mode, "clustered", clustered)
-    object.__setattr__(mode, "prefetch", rest[0] if rest else 0)
+    object.__setattr__(mode, "prefetch", 0)
 
 
 global_registry.register(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.interfaces import ReplicationMode
 from repro.rmi.refs import RemoteRef
 from repro.serial.registry import global_registry
 
@@ -44,12 +43,15 @@ class ObjectMeta:
 
 @dataclass(slots=True)
 class ReplicaPackage:
-    """The provider's answer to ``get(mode)``."""
+    """The provider's answer to ``get(mode)``.
+
+    It carries no mode: the consumer integrates it under the mode it
+    asked with.
+    """
 
     root_id: str = ""
     payload: bytes = b""
     meta: dict[str, ObjectMeta] = field(default_factory=dict)
-    mode: ReplicationMode = field(default_factory=ReplicationMode)
     #: How many proxy pairs the provider created while building this
     #: package (frontier pairs plus, in per-object mode, member pairs) —
     #: reported so benchmarks can assert the paper's pair-count claims.
@@ -139,44 +141,23 @@ class FeedSubscribeRequest:
 
 @dataclass(slots=True)
 class FeedSubscribeReply:
-    """The primary's answer to ``feed_subscribe``.
+    """The primary's answer to ``feed_subscribe``: the follower's join.
 
-    ``snapshot_needed=True`` means the journal no longer covers
-    ``last_serial`` (retention gap) and the follower must bootstrap from
-    ``feed_snapshot`` instead; ``frames`` then stays empty.  ``providers``
-    maps every mastered oid to the primary's proxy-in so write-through
-    targets are correct even when no catch-up frame mentions the object;
-    ``names`` maps name-server bindings to oids for promotion rebinding.
+    Every serial up to ``latest_serial`` is covered by ``frames``, so the
+    follower moves its cursor there once they are applied.  A catch-up
+    replays the journal tail past ``last_serial`` (one frame per object,
+    at its event's serial).  When the journal no longer covers
+    ``last_serial`` (a retention gap), ``frames`` is a snapshot instead:
+    every mastered object's state, each frame with serial ``0`` (it is
+    not a journal event), encoded after ``latest_serial`` was captured.
+    ``providers`` maps every mastered oid to the primary's proxy-in so
+    write-through targets are correct even when no frame mentions the
+    object; ``names`` maps name-server bindings to oids for promotion
+    rebinding.
     """
 
     epoch: int = 0
     latest_serial: int = 0
-    snapshot_needed: bool = False
-    frames: list[FeedFrame] = field(default_factory=list)
-    providers: dict[str, RemoteRef] = field(default_factory=dict)
-    names: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class FeedSnapshotRequest:
-    """Full-state bootstrap request (``site_id`` identifies the follower)."""
-
-    site_id: str = ""
-
-
-@dataclass(slots=True)
-class FeedSnapshotReply:
-    """Every mastered object's state as of journal ``serial``.
-
-    The serial is captured *before* the states are encoded, so a frame
-    may carry a newer version than the serial implies — followers apply
-    with a version-monotonic guard and then replay the feed tail from
-    ``serial``, which makes the bootstrap safe to run concurrently with
-    ongoing puts (no quiescing).
-    """
-
-    epoch: int = 0
-    serial: int = 0
     frames: list[FeedFrame] = field(default_factory=list)
     providers: dict[str, RemoteRef] = field(default_factory=dict)
     names: dict[str, str] = field(default_factory=dict)
@@ -209,8 +190,6 @@ for _pkg_cls, _wire_name in (
     (FeedAck, "feed.FeedAck"),
     (FeedSubscribeRequest, "feed.FeedSubscribeRequest"),
     (FeedSubscribeReply, "feed.FeedSubscribeReply"),
-    (FeedSnapshotRequest, "feed.FeedSnapshotRequest"),
-    (FeedSnapshotReply, "feed.FeedSnapshotReply"),
     (PromoteRequest, "feed.PromoteRequest"),
     (PromoteReply, "feed.PromoteReply"),
 ):

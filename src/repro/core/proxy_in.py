@@ -62,22 +62,10 @@ class ProxyIn:
     # ------------------------------------------------------------------
     # IDemandeeRemote
     # ------------------------------------------------------------------
-    def demand(self, mode: ReplicationMode | None = None) -> "ReplicaPackage":
-        """Resolve an object fault: hand out a package starting here.
-
-        Unlike ``get``, a demand honours the mode's ``prefetch`` knob:
-        the traversal widens to ``mode.demand_scope()`` so one fault
-        round trip carries the target plus its read-ahead frontier.  The
-        returned package is stamped with the *base* mode, so the
-        consumer's replica records and frontier proxies keep the
-        application's own granularity.
-        """
-        base = mode if mode is not None else Incremental(1)
-        scope = base.demand_scope()
-        package = self.get(scope)
-        if scope is not base:
-            package.mode = base
-        return package
+    #: Resolve an object fault: operationally the same as ``get``.  The
+    #: consumer sends the scope it wants (a prefetching fault asks for its
+    #: widened ``mode.demand_scope()``), so the provider widens nothing.
+    demand = get
 
     # ------------------------------------------------------------------
     # bookkeeping

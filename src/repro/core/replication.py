@@ -180,11 +180,7 @@ def _build_package(site: "Site", root: object, mode: ReplicationMode) -> Replica
     site.charge_pairs(pairs_created)
     site.charge_pair_batch(pairs_created)
     return ReplicaPackage(
-        root_id=root_id,
-        payload=payload,
-        meta=meta,
-        mode=mode,
-        pairs_created=pairs_created,
+        root_id=root_id, payload=payload, meta=meta, pairs_created=pairs_created
     )
 
 
@@ -220,11 +216,13 @@ class SiteUnswizzler:
         raise ReplicationError("site unswizzler cannot encode")
 
 
-def integrate_package(site: "Site", package: ReplicaPackage) -> object:
+def integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationMode) -> object:
     """Consumer-side materialization of a replica package.
 
-    Returns the canonical local object for the package root — a fresh
-    replica, or the pre-existing one updated in place.
+    ``mode`` is the mode the consumer asked with: new replica records and
+    frontier proxy-outs keep it.  Returns the canonical local object for
+    the package root — a fresh replica, or the pre-existing one updated
+    in place.
     """
     with site.tracer.span(
         "integrate",
@@ -232,14 +230,14 @@ def integrate_package(site: "Site", package: ReplicaPackage) -> object:
         objects=package.object_count,
         bytes=len(package.payload),
     ):
-        return _integrate_package(site, package)
+        return _integrate_package(site, package, mode)
 
 
-def _integrate_package(site: "Site", package: ReplicaPackage) -> object:
+def _integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationMode) -> object:
     site.charge_serialization(len(package.payload))
     site.charge_replicas(package.object_count)
 
-    decoder = Decoder(site.registry, SiteUnswizzler(site, package.mode), stats=site.serial_stats)
+    decoder = Decoder(site.registry, SiteUnswizzler(site, mode), stats=site.serial_stats)
     decoded_root = decoder.decode(package.payload)
 
     arrivals, frontier = _collect_arrivals(decoded_root, package)
@@ -269,7 +267,7 @@ def _integrate_package(site: "Site", package: ReplicaPackage) -> object:
 
     for oid, obj in canonical.items():
         if oid not in kept:
-            site.register_replica(obj, package.meta[oid], package.mode)
+            site.register_replica(obj, package.meta[oid], mode)
     # The paper's setDemander: every unresolved proxy-out learns which
     # objects hold it, so its fault can splice the replica into them.
     for oid, proxy in frontier:

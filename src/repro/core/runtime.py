@@ -100,7 +100,7 @@ class ReplicaRecord:
 
 @dataclass(slots=True)
 class _WriteBack:
-    """One replica on its way through :meth:`Site.put_back_many`."""
+    """One replica on its way back to its master (a put's entry)."""
 
     oid: str
     replica: object
@@ -221,12 +221,9 @@ class Site:
         )
         with self.tracer.span("replicate", name=label) as span:
             ref = self._resolve_target(target)
-            package = self.endpoint.invoke(
-                ref,
-                "get",
-                (mode if mode is not None else Incremental(1),),
-            )
-            replica = integrate_package(self, package)
+            mode = mode if mode is not None else Incremental(1)
+            package = self.endpoint.invoke(ref, "get", (mode,))
+            replica = integrate_package(self, package, mode)
             span.set(provider=ref.site_id, objects=package.object_count)
         self.events.publish("replica_registered", site=self, root=replica, package=package)
         return replica
@@ -308,33 +305,31 @@ class Site:
         """Push a whole cluster's state through its root's provider."""
         info = self._replica_record(root)
         members = cluster_ops.cluster_members(self, root)
+        items = [
+            _WriteBack(obi_id_of(m), m, self.replica_info(obi_id_of(m))) for m in members
+        ]
         with self.tracer.span(
             "put_back_cluster", name=obi_id_of(root), members=len(members)
         ):
             package = build_put(self, members, info.provider.site_id)
-            versions = self.endpoint.invoke(info.provider, "put", (package,))
-            self._apply_versions(versions)
-            self.sync_stats.add(puts_full=1)
-            return versions
-
-    def _apply_versions(self, versions: dict[str, int]) -> None:
-        """Commit master-acknowledged versions onto the replica records."""
-        with self._lock:
-            for oid, version in versions.items():
-                record = self._replicas.get(oid)
-                if record is not None:
-                    record.version = version
+            acked = self.endpoint.invoke(info.provider, "put", (package,))
+        versions: dict[str, int] = {}
+        _commit_versions(acked, items, versions)
+        self.sync_stats.add(puts_full=1)
+        return versions
 
     def refresh(self, replica: object) -> object:
         """Re-fetch a replica's state from its master, updating in place
-        (local changes are overwritten)."""
+        (local changes are overwritten).
+
+        Fetches the replica alone, but integrates under the record's own
+        mode, so a proxy-out the new state introduces keeps it.
+        """
         cluster_ops.check_individually_updatable(self, replica)
         info = self._replica_record(replica)
         with self.tracer.span("refresh", name=obi_id_of(replica)):
-            package = self.endpoint.invoke(
-                info.provider, "get", (Incremental(1),)
-            )
-            refreshed = integrate_package(self, package)
+            package = self.endpoint.invoke(info.provider, "get", (Incremental(1),))
+            refreshed = integrate_package(self, package, info.mode)
             self.sync_stats.add(refreshes_full=1)
         self.events.publish("replica_refreshed", site=self, replica=refreshed)
         return refreshed
@@ -348,10 +343,9 @@ class Site:
         """
         info = self._replica_record(root)
         with self.tracer.span("refresh_cluster", name=obi_id_of(root)):
-            package = self.endpoint.invoke(
-                info.provider, "get", (info.mode,)
-            )
-            refreshed = integrate_package(self, package)
+            package = self.endpoint.invoke(info.provider, "get", (info.mode,))
+            refreshed = integrate_package(self, package, info.mode)
+            self.sync_stats.add(refreshes_full=1)
         self.events.publish("replica_refreshed", site=self, replica=refreshed)
         return refreshed
 

@@ -8,7 +8,7 @@ journaled with a dense serial number and pushed to subscribed followers
 as a :class:`~repro.core.packages.FeedFrame`.  A
 :class:`~repro.feed.follower.FeedFollower` registers over RMI, tails the
 feed continuously, catches up from its last applied serial after a
-disconnection (bootstrapping from a full snapshot when the journal's
+disconnection (answered with a full snapshot when the journal's
 retention window has gapped), proxies writes through to the primary, and
 can be promoted to primary when the primary dies — the group re-points
 via an epoch number stamped on every frame so a deposed primary's
@@ -17,9 +17,10 @@ frames are recognizably stale.
 Modelled on the devpi-server replication protocol (event serials,
 primary-URL followers, write-through, failover) and Oracle's
 add-a-site-without-quiescing multimaster scheme: a new follower joins a
-live group by subscribing first, snapshotting at a captured serial
-concurrently with ongoing puts, then letting the feed tail replay over
-the snapshot under a version-monotonic apply guard.
+live group in one subscribe reply — it is registered first, the snapshot
+serial is captured before encoding, concurrently with ongoing puts, and
+the feed tail replays over the snapshot under a version-monotonic apply
+guard.
 
 See ``docs/HA.md`` for the role model and the failover runbook.
 """

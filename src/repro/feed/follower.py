@@ -5,12 +5,13 @@ mirrors every change into its own tables — as proxy-in-less master
 records, so on promotion the mirrors *are* the new masters.  The
 follower's cursor is its last applied journal serial:
 
-* **Reconnect** re-subscribes from the cursor; the primary replays the
-  journal tail (one frame per object, collapsed), or answers
-  ``snapshot_needed`` when its retention window has gapped.
-* **Bootstrap** asks for a snapshot-at-serial and applies it under the
-  same version-monotonic guard live pushes use, so a brand-new follower
-  joins a group under write load without anyone quiescing.
+* **Join and reconnect** are one ``feed_subscribe`` round trip from the
+  cursor: the primary replays the journal tail (one frame per object,
+  collapsed) or, when its retention window has gapped, snapshots every
+  master at a serial captured before encoding.  Either reply is applied
+  under the same epoch check and version-monotonic guard live pushes
+  use, so a brand-new follower joins a group under write load without
+  anyone quiescing.
 * **Write-through**: applications write at the follower by proxying the
   put to the primary's per-object proxy-in, then waiting until the
   write's own feed echo lands locally — a confirmed ``put_through`` is
@@ -34,8 +35,6 @@ from repro.core.meta import obi_id_of
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
-    FeedSnapshotReply,
-    FeedSnapshotRequest,
     FeedSubscribeRequest,
     PromoteReply,
     PromoteRequest,
@@ -79,81 +78,46 @@ class FeedFollower:
     def start(self, primary_site_id: str) -> None:
         """Subscribe (or re-subscribe) to ``primary_site_id``'s feed.
 
-        Catch-up frames replay incrementally from our cursor; a journal
-        retention gap downgrades to the full-snapshot bootstrap.  Safe to
-        call again after a partition heals — that *is* the reconnect
-        path.
+        One round trip: the reply replays the journal tail past our
+        cursor or, after a retention gap, snapshots every master.  Either
+        way it is applied through :meth:`handle_events`, epoch guard
+        first, and the cursor then moves to the reply's serial.  Safe to
+        call again after a partition heals — that *is* the reconnect path.
         """
         site = self.site
         self._primary_id = primary_site_id
-        primary = feed_ref(primary_site_id)
         request = FeedSubscribeRequest(site_id=site.name, last_serial=self.last_applied_serial)
         with site.tracer.span(
             "feed.subscribe", primary=primary_site_id, since=request.last_serial
         ):
-            reply = site.endpoint.invoke(primary, "feed_subscribe", (request,))
-        self._adopt_maps(reply)
-        if reply.snapshot_needed:
-            self._bootstrap(primary)
-        elif reply.frames:
-            batch = FeedBatch(
-                epoch=reply.epoch,
-                primary_id=primary_site_id,
-                latest_serial=reply.latest_serial,
-                frames=reply.frames,
+            reply = site.endpoint.invoke(
+                feed_ref(primary_site_id), "feed_subscribe", (request,)
             )
-            ack = self.handle_events(batch)
-            if not ack.accepted:
-                raise StaleEpochError(
-                    f"catch-up from {primary_site_id!r} carried epoch "
-                    f"{reply.epoch}, behind local epoch {ack.epoch}",
-                    frame_epoch=reply.epoch,
-                    current_epoch=ack.epoch,
-                )
-            self.site.feed_stats.add(catch_up_events=len(reply.frames))
-        else:
-            self._adopt_epoch(reply.epoch)
-        lag = max(0, reply.latest_serial - self.last_applied_serial)
-        site.feed_stats.set_gauges(role="follower", lag_serials=lag)
-
-    def _bootstrap(self, primary: "RemoteRef") -> None:
-        site = self.site
-        request = FeedSnapshotRequest(site_id=site.name)
-        with site.tracer.span("feed.bootstrap", primary=primary.site_id):
-            snapshot = site.endpoint.invoke(primary, "feed_snapshot", (request,))
-            self._apply_snapshot(snapshot)
-        site.feed_stats.add(snapshot_bootstraps=1)
-
-    def _apply_snapshot(self, snapshot: FeedSnapshotReply) -> None:
-        # The epoch guard (OBI210): a snapshot from a deposed primary
-        # must not overwrite state the new epoch already rewrote.
-        with self._applied:
-            current_epoch = self._epoch
-        if snapshot.epoch < current_epoch:
-            self.site.feed_stats.add(stale_epoch_rejects=len(snapshot.frames))
+        batch = FeedBatch(
+            epoch=reply.epoch,
+            primary_id=primary_site_id,
+            latest_serial=reply.latest_serial,
+            frames=reply.frames,
+        )
+        ack = self.handle_events(batch)
+        if not ack.accepted:
             raise StaleEpochError(
-                f"snapshot carries epoch {snapshot.epoch}, behind local "
-                f"epoch {current_epoch}",
-                frame_epoch=snapshot.epoch,
-                current_epoch=current_epoch,
+                f"subscribe reply from {primary_site_id!r} carried epoch "
+                f"{reply.epoch}, behind local epoch {ack.epoch}",
+                frame_epoch=reply.epoch,
+                current_epoch=ack.epoch,
             )
-        self._adopt_epoch(snapshot.epoch)
-        applied = 0
-        for frame in snapshot.frames:
-            if apply_feed_frame(self.site, frame):
-                applied += 1
-            self._note_applied(frame, serial=snapshot.serial)
-        with self._applied:
-            if snapshot.serial > self._last_applied:
-                self._last_applied = snapshot.serial
-            self._applied.notify_all()
-        self.site.feed_stats.add(frames_applied=applied)
-        self._adopt_maps(snapshot)
-
-    def _adopt_maps(self, reply: "FeedSubscribeReply | FeedSnapshotReply") -> None:
         with self._applied:
             self._providers.update(reply.providers)
             self._names.update(reply.names)
+            if reply.latest_serial > self._last_applied:
+                self._last_applied = reply.latest_serial
+            self._applied.notify_all()
+        if any(frame.serial == 0 for frame in reply.frames):
+            site.feed_stats.add(snapshot_bootstraps=1)
+        elif reply.frames:
+            site.feed_stats.add(catch_up_events=len(reply.frames))
+        site.feed_stats.set_gauges(role="follower", lag_serials=0)
 
     def _adopt_epoch(self, epoch: int) -> None:
         with self._applied:
@@ -184,7 +148,8 @@ class FeedFollower:
             for frame in batch.frames:
                 if apply_feed_frame(site, frame):
                     applied += 1
-                self._note_applied(frame, serial=frame.serial)
+                # A snapshot frame (serial 0) stands at the batch's serial.
+                self._note_applied(frame, serial=frame.serial or batch.latest_serial)
         site.feed_stats.add(frames_applied=applied)
         with self._applied:
             applied_serial = self._last_applied
@@ -210,12 +175,6 @@ class FeedFollower:
         raise FeedError(
             f"site {self.site.name!r} is a follower of {self._primary_id!r}; "
             "subscribe to the primary"
-        )
-
-    def handle_snapshot(self, request: FeedSnapshotRequest) -> FeedSnapshotReply:
-        raise FeedError(
-            f"site {self.site.name!r} is a follower of {self._primary_id!r}; "
-            "snapshots come from the primary"
         )
 
     def handle_promote(self, request: PromoteRequest) -> PromoteReply:

@@ -35,8 +35,6 @@ from repro.core.packages import (
     FeedAck,
     FeedBatch,
     FeedFrame,
-    FeedSnapshotReply,
-    FeedSnapshotRequest,
     FeedSubscribeReply,
     FeedSubscribeRequest,
     PromoteReply,
@@ -247,29 +245,27 @@ class FeedPrimary:
             "feed.subscribe", follower=request.site_id, since=request.last_serial
         ):
             # Register before reading the journal: an event recorded
-            # while we build the catch-up is pushed AND replayed, and the
+            # while we build the reply is pushed AND replayed, and the
             # follower's version-monotonic apply dedups the overlap.
             sub = _Subscriber(request.site_id, feed_ref(request.site_id))
             with self._lock:
                 self._subscribers[request.site_id] = sub
             self._seed_journal()
             log = site.change_log
+            # Captured before any frame is read or encoded: the reply
+            # covers every serial up to it, and the feed brings the rest.
+            latest = log.latest_serial
             try:
                 events = log.events_since(request.last_serial)
             except RetentionGapError:
-                return FeedSubscribeReply(
-                    epoch=self.epoch,
-                    latest_serial=log.latest_serial,
-                    snapshot_needed=True,
-                    providers=self._provider_map(),
-                    names=self._name_map(),
-                )
-            frames = self._catch_up_frames(events)
-            site.feed_stats.add(catch_up_events=len(events))
+                frames = self._snapshot_frames()
+                site.feed_stats.add(snapshots_served=1)
+            else:
+                frames = self._catch_up_frames(events)
+                site.feed_stats.add(catch_up_events=len(events))
             return FeedSubscribeReply(
                 epoch=self.epoch,
-                latest_serial=log.latest_serial,
-                snapshot_needed=False,
+                latest_serial=latest,
                 frames=frames,
                 providers=self._provider_map(),
                 names=self._name_map(),
@@ -295,6 +291,18 @@ class FeedPrimary:
             frames.append(self._frame_for(master, serial=serial, encoder=encoder))
         return frames
 
+    def _snapshot_frames(self) -> list[FeedFrame]:
+        """Every master's current state, for a follower the journal no
+        longer covers.  Nothing pauses the write path: a newer state than
+        the reply's serial is deduped by the follower's version-monotonic
+        apply.  A snapshot frame is not a journal event, so its serial is
+        ``0``."""
+        encoder = self._frame_encoder()
+        return [
+            self._frame_for(record.obj, serial=0, encoder=encoder)
+            for _oid, record in self.site.iter_masters()
+        ]
+
     def handle_events(self, batch: FeedBatch) -> FeedAck:
         site = self.site
         log = site.change_log
@@ -311,37 +319,6 @@ class FeedPrimary:
             f"it cannot apply feed events from {batch.primary_id!r} "
             f"at epoch {batch.epoch} (split-brain configuration?)"
         )
-
-    def handle_snapshot(self, request: FeedSnapshotRequest) -> FeedSnapshotReply:
-        """Full-state bootstrap, concurrent with ongoing puts.
-
-        The serial is captured **first**: every event recorded after it
-        reaches the follower through the feed (it subscribed before
-        asking for the snapshot), and any newer state encoded below is
-        deduped by the follower's version-monotonic apply.  Nothing
-        pauses the write path.
-        """
-        site = self.site
-        if not self._active:
-            raise StaleEpochError(
-                f"site {site.name!r} was deposed as primary",
-                current_epoch=site.change_log.epoch,
-            )
-        with site.tracer.span("feed.snapshot", follower=request.site_id):
-            serial = site.change_log.latest_serial
-            encoder = self._frame_encoder()
-            frames = [
-                self._frame_for(record.obj, serial=serial, encoder=encoder)
-                for _oid, record in site.iter_masters()
-            ]
-            site.feed_stats.add(snapshots_served=1)
-            return FeedSnapshotReply(
-                epoch=self.epoch,
-                serial=serial,
-                frames=frames,
-                providers=self._provider_map(),
-                names=self._name_map(),
-            )
 
     def handle_promote(self, request: PromoteRequest) -> PromoteReply:
         raise FeedError(

@@ -26,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packages import (
         FeedAck,
         FeedBatch,
-        FeedSnapshotReply,
-        FeedSnapshotRequest,
         FeedSubscribeReply,
         FeedSubscribeRequest,
         PromoteReply,
@@ -42,7 +40,7 @@ FEED_OBJECT_ID = "obj:feed"
 FEED_INTERFACE = "IFeed"
 
 #: The feed control surface, for stub construction.
-FEED_METHODS = ("feed_subscribe", "feed_events", "feed_snapshot", "promote")
+FEED_METHODS = ("feed_subscribe", "feed_events", "promote")
 
 
 def feed_ref(site_id: str) -> RemoteRef:
@@ -65,15 +63,12 @@ class FeedService:
             )
         return role
 
-    # The four wire verbs ------------------------------------------------
+    # The three wire verbs -----------------------------------------------
     def feed_subscribe(self, request: "FeedSubscribeRequest") -> "FeedSubscribeReply":
         return self._role().handle_subscribe(request)
 
     def feed_events(self, batch: "FeedBatch") -> "FeedAck":
         return self._role().handle_events(batch)
-
-    def feed_snapshot(self, request: "FeedSnapshotRequest") -> "FeedSnapshotReply":
-        return self._role().handle_snapshot(request)
 
     def promote(self, request: "PromoteRequest") -> "PromoteReply":
         return self._role().handle_promote(request)

@@ -1,28 +1,24 @@
-"""Seeded defect: a committed state tuple was reordered (OBI302).
+"""Seeded defect: a committed wire shape was reordered (OBI302).
 
 This module re-registers the ``core.ObjectMeta`` wire name with
 ``version`` and ``interface`` swapped relative to the committed
 ``.github/wire-baseline.json`` — a refactor that "tidied" the field
-order.  State tuples are positional: every deployed peer now decodes a
+order.  Frames are positional: every deployed peer now decodes a
 version where it expects an interface name.
 """
+
+from dataclasses import dataclass
 
 from repro.serial.registry import global_registry
 
 
+@dataclass(slots=True)
 class ObjectMeta:
-    def __init__(self, obi_id="", interface="", version=1, provider=None, cluster_root=None):
-        self.obi_id = obi_id
-        self.interface = interface
-        self.version = version
-        self.provider = provider
-        self.cluster_root = cluster_root
-
-    def __getstate__(self):
-        return (self.obi_id, self.version, self.interface, self.provider, self.cluster_root)
-
-    def __setstate__(self, state):
-        (self.obi_id, self.version, self.interface, self.provider, self.cluster_root) = state
+    obi_id: str = ""
+    version: int = 1
+    interface: str = ""
+    provider: object = None
+    cluster_root: str | None = None
 
 
 global_registry.register(ObjectMeta, name="core.ObjectMeta")

@@ -149,9 +149,9 @@ class TestEngine:
 
 
 class TestCatalog:
-    def test_twenty_one_rules_shipped(self):
-        assert len(ALL_RULES) == 21
-        assert len({rule.id for rule in ALL_RULES}) == 21
+    def test_twenty_rules_shipped(self):
+        assert len(ALL_RULES) == 20
+        assert len({rule.id for rule in ALL_RULES}) == 20
 
     def test_ids_and_names_stable(self):
         catalog = {rule.id: rule.name for rule in ALL_RULES}
@@ -175,7 +175,6 @@ class TestCatalog:
             "OBI301": "tag-collision",
             "OBI302": "wire-baseline-drift",
             "OBI303": "unencodable-wire-field",
-            "OBI305": "unguarded-widened-tuple",
             "OBI306": "schema-input-drift",
         }
 

@@ -21,7 +21,6 @@ CASES = [
     ("obi301_tag_collision.py", "OBI301"),
     ("obi302_field_reorder.py", "OBI302"),
     ("obi303_unencodable_field.py", "OBI303"),
-    ("obi305_unguarded_widened_tuple.py", "OBI305"),
     ("obi306_schema_input_drift.py", "OBI306"),
 ]
 
@@ -66,7 +65,7 @@ def test_self_host_is_clean_under_strict():
 
 def test_missing_baseline_silences_obi302_only(monkeypatch, tmp_path):
     """Without a committed baseline OBI302 has nothing to enforce — the
-    other four rules keep working."""
+    other three rules keep working."""
     monkeypatch.setenv(BASELINE_ENV, str(tmp_path / "nowhere.json"))
     report = analyze_paths([FIXTURES / "obi302_field_reorder.py"], select=ALL_WIRE)
     assert not report.all_findings()

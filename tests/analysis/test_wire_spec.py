@@ -1,8 +1,8 @@
 """obiwire: extraction, spec canonicalization, diff, and CLI (PR 8).
 
 The extraction tests run against the real tree, so they double as the
-contract's regression net: if a refactor moves a registration or breaks
-the widened-tuple discipline, the extracted spec changes here first.
+contract's regression net: if a refactor moves a registration or changes
+a class's one wire shape, the extracted spec changes here first.
 """
 
 from __future__ import annotations
@@ -71,26 +71,25 @@ class TestExtraction:
             "obi_id", "interface", "version", "provider", "cluster_root",
         ]
         assert meta.state == "struct"  # the declared fields are the frame
-        assert not meta.optional_tail
-        assert all(not f.optional for f in meta.fields)
 
-    def test_replication_mode_widened_tail_with_guards(self, tree_spec):
+    def test_replication_mode_is_a_fixed_three_tuple(self, tree_spec):
+        # prefetch is consumer-local: the mode travels as one fixed shape.
         mode = tree_spec.classes["core.ReplicationMode"]
-        assert mode.custom_state and mode.optional_tail
-        by_name = {f.name: f for f in mode.fields}
-        assert [f.name for f in mode.fields] == [
-            "chunk", "depth", "clustered", "prefetch",
+        assert mode.custom_state and mode.state == "tuple"
+        assert [f.name for f in mode.fields] == ["chunk", "depth", "clustered"]
+
+    def test_replica_package_carries_no_mode(self, tree_spec):
+        package = tree_spec.classes["core.ReplicaPackage"]
+        assert [f.name for f in package.fields] == [
+            "root_id", "payload", "meta", "pairs_created",
         ]
-        assert not by_name["chunk"].optional
-        assert by_name["prefetch"].optional and by_name["prefetch"].guard == "prefetch"
 
     def test_invoke_request_is_a_declared_struct(self, tree_spec):
         request = tree_spec.classes["rmi.InvokeRequest"]
-        assert request.state == "struct" and not request.optional_tail
+        assert request.state == "struct"
         assert [f.name for f in request.fields] == [
             "object_id", "method", "args", "kwargs", "trace",
         ]
-        assert not any(f.optional for f in request.fields)
 
     def test_every_protocol_frame_is_a_struct(self, tree_spec):
         for name, cls in tree_spec.classes.items():
@@ -106,10 +105,11 @@ class TestExtraction:
         assert {"get", "put", "demand", "get_version"} <= tree_spec.verbs
 
     def test_feed_verbs_extracted_flat(self, tree_spec):
-        # Feed verbs sit in the same flat set as the core ones: no fallback edges.
-        assert {
-            "feed_subscribe", "feed_events", "feed_snapshot", "promote",
-        } <= tree_spec.verbs
+        # Feed verbs sit in the same flat set as the core ones: no fallback
+        # edges, and a join is one feed_subscribe (no second verb).
+        assert {"feed_subscribe", "feed_events", "promote"} <= tree_spec.verbs
+        assert "feed_snapshot" not in tree_spec.verbs
+        assert not any(name.startswith("feed.FeedSnapshot") for name in tree_spec.classes)
         assert json.loads(tree_spec.to_json())["verbs"] == sorted(tree_spec.verbs)
 
     def test_extraction_is_deterministic(self, tree_spec):
@@ -183,28 +183,22 @@ class TestDiff:
         assert has_breaking(changes)
         assert any(c.category == "field-reordered" for c in changes)
 
-    def test_required_append_breaking_optional_append_compatible(self):
-        def with_tail(optional):
-            return _spec(
-                classes={
-                    "core.Thing": WireClass(
-                        cls="Thing",
-                        module="core/thing.py",
-                        state="tuple",
-                        optional_tail=optional,
-                        fields=(
-                            WireField("a"),
-                            WireField("b"),
-                            WireField("c", optional=optional, guard="c" if optional else None),
-                        ),
-                    )
-                }
-            )
-
-        assert has_breaking(diff_specs(_spec(), with_tail(False)))
-        changes = diff_specs(_spec(), with_tail(True))
-        assert not has_breaking(changes)
-        assert any(c.category == "optional-field-added" for c in changes)
+    def test_any_appended_field_is_breaking(self):
+        # One shape per class: there is no optional tail to append to.
+        appended = _spec(
+            classes={
+                "core.Thing": WireClass(
+                    cls="Thing",
+                    module="core/thing.py",
+                    state="tuple",
+                    fields=(WireField("a"), WireField("b"), WireField("c")),
+                )
+            }
+        )
+        changes = diff_specs(_spec(), appended)
+        assert [(c.kind, c.category, c.entity) for c in changes] == [
+            ("breaking", "field-added", "core.Thing.c")
+        ]
 
     def test_verb_removal_breaking_addition_compatible(self):
         gone = _spec(verbs=frozenset())

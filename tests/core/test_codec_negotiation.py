@@ -52,8 +52,8 @@ class TestModeWire:
     def test_default_mode_stays_a_3_tuple(self):
         assert _mode_state(Incremental(1)) == (1, 0, False)
 
-    def test_widest_mode_is_the_prefetch_4_tuple(self):
-        assert _mode_state(ReplicationMode(chunk=2, prefetch=8)) == (2, 0, False, 8)
+    def test_prefetch_mode_is_the_same_3_tuple(self):
+        assert _mode_state(ReplicationMode(chunk=2, prefetch=8)) == (2, 0, False)
         assert not hasattr(ReplicationMode(), "codec")
 
 

@@ -188,16 +188,19 @@ class TestCoalescing:
 
 
 class TestModeWireFormat:
+    """The mode is always the 3-tuple: ``prefetch`` is the consumer's own
+    scheduling and never travels (the demand carries the widened scope)."""
+
     def test_prefetch_zero_keeps_legacy_three_tuple(self):
         entry = global_registry.lookup_class(ReplicationMode)
         assert entry.get_state(Incremental(5)) == (5, 0, False)
 
-    def test_prefetch_travels_as_fourth_field(self):
+    def test_prefetch_never_travels(self):
         entry = global_registry.lookup_class(ReplicationMode)
-        assert entry.get_state(Incremental(5, prefetch=16)) == (5, 0, False, 16)
+        assert entry.get_state(Incremental(5, prefetch=16)) == (5, 0, False)
 
     def test_legacy_three_tuple_decodes(self):
-        """Frames from a peer that predates the knob still decode."""
+        """The one wire shape decodes to a mode with no read-ahead."""
         entry = global_registry.lookup_class(ReplicationMode)
         mode = entry.factory()
         entry.set_state(mode, (3, 2, False))
@@ -208,9 +211,35 @@ class TestModeWireFormat:
         encoder = Encoder()
         legacy_like = encoder.encode(ReplicationMode(chunk=7, depth=1))
         assert encoder.encode(Incremental(7, depth=1)) == legacy_like
+        assert encoder.encode(Incremental(7, depth=1, prefetch=9)) == legacy_like
         roundtrip = Decoder().decode(encoder.encode(Incremental(7, prefetch=9)))
-        assert roundtrip == Incremental(7, prefetch=9)
-        assert roundtrip.prefetch == 9
+        assert roundtrip == Incremental(7)
+        assert roundtrip.prefetch == 0
+
+    def test_demand_mode_is_37_bytes_and_the_package_carries_none(self, zsites):
+        """A demand request's mode costs the same whatever its prefetch,
+        and the package answering it echoes no mode back."""
+        provider, consumer = zsites
+        sent, packages = [], []
+        real = faults._invoke_demand
+
+        def recording(site, proxy, scope):
+            sent.append(scope)
+            packages.append(real(site, proxy, scope))
+            return packages[-1]
+
+        for prefetch in (0, 4, 64):
+            ref = provider.export(make_chain(12), name=f"chain{prefetch}")
+            head = consumer.replicate(ref, mode=Incremental(1, prefetch=prefetch))
+            faults._invoke_demand = recording
+            try:
+                head.get_next().get_index()
+            finally:
+                faults._invoke_demand = real
+        assert [len(Encoder().encode(scope)) for scope in sent] == [37, 37, 37]
+        assert not any(hasattr(package, "mode") for package in packages)
+        # The widened scope alone tells the provider how far to walk.
+        assert provider.endpoint.objects.get(ref.object_id).demand(sent[-1]).object_count == 12
 
     def test_demand_scope_widens_only_when_useful(self):
         assert Incremental(1, prefetch=8).demand_scope().chunk == 8

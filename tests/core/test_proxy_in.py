@@ -6,7 +6,7 @@ from repro.core.interfaces import Cluster, Incremental
 from repro.core.meta import obi_id_of
 from repro.core.packages import ReplicaPackage
 from repro.core.proxy_in import PROXY_IN_CONTROL_METHODS, ProxyIn
-from tests.models import Counter
+from tests.models import Counter, make_chain
 
 
 @pytest.fixture
@@ -31,18 +31,23 @@ class TestControlInterface:
         assert package.root_id == obi_id_of(master)
         assert package.object_count == 1
 
-    def test_get_default_mode_is_incremental_one(self, exported):
-        _p, _c, _m, _ref, proxy_in = exported
-        package = proxy_in.get()
-        assert package.mode.chunk == 1
-        assert not package.mode.clustered
+    def test_get_default_mode_is_incremental_one(self, zsites):
+        provider, _consumer = zsites
+        ref = provider.export(make_chain(3), name="chain")
+        package = provider.endpoint.objects.get(ref.object_id).get()
+        assert package.object_count == 1
+        assert next(iter(package.meta.values())).provider is not None  # not clustered
+        assert not hasattr(package, "mode")  # the consumer knows its own mode
 
-    def test_demand_equals_get(self, exported):
-        _p, _c, _m, _ref, proxy_in = exported
+    def test_demand_equals_get(self, zsites):
+        provider, _consumer = zsites
+        ref = provider.export(make_chain(3), name="chain")
+        proxy_in = provider.endpoint.objects.get(ref.object_id)
         a = proxy_in.get(Cluster(size=2))
         b = proxy_in.demand(Cluster(size=2))
         assert a.root_id == b.root_id
-        assert a.mode == b.mode
+        assert a.meta == b.meta
+        assert a.payload == b.payload
 
     def test_get_version_tracks_master(self, exported):
         provider, _c, master, _ref, proxy_in = exported

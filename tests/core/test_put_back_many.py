@@ -116,6 +116,24 @@ class TestPutBackMany:
             consumer.put_back_many([counter, root.get_next()])
         assert zero_world.network.stats.total_messages == before
 
+    def test_cluster_put_ack_missing_a_member_is_an_error(self, zsites, monkeypatch):
+        provider, consumer = zsites
+        masters = make_chain(4)
+        ref = provider.export(masters, name="list")
+        root = consumer.replicate("list", mode=Cluster(size=4))
+        proxy_in = provider.endpoint.objects.get(ref.object_id)
+        real_put = proxy_in.put
+        omitted = obi_id_of(masters.next.next)
+
+        def forgetful_put(package):
+            acked = real_put(package)
+            del acked[omitted]
+            return acked
+
+        monkeypatch.setattr(proxy_in, "put", forgetful_put)
+        with pytest.raises(UnknownReplicaError, match=omitted):
+            consumer.put_back_cluster(root)
+
     def test_cluster_put_ships_every_member(self, zsites):
         provider, consumer = zsites
         masters = make_chain(4)
@@ -140,6 +158,13 @@ class TestSyncCounters:
         assert consumer.sync_stats.snapshot() == {"puts_full": 2, "refreshes_full": 1}
         assert consumer.sync_stats.reset() == {"puts_full": 2, "refreshes_full": 1}
         assert consumer.sync_stats.snapshot() == {"puts_full": 0, "refreshes_full": 0}
+
+    def test_refresh_cluster_counts_a_full_refresh(self, zsites):
+        provider, consumer = zsites
+        provider.export(make_chain(4), name="list")
+        root = consumer.replicate("list", mode=Cluster(size=4))
+        consumer.refresh_cluster(root)
+        assert consumer.sync_stats.snapshot() == {"puts_full": 0, "refreshes_full": 1}
 
 
 class TestUnknownReplica:

@@ -6,11 +6,13 @@ import weakref
 import pytest
 
 from repro.core.costs import CostModel
+from repro.core.interfaces import Incremental
 from repro.core.meta import obi_id_of
+from repro.core.proxy_out import ProxyOutBase
 from repro.core.runtime import World
 from repro.rmi.refs import RemoteRef
 from repro.util.errors import NameNotFoundError, ReplicationError
-from tests.models import Box, Counter
+from tests.models import Box, Chain, Counter
 
 
 class TestWorld:
@@ -145,6 +147,23 @@ class TestVersionsAndTouch:
         replica = consumer.replicate("box")
         info = consumer.replica_info(obi_id_of(replica))
         assert info.version == 2
+
+
+class TestRefresh:
+    def test_refresh_keeps_the_replica_mode_on_new_frontier_proxies(self, zsites):
+        provider, consumer = zsites
+        head = Chain(0, Chain(1))
+        provider.export(head, name="a")
+        mode = Incremental(1, prefetch=4)
+        replica = consumer.replicate("a", mode=mode)
+        head.set_next(Chain(2))  # re-point a.next on the master
+        provider.touch(head)
+        consumer.refresh(replica)
+        fresh = vars(replica)["next"]
+        assert isinstance(fresh, ProxyOutBase)
+        assert fresh._obi_mode == mode
+        assert consumer.replica_info(obi_id_of(replica)).mode == mode
+        assert fresh.get_index() == 2
 
 
 class TestCostCharging:

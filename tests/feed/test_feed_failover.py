@@ -10,8 +10,7 @@ no split-brain write is applied.
 import pytest
 
 from repro.core.meta import obi_id_of
-from repro.core.packages import FeedSnapshotRequest
-from repro.util.errors import FeedError, ProtocolError, StaleEpochError
+from repro.util.errors import FeedError, ProtocolError, RetentionGapError, StaleEpochError
 from repro.feed import elect_new_primary, fail_over, request_promotion
 from tests.feed.conftest import mirror_of
 from tests.models import Box
@@ -130,14 +129,26 @@ class TestEpochFencing:
         assert not primary.active
         assert primary.site.feed_stats.snapshot()["role"] == "demoted"
 
-    def test_stale_snapshot_is_rejected_before_any_apply(self, group):
-        _world, primary, f1, _f2, box = group
-        snapshot = primary.handle_snapshot(FeedSnapshotRequest(site_id="F1"))
-        f1._adopt_epoch(snapshot.epoch + 1)  # the group moved on
-        before = mirror_of(f1, box).get()
+    def test_stale_snapshot_is_rejected_before_any_apply(self, group, monkeypatch):
+        world, primary, f1, _f2, box = group
+        world.network.partition({"P"}, {"F1"})
+        box.set(2)
+        primary.site.touch(box)  # F1 is stalled behind the partition
+        world.network.connectivity.heal()
+
+        def gapped(serial):
+            raise RetentionGapError("journal rolled over", requested=serial)
+
+        # F1's cursor fell out of retention, so its subscribe reply is a
+        # snapshot — from an epoch the group has since left behind.
+        monkeypatch.setattr(primary.site.change_log, "events_since", gapped)
+        f1._adopt_epoch(primary.epoch + 1)
+        cursor = f1.last_applied_serial
         with pytest.raises(StaleEpochError):
-            f1._apply_snapshot(snapshot)
-        assert mirror_of(f1, box).get() == before
+            f1.start("P")
+        assert mirror_of(f1, box).get() == 1
+        assert f1.last_applied_serial == cursor
+        assert f1.site.feed_stats.snapshot()["snapshot_bootstraps"] == 0
 
 
 class TestPartitionConvergence:

@@ -195,6 +195,38 @@ class TestCatchUpAndBootstrap:
         assert late.site.feed_stats.snapshot()["snapshot_bootstraps"] == 1
         assert primary_site.feed_stats.snapshot()["snapshots_served"] == 1
 
+    def test_retention_gap_join_is_one_round_trip(self, feed_world):
+        primary_site = feed_world.create_site("P")
+        primary_site.change_log = ChangeLog(journal_retention=4)
+        box = Box(0)
+        primary_site.export(box, name="box")
+        primary_site.feed_primary()
+        for value in range(1, 11):
+            box.set(value)
+            primary_site.touch(box)
+        link = feed_world.network.stats.link
+        joiner = feed_world.create_site("F1")
+        before = link("F1", "P").messages
+        late = joiner.feed_follow("P")
+        assert link("F1", "P").messages - before == 1  # the subscribe, nothing else
+        assert mirror_of(late, box).get() == 10
+        assert late.last_applied_serial == primary_site.change_log.latest_serial
+
+    def test_join_with_no_masters_left_moves_cursor_to_capture_serial(self, feed_world):
+        primary_site = feed_world.create_site("P")
+        primary_site.feed_primary()
+        boxes = [Box(index) for index in range(3)]
+        for box in boxes:
+            primary_site.export(box)
+            primary_site.touch(box)
+        for box in boxes:
+            primary_site.drop_master(obi_id_of(box))
+        head = primary_site.change_log.latest_serial
+        late = feed_world.create_site("F1").feed_follow("P")
+        # The reply carries no frame, yet covers every serial up to its
+        # capture: a rejoin asks for nothing older.
+        assert head > 0 and late.last_applied_serial == head
+
     def test_join_rejournals_nothing_rolled_out_of_retention(self, feed_world):
         # Every master was journaled once, but the journal only retains the
         # last four events: the two earliest oids are no longer in it.  They
