@@ -83,6 +83,8 @@ class UpdateSubscriber(ConsistencyProtocol):
         if isinstance(disseminator_ref, str):
             disseminator_ref = site.naming.lookup(disseminator_ref)
         self._disseminator = site.endpoint.stub(disseminator_ref, DISSEMINATOR_METHODS)
+        #: The disseminator's site masters every object it pushes.
+        self._provider_site = disseminator_ref.site_id
         self._listener_ref = site.endpoint.export(self, interface="IUpdateSubscriber")
         self.updates_received = 0
 
@@ -91,7 +93,7 @@ class UpdateSubscriber(ConsistencyProtocol):
     # ------------------------------------------------------------------
     def apply_update(self, package: "ReplicaPackage") -> None:
         # The disseminator builds every update with exactly this mode.
-        integrate_package(self.site, package, Incremental(1))
+        integrate_package(self.site, package, Incremental(1), self._provider_site)
         self.updates_received += 1
 
     # ------------------------------------------------------------------

@@ -155,7 +155,7 @@ def _invoke_demand(site: "Site", proxy: ProxyOutBase, scope: ReplicationMode) ->
 
 def _integrate_demand(site: "Site", proxy: ProxyOutBase, package: object) -> object:
     """Integrate a demanded package under the faulting proxy's own mode."""
-    local = integrate_package(site, package, proxy._obi_mode)
+    local = integrate_package(site, package, proxy._obi_mode, proxy._obi_provider.site_id)
     if local is None:
         raise ObjectFaultError(
             f"demand for {proxy._obi_target_id!r} returned no replica"

@@ -4,7 +4,9 @@ Every OBIWAN-managed object carries a stable logical identity, ``_obi_id``,
 stored in its instance ``__dict__`` so it crosses the wire with the rest of
 the state.  A master and all of its replicas share one ``_obi_id`` — it is
 how sites correlate "the same object" across the network, the way the Java
-prototype correlates through its proxy-in references.
+prototype correlates through its proxy-in references.  Each site exports
+an object's proxy-in under this id, so :func:`proxy_in_ref` names it from
+the site alone and one identity serves both purposes.
 
 The :class:`CompiledClassRegistry` records every obicomp-compiled class:
 its derived interface and its generated proxy-out class.  The paper's
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.interfaces import Interface
+from repro.rmi.refs import RemoteRef
 from repro.util.errors import ReplicationError
 from repro.util.ids import IdGenerator
 
@@ -71,6 +74,12 @@ def obi_id_of(obj: object) -> str:
     fresh = _obi_ids()
     vars(obj)[OBI_ID_ATTR] = fresh
     return fresh
+
+
+def proxy_in_ref(site_id: str, obj: object) -> RemoteRef:
+    """The reference of ``obj``'s proxy-in on ``site_id``: every site
+    exports it under the object's oid and interface name."""
+    return RemoteRef(site_id, obi_id_of(obj), interface_of(obj).name)
 
 
 def peek_obi_id(obj: object) -> str | None:

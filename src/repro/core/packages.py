@@ -1,9 +1,9 @@
 """Wire packages exchanged by the replication protocol.
 
 A :class:`ReplicaPackage` is what ``get``/``demand`` returns: a serialized
-object-graph payload plus per-object metadata (version, provider
-reference, cluster membership).  A :class:`PutPackage` carries replica
-state back to masters, every entry's state in one payload.
+object-graph payload plus each member's version.  A :class:`PutPackage`
+carries replica state back to masters, every entry's state in one
+payload.
 
 Graph payloads are pre-serialized into ``bytes`` by the replication engine
 with a context-specific swizzler, so packages travel through the ordinary
@@ -20,38 +20,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rmi.refs import RemoteRef
 from repro.serial.registry import global_registry
-
-
-@dataclass(slots=True)
-class ObjectMeta:
-    """Per-object replication metadata inside a :class:`ReplicaPackage`."""
-
-    obi_id: str = ""
-    interface: str = ""
-    version: int = 1
-    #: RemoteRef of the object's own proxy-in — present in per-object-pair
-    #: mode so the replica can be individually put/refreshed; ``None`` for
-    #: cluster members (paper: "each object can not be individually
-    #: updated").
-    provider: RemoteRef | None = None
-    #: obi id of the cluster root when this object travelled as a cluster
-    #: member; ``None`` otherwise.
-    cluster_root: str | None = None
 
 
 @dataclass(slots=True)
 class ReplicaPackage:
     """The provider's answer to ``get(mode)``.
 
-    It carries no mode: the consumer integrates it under the mode it
-    asked with.
+    It carries no mode and no references: the consumer integrates it
+    under the mode it asked with, and every member's proxy-in — the
+    root's alone under a clustered mode — is exported under the member's
+    oid on the site the consumer asked.
     """
 
     root_id: str = ""
     payload: bytes = b""
-    meta: dict[str, ObjectMeta] = field(default_factory=dict)
+    #: oid → master version of every member, root first.
+    meta: dict[str, int] = field(default_factory=dict)
     #: How many proxy pairs the provider created while building this
     #: package (frontier pairs plus, in per-object mode, member pairs) —
     #: reported so benchmarks can assert the paper's pair-count claims.
@@ -90,9 +75,10 @@ class FeedFrame:
 
     ``payload`` is the master's full state encoded with the packaging
     swizzler (references travel as proxy-out descriptions, exactly like a
-    :class:`ReplicaPackage` payload); ``provider`` is the primary's
-    proxy-in for the object so followers can write through.  ``serial``
-    and ``epoch`` order the frame in the group's history.
+    :class:`ReplicaPackage` payload).  The primary exports the object's
+    proxy-in under ``oid``, so followers write through without a
+    reference shipped.  ``serial`` and ``epoch`` order the frame in the
+    group's history.
     """
 
     serial: int = 0
@@ -101,7 +87,6 @@ class FeedFrame:
     interface: str = ""
     version: int = 0
     payload: bytes = b""
-    provider: RemoteRef | None = None
 
 
 @dataclass(slots=True)
@@ -150,17 +135,11 @@ class FeedSubscribeReply:
     ``last_serial`` (a retention gap), ``frames`` is a snapshot instead:
     every mastered object's state, each frame with serial ``0`` (it is
     not a journal event), encoded after ``latest_serial`` was captured.
-    ``providers`` maps every mastered oid to the primary's proxy-in so
-    write-through targets are correct even when no frame mentions the
-    object; ``names`` maps name-server bindings to oids for promotion
-    rebinding.
     """
 
     epoch: int = 0
     latest_serial: int = 0
     frames: list[FeedFrame] = field(default_factory=list)
-    providers: dict[str, RemoteRef] = field(default_factory=dict)
-    names: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -181,7 +160,6 @@ class PromoteReply:
 
 
 for _pkg_cls, _wire_name in (
-    (ObjectMeta, "core.ObjectMeta"),
     (ReplicaPackage, "core.ReplicaPackage"),
     (PutEntry, "core.PutEntry"),
     (PutPackage, "core.PutPackage"),

@@ -9,15 +9,21 @@ Provider side — :func:`build_package` is the generalized ``A.get``:
    the consumer can individually ``put``/refresh it — in clustered mode
    only the root has one;
 3. serialize the members by value; every reference leaving the set is
-   swizzled into a proxy-out descriptor carrying the frontier object's
-   proxy-in reference (steps 2–6 of the paper's ``get``);
-4. return a :class:`~repro.core.packages.ReplicaPackage` with per-object
-   metadata (version, provider, cluster membership).
+   swizzled into a proxy-out descriptor ``(oid, interface, site)`` naming
+   the frontier object's proxy-in (steps 2–6 of the paper's ``get``);
+4. return a :class:`~repro.core.packages.ReplicaPackage` mapping each
+   member's oid to its version.
+
+A proxy-in is exported under its master's oid, so ``(site, oid,
+interface)`` names it fully and no reference travels.
 
 Consumer side — :func:`integrate_package`:
 
 1. decode the payload; proxy-out descriptors materialize as generated
    proxy-out instances — or short-circuit to already-local replicas;
+   every new replica record names its proxy-in on the site that was
+   asked, except a clustered fetch's non-root members, which name the
+   root instead;
 2. objects that already have a local replica are updated *in place* so
    every existing alias observes the refresh;
 3. every unresolved proxy-out records the objects holding it as
@@ -37,8 +43,8 @@ from typing import TYPE_CHECKING
 
 from repro.core import graphwalk
 from repro.core.interfaces import ReplicationMode
-from repro.core.meta import interface_of, is_obiwan, obi_id_of
-from repro.core.packages import ObjectMeta, PutEntry, PutPackage, ReplicaPackage
+from repro.core.meta import is_obiwan, obi_id_of, proxy_in_ref
+from repro.core.packages import PutEntry, PutPackage, ReplicaPackage
 from repro.core.proxy_out import ProxyOutBase
 from repro.rmi.refs import RemoteRef
 from repro.serial.decoder import Decoder
@@ -92,7 +98,7 @@ class PackagingSwizzler:
             # provider (chained replication): forward its provider.
             return SwizzleDescriptor(
                 PROXY_OUT_KIND,
-                (value._obi_target_id, value._obi_interface.name, value._obi_provider),
+                (value._obi_target_id, value._obi_interface.name, value._obi_provider.site_id),
             )
         if is_obiwan(value) and id(value) not in self.member_ids:
             oid = self._held.get(id(value))
@@ -104,8 +110,7 @@ class PackagingSwizzler:
             ref, created = self._site.ensure_provider_for(value)
             if created:
                 self.pairs_created += 1
-            # (The reference was exported under the object's interface name.)
-            return SwizzleDescriptor(PROXY_OUT_KIND, (oid, ref.interface, ref))
+            return SwizzleDescriptor(PROXY_OUT_KIND, (oid, ref.interface, ref.site_id))
         return None
 
     def _provided_by_destination(self, oid: str) -> bool:
@@ -152,25 +157,13 @@ def _build_package(site: "Site", root: object, mode: ReplicationMode) -> Replica
     root_id = obi_id_of(root)
     member_ids = {id(m) for m in members}
     pairs_created = 0
-    meta: dict[str, ObjectMeta] = {}
+    meta: dict[str, int] = {}
     for member in members:
-        oid = obi_id_of(member)
-        provider_ref: RemoteRef | None = None
-        cluster_root: str | None = None
         if mode.clustered and member is not root:
-            cluster_root = root_id
             site.note_master(member)
-        else:
-            provider_ref, created = site.ensure_provider_for(member)
-            if created:
-                pairs_created += 1
-        meta[oid] = ObjectMeta(
-            obi_id=oid,
-            interface=interface_of(member).name,
-            version=site.version_of(member),
-            provider=provider_ref,
-            cluster_root=cluster_root,
-        )
+        elif site.ensure_provider_for(member)[1]:
+            pairs_created += 1
+        meta[obi_id_of(member)] = site.version_of(member)
 
     swizzler = PackagingSwizzler(site, member_ids)
     payload = Encoder(site.registry, swizzler, stats=site.serial_stats).encode(root)
@@ -205,10 +198,11 @@ class SiteUnswizzler:
                 )
             return local
         if descriptor.kind == PROXY_OUT_KIND:
-            target_id, interface_name, provider = descriptor.data  # type: ignore[misc]
+            target_id, interface_name, provider_site = descriptor.data  # type: ignore[misc]
             local = self._site.local_node_for(target_id)
             if local is not None:
                 return local
+            provider = RemoteRef(provider_site, target_id, interface_name)
             return self._site.make_proxy_out(target_id, interface_name, provider, self._mode)
         raise ReplicationError(f"unknown swizzle kind {descriptor.kind!r}")
 
@@ -216,13 +210,16 @@ class SiteUnswizzler:
         raise ReplicationError("site unswizzler cannot encode")
 
 
-def integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationMode) -> object:
+def integrate_package(
+    site: "Site", package: ReplicaPackage, mode: ReplicationMode, provider_site: str
+) -> object:
     """Consumer-side materialization of a replica package.
 
     ``mode`` is the mode the consumer asked with: new replica records and
-    frontier proxy-outs keep it.  Returns the canonical local object for
-    the package root — a fresh replica, or the pre-existing one updated
-    in place.
+    frontier proxy-outs keep it.  ``provider_site`` is the site that was
+    asked: it exports each member's proxy-in under the member's oid.
+    Returns the canonical local object for the package root — a fresh
+    replica, or the pre-existing one updated in place.
     """
     with site.tracer.span(
         "integrate",
@@ -230,10 +227,12 @@ def integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationMo
         objects=package.object_count,
         bytes=len(package.payload),
     ):
-        return _integrate_package(site, package, mode)
+        return _integrate_package(site, package, mode, provider_site)
 
 
-def _integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationMode) -> object:
+def _integrate_package(
+    site: "Site", package: ReplicaPackage, mode: ReplicationMode, provider_site: str
+) -> object:
     site.charge_serialization(len(package.payload))
     site.charge_replicas(package.object_count)
 
@@ -265,9 +264,15 @@ def _integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationM
         for obj in canonical.values():
             graphwalk.replace_references(obj, replacements)
 
+    root_id = package.root_id
     for oid, obj in canonical.items():
-        if oid not in kept:
-            site.register_replica(obj, package.meta[oid], mode)
+        if oid in kept:
+            continue
+        if mode.clustered and oid != root_id:
+            site.register_replica(oid, obj, package.meta[oid], mode, cluster_root=root_id)
+        else:
+            provider = proxy_in_ref(provider_site, obj)
+            site.register_replica(oid, obj, package.meta[oid], mode, provider=provider)
     # The paper's setDemander: every unresolved proxy-out learns which
     # objects hold it, so its fault can splice the replica into them.
     for oid, proxy in frontier:
@@ -278,7 +283,7 @@ def _integrate_package(site: "Site", package: ReplicaPackage, mode: ReplicationM
             if isinstance(ref, ProxyOutBase) and ref._obi_resolved is None:
                 ref._obi_add_demander(canonical[oid])
 
-    root = canonical.get(package.root_id)
+    root = canonical.get(root_id)
     if root is None:
         raise ReplicationError(
             f"package root {package.root_id!r} missing from decoded graph"

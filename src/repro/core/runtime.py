@@ -35,8 +35,8 @@ from repro.core.meta import (
     interface_of,
     is_obiwan,
     obi_id_of,
+    proxy_in_ref,
 )
-from repro.core.packages import ObjectMeta
 from repro.core.proxy_in import ProxyIn
 from repro.core.proxy_out import ProxyOutBase
 from repro.core.replication import build_put, integrate_package
@@ -149,10 +149,11 @@ class Site:
         #: declared ``@snapshot_read`` holds it (OBI203), and snapshot
         #: reads never write (OBI209).  Each table keeps registration
         #: order, which cluster member order and the iterators rely on.
+        #: A proxy-in is exported under its object's oid, so the
+        #: endpoint's export table says which oids are exported.
         self._lock = StripeLock()
         self._masters: dict[str, MasterRecord] = {}
         self._replicas: dict[str, ReplicaRecord] = {}
-        self._provider_refs: dict[str, RemoteRef] = {}
         self._pending_proxies: "weakref.WeakValueDictionary[str, ProxyOutBase]" = (
             weakref.WeakValueDictionary()
         )
@@ -186,15 +187,13 @@ class Site:
         """
         oid = obi_id_of(obj)
         with self._lock:
-            if oid in self._provider_refs:
+            if oid in self.endpoint.objects:
                 raise ReplicationError(
                     f"object {oid!r} is already exported unguarded; "
                     "export_guarded must come first"
                 )
-            interface = interface_of(obj)
             guard = AccessGuard(self.endpoint, ProxyIn(self, obj), policy)
-            ref = self.endpoint.export(guard, interface=interface.name)
-            self._provider_refs[oid] = ref
+            ref = self.endpoint.export(guard, object_id=oid, interface=interface_of(obj).name)
             if oid not in self._replicas:
                 self._masters.setdefault(oid, MasterRecord(obj=obj))
         self.events.publish("provider_exported", site=self, oid=oid, ref=ref)
@@ -223,7 +222,7 @@ class Site:
             ref = self._resolve_target(target)
             mode = mode if mode is not None else Incremental(1)
             package = self.endpoint.invoke(ref, "get", (mode,))
-            replica = integrate_package(self, package, mode)
+            replica = integrate_package(self, package, mode, ref.site_id)
             span.set(provider=ref.site_id, objects=package.object_count)
         self.events.publish("replica_registered", site=self, root=replica, package=package)
         return replica
@@ -329,7 +328,7 @@ class Site:
         info = self._replica_record(replica)
         with self.tracer.span("refresh", name=obi_id_of(replica)):
             package = self.endpoint.invoke(info.provider, "get", (Incremental(1),))
-            refreshed = integrate_package(self, package, info.mode)
+            refreshed = integrate_package(self, package, info.mode, info.provider.site_id)
             self.sync_stats.add(refreshes_full=1)
         self.events.publish("replica_refreshed", site=self, replica=refreshed)
         return refreshed
@@ -344,7 +343,7 @@ class Site:
         info = self._replica_record(root)
         with self.tracer.span("refresh_cluster", name=obi_id_of(root)):
             package = self.endpoint.invoke(info.provider, "get", (info.mode,))
-            refreshed = integrate_package(self, package, info.mode)
+            refreshed = integrate_package(self, package, info.mode, info.provider.site_id)
             self.sync_stats.add(refreshes_full=1)
         self.events.publish("replica_refreshed", site=self, replica=refreshed)
         return refreshed
@@ -458,16 +457,14 @@ class Site:
         return self.endpoint.clock
 
     def ensure_provider_for(self, obj: object) -> tuple[RemoteRef, bool]:
-        """Make sure ``obj`` has an exported proxy-in; returns (ref, created)."""
-        oid = obi_id_of(obj)
+        """Make sure ``obj`` has a proxy-in exported under its oid; returns
+        (ref, created)."""
+        ref = proxy_in_ref(self.name, obj)
+        oid = ref.object_id
         with self._lock:
-            existing = self._provider_refs.get(oid)
-            if existing is not None:
-                return existing, False
-            interface = interface_of(obj)
-            proxy_in = ProxyIn(self, obj)
-            ref = self.endpoint.export(proxy_in, interface=interface.name)
-            self._provider_refs[oid] = ref
+            if oid in self.endpoint.objects:
+                return ref, False
+            self.endpoint.export(ProxyIn(self, obj), object_id=oid, interface=ref.interface)
             if oid not in self._replicas:
                 self._masters.setdefault(oid, MasterRecord(obj=obj))
         self.events.publish("provider_exported", site=self, oid=oid, ref=ref)
@@ -492,11 +489,12 @@ class Site:
             return iter(list(self._masters.items()))
 
     def exported_oids(self) -> list[str]:
-        """Oids with a live proxy-in export: exported replicas (no master
-        record) sorted by oid, then masters in registration order."""
+        """Oids with a live proxy-in export: exported replicas sorted by
+        oid, then masters in registration order."""
+        exports = self.endpoint.objects
         with self._lock:
-            replicas = sorted(oid for oid in self._provider_refs if oid not in self._masters)
-            return replicas + [oid for oid in self._masters if oid in self._provider_refs]
+            replicas = sorted(oid for oid in self._replicas if oid in exports)
+            return replicas + [oid for oid in self._masters if oid in exports]
 
     def retract_provider(self, oid: str) -> bool:
         """Withdraw an object's proxy-in (distributed-GC reclamation).
@@ -504,16 +502,16 @@ class Site:
         The master record survives — the object is still local state — but
         remote references to the old proxy-in die, exactly like Java RMI's
         "no such object in table" after a DGC lease expires.  A later
-        ``ensure_provider_for`` exports a fresh proxy-in.
+        ``ensure_provider_for`` exports a fresh proxy-in under the same
+        oid, so the old reference serves again.
         """
         with self._lock:
             return self._retract_provider_locked(oid)
 
     def _retract_provider_locked(self, oid: str) -> bool:
-        ref = self._provider_refs.pop(oid, None)
-        if ref is None:
+        if oid not in self.endpoint.objects:
             return False
-        self.endpoint.unexport(ref.object_id)
+        self.endpoint.unexport(oid)
         return True
 
     def note_master(self, obj: object) -> None:
@@ -549,7 +547,7 @@ class Site:
 
     @snapshot_read
     def has_exported(self, oid: str) -> bool:
-        return oid in self._provider_refs
+        return oid in self.endpoint.objects
 
     @snapshot_read
     def master_object_for(self, oid: str) -> object | None:
@@ -568,9 +566,9 @@ class Site:
         no export of their own (cluster members, feed mirrors) stay
         governed by the proxy-in that received the call.
         """
-        ref = self._provider_refs.get(oid)
-        if ref is not None:
-            authorize(self.endpoint.objects.get(ref.object_id), method)
+        exported = self.endpoint.objects.get(oid)
+        if exported is not None:
+            authorize(exported, method)
 
     @snapshot_read
     def probe_versions(self, oids: Iterable[str]) -> list[int]:
@@ -583,8 +581,7 @@ class Site:
         """
         versions = []
         for oid in oids:
-            ref = self._provider_refs.get(oid)
-            if ref is None or ref.object_id not in self.endpoint.objects:
+            if oid not in self.endpoint.objects:
                 raise ProtocolError(f"no exported object for {oid!r} on site {self.name!r}")
             self.authorize(oid, "get_version")
             record = self._masters.get(oid)
@@ -626,14 +623,6 @@ class Site:
             if version > record.version:
                 record.version = version
             return record.version
-
-    def oid_for_export(self, object_id: str) -> str | None:
-        """The obi id whose proxy-in is exported as ``object_id``, if any."""
-        with self._lock:
-            for oid, ref in self._provider_refs.items():
-                if ref.object_id == object_id:
-                    return oid
-        return None
 
     # ------------------------------------------------------------------
     # change-feed roles (see repro.feed)
@@ -708,25 +697,38 @@ class Site:
         with self._lock:
             return iter(list(self._replicas.values()))
 
-    def register_replica(self, obj: object, meta: ObjectMeta, mode: ReplicationMode) -> None:
-        """Record a replica; re-registering one updates it in place."""
-        oid = meta.obi_id
+    def register_replica(
+        self,
+        oid: str,
+        obj: object,
+        version: int,
+        mode: ReplicationMode,
+        *,
+        provider: RemoteRef | None = None,
+        cluster_root: str | None = None,
+    ) -> None:
+        """Record a replica; re-registering one updates it in place.
+
+        A replica has either its own ``provider`` or the ``cluster_root``
+        it travelled under; re-registering with a provider promotes a
+        former cluster member to an individually updatable replica.
+        """
         with self._lock:
             existing = self._replicas.get(oid)
             if existing is None:
                 self._replicas[oid] = ReplicaRecord(
                     obj=obj,
-                    provider=meta.provider,
-                    version=meta.version,
+                    provider=provider,
+                    version=version,
                     mode=mode,
-                    cluster_root=meta.cluster_root,
+                    cluster_root=cluster_root,
                 )
                 return
             existing.obj = obj
-            existing.version = meta.version
+            existing.version = version
             existing.invalidated = False
-            if meta.provider is not None:
-                existing.provider = meta.provider
+            if provider is not None:
+                existing.provider = provider
                 existing.cluster_root = None
 
     def make_proxy_out(

@@ -1,6 +1,6 @@
 """Lock primitives for the :class:`~repro.core.runtime.Site` object tables.
 
-A site keeps its masters, replicas, provider refs and in-flight demands
+A site keeps its masters, replicas, pending proxies and in-flight demands
 in flat dicts under one reentrant lock.  This module holds the two
 pieces that discipline is built from, kept separate so the analyzer,
 the runtime, and the benchmarks share one vocabulary:

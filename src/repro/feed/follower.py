@@ -13,13 +13,15 @@ follower's cursor is its last applied journal serial:
   use, so a brand-new follower joins a group under write load without
   anyone quiescing.
 * **Write-through**: applications write at the follower by proxying the
-  put to the primary's per-object proxy-in, then waiting until the
+  put to the primary's per-object proxy-in — exported under the object's
+  oid, so ``(primary, oid, interface)`` names it — then waiting until the
   write's own feed echo lands locally — a confirmed ``put_through`` is
   therefore durable at this follower, which is what makes
   highest-serial-wins failover lose zero acknowledged writes.
 * **Promotion** bumps the epoch, re-attaches the site as a
   :class:`~repro.feed.primary.FeedPrimary`, exports proxy-ins for every
-  mirror and rebinds the primary's names to them.
+  mirror and rebinds to them every name the name server binds to one of
+  the old primary's mirrored objects.
 
 Every batch is epoch-guarded before any frame is applied (obiflow
 OBI210): frames from a deposed primary are rejected with an ack carrying
@@ -31,7 +33,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.core.meta import obi_id_of
+from repro.core.meta import obi_id_of, proxy_in_ref
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
@@ -42,12 +44,12 @@ from repro.core.packages import (
 from repro.core.replication import build_put
 from repro.feed.apply import apply_feed_frame
 from repro.feed.service import ensure_feed_service, feed_ref
+from repro.rmi.refs import RemoteRef
 from repro.util.errors import FeedError, StaleEpochError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packages import FeedFrame, FeedSubscribeReply
     from repro.core.runtime import Site
-    from repro.rmi.refs import RemoteRef
 
 #: How long a write-through waits for its own feed echo.
 WRITE_CONFIRM_TIMEOUT_S = 30.0
@@ -58,16 +60,12 @@ class FeedFollower:
 
     def __init__(self, site: "Site"):
         self.site = site
-        #: One guard for the cursor, maps and epoch; doubles as the
-        #: condition write-through waiters sleep on.
+        #: One guard for the cursor and epoch; doubles as the condition
+        #: write-through waiters sleep on.
         self._applied = threading.Condition()
         self._epoch = site.change_log.epoch
         self._last_applied = site.change_log.latest_serial
         self._primary_id: str | None = None
-        #: oid → the primary's proxy-in for it (write-through targets).
-        self._providers: "dict[str, RemoteRef]" = {}
-        #: name-server binding → oid (rebound on promotion).
-        self._names: dict[str, str] = {}
         ensure_feed_service(site)
         site.feed_role = self
         site.feed_stats.set_gauges(role="follower", epoch=self._epoch)
@@ -108,8 +106,6 @@ class FeedFollower:
                 current_epoch=ack.epoch,
             )
         with self._applied:
-            self._providers.update(reply.providers)
-            self._names.update(reply.names)
             if reply.latest_serial > self._last_applied:
                 self._last_applied = reply.latest_serial
             self._applied.notify_all()
@@ -165,8 +161,6 @@ class FeedFollower:
         # the cursor and wake write-through waiters.
         self.site.change_log.record_mirror(serial, frame.oid, frame.version)
         with self._applied:
-            if frame.provider is not None:
-                self._providers[frame.oid] = frame.provider
             if serial > self._last_applied:
                 self._last_applied = serial
             self._applied.notify_all()
@@ -199,19 +193,19 @@ class FeedFollower:
         blocks until the write's feed echo has been applied locally — an
         acknowledged write is durable at this follower, so a failover
         election (highest serial wins) can never lose it.  Raises
-        :class:`FeedError` if the echo does not land within ``timeout``.
+        :class:`FeedError` for an object this follower does not mirror,
+        or if the echo does not land within ``timeout``.
         """
         site = self.site
         oid = obi_id_of(obj)
-        with self._applied:
-            provider = self._providers.get(oid)
-        if provider is None:
+        primary_id = self._primary_id
+        if primary_id is None or site.master_object_for(oid) is None:
             raise FeedError(
-                f"no write-through target for {oid!r}; the feed has not "
-                "delivered its provider yet"
+                f"no write-through target for {oid!r}; this follower does not mirror it"
             )
+        provider = proxy_in_ref(primary_id, obj)
         with site.tracer.span("feed.write_through", oid=oid):
-            package = build_put(site, [obj], provider.site_id)
+            package = build_put(site, [obj], primary_id)
             versions = site.endpoint.invoke(provider, "put", (package,))
             if not isinstance(versions, dict):
                 raise FeedError(
@@ -245,7 +239,7 @@ class FeedFollower:
         """Take over as primary; returns the new epoch and journal head.
 
         Exports a proxy-in for every mirrored master (they become real
-        masters of the new epoch), rebinds the primary's name-server
+        masters of the new epoch), rebinds the old primary's name-server
         entries to the local exports, and swaps the site's role for a
         :class:`~repro.feed.primary.FeedPrimary` at the bumped epoch.
         """
@@ -254,17 +248,11 @@ class FeedFollower:
         site = self.site
         with self._applied:
             new_epoch = epoch if epoch is not None else self._epoch + 1
-            names = dict(self._names)
         with site.tracer.span("feed.promote", epoch=new_epoch):
             site.change_log.adopt_epoch(new_epoch)
             for _oid, record in site.iter_masters():
                 site.ensure_provider_for(record.obj)
-            for name, oid in names.items():
-                master = site.master_object_for(oid)
-                if master is None:
-                    continue
-                ref, _created = site.ensure_provider_for(master)
-                site.naming.rebind(name, ref)
+            self._rebind_names()
             primary = FeedPrimary(site, epoch=new_epoch)
         site.feed_stats.add(promotions=1)
         reply = PromoteReply(
@@ -273,6 +261,27 @@ class FeedFollower:
             site_id=site.name,
         )
         return reply
+
+    def _rebind_names(self) -> None:
+        """Rebind every name bound to one of the old primary's objects
+        that this site mirrors: its proxy-in here has the same oid.
+
+        Every lookup travels in one batch to the name-server site; a name
+        unbound since the listing comes back as an error and is skipped.
+        """
+        site = self.site
+        naming = site.naming
+        names = naming.list_names()
+        server = naming.remote_ref
+        bound = site.endpoint.invoke_batch(
+            server.site_id, [(server, "lookup", (name,)) for name in names]
+        )
+        for name, ref in zip(names, bound):
+            if not isinstance(ref, RemoteRef) or ref.site_id != self._primary_id:
+                continue
+            master = site.master_object_for(ref.object_id)
+            if master is not None:
+                naming.rebind(name, site.ensure_provider_for(master)[0])
 
     # ------------------------------------------------------------------
     # operator surface

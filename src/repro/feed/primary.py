@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from repro.core.meta import interface_of, obi_id_of
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
@@ -178,18 +177,17 @@ class FeedPrimary:
         self, master: object, *, serial: int, encoder: OwnStateEncoder
     ) -> FeedFrame:
         site = self.site
-        oid = obi_id_of(master)
-        provider, _created = site.ensure_provider_for(master)
+        # The write-through target: followers put to this proxy-in by oid.
+        ref, _created = site.ensure_provider_for(master)
         payload = encoder.encode(master)
         site.charge_serialization(len(payload))
         return FeedFrame(
             serial=serial,
             epoch=self.epoch,
-            oid=oid,
-            interface=interface_of(master).name,
+            oid=ref.object_id,
+            interface=ref.interface,
             version=site.master_version(master),
             payload=payload,
-            provider=provider,
         )
 
     def _deliver(self, batch: FeedBatch) -> None:
@@ -263,13 +261,7 @@ class FeedPrimary:
             else:
                 frames = self._catch_up_frames(events)
                 site.feed_stats.add(catch_up_events=len(events))
-            return FeedSubscribeReply(
-                epoch=self.epoch,
-                latest_serial=latest,
-                frames=frames,
-                providers=self._provider_map(),
-                names=self._name_map(),
-            )
+            return FeedSubscribeReply(epoch=self.epoch, latest_serial=latest, frames=frames)
 
     def _catch_up_frames(self, events: "list[FeedEvent]") -> list[FeedFrame]:
         """One frame per distinct oid, at its highest event serial.
@@ -324,29 +316,6 @@ class FeedPrimary:
         raise FeedError(
             f"site {self.site.name!r} is already primary at epoch {self.epoch}"
         )
-
-    # ------------------------------------------------------------------
-    # maps shipped to followers
-    # ------------------------------------------------------------------
-    def _provider_map(self) -> "dict[str, RemoteRef]":
-        providers = {}
-        for oid, record in self.site.iter_masters():
-            ref, _created = self.site.ensure_provider_for(record.obj)
-            providers[oid] = ref
-        return providers
-
-    def _name_map(self) -> dict[str, str]:
-        """Name-server bindings that resolve to this site's exports."""
-        site = self.site
-        names = {}
-        for name in site.naming.list_names():
-            ref = site.naming.lookup(name)
-            if ref.site_id != site.name:
-                continue
-            oid = site.oid_for_export(ref.object_id)
-            if oid is not None:
-                names[name] = oid
-        return names
 
     # ------------------------------------------------------------------
     # operator surface

@@ -106,12 +106,9 @@ class FallbackInvoker:
         ref = self._ref_cache.get(name)
         if ref is None:
             return None  # never resolved the name while online
-        # The name maps to the master's proxy-in; correlate through the
-        # replicas we hold from that provider.
-        for record in self.site.iter_replicas():
-            if record.provider is not None and record.provider.object_id == ref.object_id:
-                return record.obj
-        return None
+        # The name maps to the master's proxy-in, exported under its oid.
+        record = self.site.replica_info(ref.object_id)
+        return record.obj if record is not None else None
 
     def local_replica_of(self, replica_or_name: object) -> object | None:
         """Public variant of the fallback lookup, for applications."""

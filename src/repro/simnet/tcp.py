@@ -77,15 +77,21 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def _recv_frame(sock: socket.socket) -> Message:
+    """Read one frame; a malformed one raises :class:`ConnectionError`,
+    which both readers already handle by dropping the connection."""
     kind_code, payload_len = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    kind = _CODE_KINDS.get(kind_code)
+    if kind is None:
+        raise ConnectionError(f"malformed frame: unknown kind code {kind_code}")
     rid_len, src_len, dst_len = struct.unpack("!HHH", _recv_exact(sock, 6))
-    rid = _recv_exact(sock, rid_len).decode("utf-8")
-    src = _recv_exact(sock, src_len).decode("utf-8")
-    dst = _recv_exact(sock, dst_len).decode("utf-8")
+    try:
+        rid = _recv_exact(sock, rid_len).decode("utf-8")
+        src = _recv_exact(sock, src_len).decode("utf-8")
+        dst = _recv_exact(sock, dst_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConnectionError(f"malformed frame header: {exc}") from exc
     payload = _recv_exact(sock, payload_len) if payload_len else b""
-    return Message(
-        kind=_CODE_KINDS[kind_code], src=src, dst=dst, payload=payload, request_id=rid
-    )
+    return Message(kind=kind, src=src, dst=dst, payload=payload, request_id=rid)
 
 
 @dataclass

@@ -51,7 +51,8 @@ def new_site_id() -> str:
 
 
 def new_object_id() -> str:
-    """Return a fresh object identifier (used for masters and proxy-ins)."""
+    """Return a fresh export identifier (for exported services; a
+    proxy-in is exported under its object's obi id instead)."""
     return _object_ids()
 
 

@@ -49,7 +49,6 @@ class TestExtraction:
         # extraction must have found (dynamic/porting entries excluded —
         # they have no literal wire name to extract).
         expected = {
-            "core.ObjectMeta",
             "core.ReplicaPackage",
             "core.PutEntry",
             "core.PutPackage",
@@ -64,13 +63,13 @@ class TestExtraction:
             "consistency.VersionVector",
         }
         assert expected <= set(tree_spec.classes)
+        # A package maps oid → version: no per-member metadata class.
+        assert "core.ObjectMeta" not in tree_spec.classes
 
-    def test_object_meta_field_order(self, tree_spec):
-        meta = tree_spec.classes["core.ObjectMeta"]
-        assert [f.name for f in meta.fields] == [
-            "obi_id", "interface", "version", "provider", "cluster_root",
-        ]
-        assert meta.state == "struct"  # the declared fields are the frame
+    def test_put_entry_field_order(self, tree_spec):
+        entry = tree_spec.classes["core.PutEntry"]
+        assert [f.name for f in entry.fields] == ["obi_id", "version_seen"]
+        assert entry.state == "struct"  # the declared fields are the frame
 
     def test_replication_mode_is_a_fixed_three_tuple(self, tree_spec):
         # prefetch is consumer-local: the mode travels as one fixed shape.
@@ -94,7 +93,7 @@ class TestExtraction:
     def test_every_protocol_frame_is_a_struct(self, tree_spec):
         for name, cls in tree_spec.classes.items():
             if name.startswith(("rmi.", "feed.")) or name in (
-                "core.ObjectMeta", "core.ReplicaPackage", "core.PutEntry", "core.PutPackage",
+                "core.ReplicaPackage", "core.PutEntry", "core.PutPackage",
             ):
                 assert cls.state == "struct" and not cls.custom_state, name
 

@@ -161,9 +161,8 @@ class TestPreCodecPeerInterop:
         replica = consumer.replicate("counter")
 
         oid = obi_id_of(master)
-        ref = provider._provider_refs[oid]
         table = provider.endpoint.objects
-        inner = table.get(ref.object_id)
+        inner = table.get(oid)
 
         class BrokenPut:
             def __getattr__(self, name):
@@ -172,7 +171,7 @@ class TestPreCodecPeerInterop:
             def put(self, package):
                 raise RuntimeError("disk on fire")
 
-        table._objects[ref.object_id] = BrokenPut()
+        table._objects[oid] = BrokenPut()
         replica.increment()
         before = _messages(consumer.world)
         with pytest.raises(Exception, match="disk on fire"):

@@ -78,10 +78,13 @@ class TestLeases:
         old_ref = provider.export(extra)
         world.clock.advance(100.0)
         server.collect()
+        assert not provider.has_exported(obi_id_of(extra))
         new_ref, created = provider.ensure_provider_for(extra)
         assert created
-        assert new_ref.object_id != old_ref.object_id
-        replica = consumer.replicate(new_ref)
+        # A fresh proxy-in, exported under the same oid: the old ref
+        # serves again.
+        assert new_ref == old_ref
+        replica = consumer.replicate(old_ref)
         assert replica.get() == "phoenix"
 
 

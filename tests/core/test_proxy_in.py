@@ -6,6 +6,8 @@ from repro.core.interfaces import Cluster, Incremental
 from repro.core.meta import obi_id_of
 from repro.core.packages import ReplicaPackage
 from repro.core.proxy_in import PROXY_IN_CONTROL_METHODS, ProxyIn
+from repro.rmi.acl import AccessPolicy
+from repro.rmi.refs import RemoteRef
 from tests.models import Counter, make_chain
 
 
@@ -33,10 +35,11 @@ class TestControlInterface:
 
     def test_get_default_mode_is_incremental_one(self, zsites):
         provider, _consumer = zsites
-        ref = provider.export(make_chain(3), name="chain")
+        head = make_chain(3)
+        ref = provider.export(head, name="chain")
         package = provider.endpoint.objects.get(ref.object_id).get()
-        assert package.object_count == 1
-        assert next(iter(package.meta.values())).provider is not None  # not clustered
+        assert package.meta == {obi_id_of(head): 1}  # the root alone
+        assert package.pairs_created == 1  # and its frontier's pair
         assert not hasattr(package, "mode")  # the consumer knows its own mode
 
     def test_demand_equals_get(self, zsites):
@@ -81,3 +84,19 @@ class TestForwarding:
     def test_repr(self, exported):
         _p, _c, _m, _ref, proxy_in = exported
         assert "Counter" in repr(proxy_in)
+
+
+class TestIdentity:
+    def test_proxy_in_is_exported_under_the_master_oid(self, exported):
+        provider, _c, master, ref, _proxy_in = exported
+        assert ref == RemoteRef(provider.name, obi_id_of(master), "ICounter")
+        # Exporting again, or naming it, hands back the same reference.
+        assert provider.export(master) == ref
+        assert provider.naming.lookup("counter") == ref
+
+    def test_guarded_proxy_in_is_exported_under_the_master_oid(self, zsites):
+        provider, _consumer = zsites
+        master = Counter(1)
+        ref = provider.export_guarded(master, AccessPolicy(default_allow=True))
+        assert ref.object_id == obi_id_of(master)
+        assert provider.has_exported(obi_id_of(master))

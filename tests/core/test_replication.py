@@ -322,6 +322,35 @@ class TestPackaging:
         provider.export(head, name="x")
         package = build_package(provider, head, Cluster(size=3))
         assert package.pairs_created == 1  # the frontier only
-        meta = [m for m in package.meta.values()]
-        providers = [m for m in meta if m.provider is not None]
-        assert len(providers) == 1  # only the root is updatable
+        exported = [oid for oid in package.meta if provider.has_exported(oid)]
+        assert exported == [obi_id_of(head)]  # only the root is updatable
+
+    def test_package_meta_maps_each_member_oid_to_its_version(self, zsites):
+        provider, _consumer = zsites
+        from repro.core.replication import build_package
+
+        head = make_chain(3)
+        provider.export(head, name="x")
+        provider.touch(head)
+        package = build_package(provider, head, Cluster(size=3))
+        nodes = [head, head.next, head.next.next]
+        assert package.meta == {obi_id_of(n): v for n, v in zip(nodes, (2, 1, 1))}
+        assert list(package.meta) == [obi_id_of(n) for n in nodes]  # root first
+
+    def test_proxy_out_descriptor_names_the_provider_site(self, zero_world):
+        from repro.core.replication import PROXY_OUT_KIND, PackagingSwizzler
+
+        s2 = zero_world.create_site("S2")
+        s1 = zero_world.create_site("S1")
+        head = make_chain(3)
+        s2.export(head, name="chain")
+        # The export branch: a reference leaving the set names this site.
+        exported = PackagingSwizzler(s2, member_ids=set()).swizzle(head.next)
+        assert exported.kind == PROXY_OUT_KIND
+        assert exported.data == (obi_id_of(head.next), "IChain", "S2")
+        # The forwarding branch: a still-unresolved proxy-out at S1 names
+        # its own provider's site, not S1.
+        mid = s1.replicate("chain")
+        assert isinstance(mid.next, ProxyOutBase)
+        forwarded = PackagingSwizzler(s1, member_ids=set()).swizzle(mid.next)
+        assert forwarded.data == (obi_id_of(head.next), "IChain", "S2")

@@ -16,9 +16,7 @@ from tests.models import Counter
 
 
 def _proxy_in(provider, master):
-    oid = obi_id_of(master)
-    ref = provider._provider_refs[oid]
-    return provider.endpoint.objects, ref.object_id
+    return provider.endpoint.objects, obi_id_of(master)
 
 
 class RecordingProxyIn:

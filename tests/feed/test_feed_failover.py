@@ -68,6 +68,19 @@ class TestPromotion:
         ref = f2.site.naming.lookup("box")
         assert ref.site_id == "F1"
 
+    def test_promotion_rebinds_a_name_bound_after_the_join(self, group):
+        _world, primary, f1, f2, box = group
+        late = Box("late")
+        primary.site.export(late, name="late")
+        primary.site.touch(late)  # journaled and pushed: F1 mirrors it
+        assert mirror_of(f1, late).get() == "late"
+        primary.detach()
+        fail_over([f1, f2])
+        assert f2.site.naming.lookup("box").site_id == "F1"
+        ref = f2.site.naming.lookup("late")
+        assert ref.site_id == "F1"
+        assert f2.site.replicate(ref).get() == "late"
+
     def test_promotion_continues_the_serial_numbering(self, group):
         _world, primary, f1, f2, box = group
         box.set(2)

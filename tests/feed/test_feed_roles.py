@@ -271,6 +271,22 @@ class TestWriteThrough:
         # The ack condition: our own mirror caught up to the put version.
         assert f1.site.master_version(mirror) >= versions[oid]
 
+    def test_put_through_after_a_frameless_join_targets_the_oid(self, group):
+        _world, primary, f1, _f2, box = group
+        oid = obi_id_of(box)
+        before = f1.site.feed_stats.snapshot()["catch_up_events"]
+        f1.start("P")  # already caught up: the reply carries no frame
+        assert f1.site.feed_stats.snapshot()["catch_up_events"] == before
+        # The primary reclaims the box's proxy-in and exports a fresh one;
+        # nothing about it reaches the follower.
+        assert primary.site.retract_provider(oid)
+        primary.site.ensure_provider_for(box)
+        mirror = mirror_of(f1, box)
+        mirror.set(7)
+        versions = f1.put_through(mirror)
+        assert box.get() == 7
+        assert versions[oid] == primary.site.master_version(box)
+
     def test_put_through_without_provider_is_typed(self, group):
         _world, _primary, f1, _f2, _box = group
         stranger = Box("unseen")

@@ -67,7 +67,7 @@ def test_transitive_closure_is_one_get_regardless_of_size(traced):
     assert trace.round_trips() == 1
 
 
-def test_cluster_fetch_same_trips_fewer_bytes(traced):
+def test_cluster_fetch_same_trips_same_bytes_fewer_pairs(traced):
     world, provider, consumer, trace = traced
     provider.export(make_chain(30), name="chain")
     ref = consumer.naming.lookup("chain")
@@ -76,13 +76,16 @@ def test_cluster_fetch_same_trips_fewer_bytes(traced):
     consumer.replicate(ref, mode=Incremental(30))
     per_object_bytes = trace.bytes_total()
     per_object_trips = trace.round_trips()
+    per_object_pairs = sum(1 for r in consumer.iter_replicas() if r.provider is not None)
 
     fresh = world.create_site("C2")
     trace.clear()
     fresh.replicate(ref, mode=Cluster(size=30))
     cluster_bytes = trace.bytes_total()
+    cluster_pairs = sum(1 for r in fresh.iter_replicas() if r.provider is not None)
     assert trace.round_trips() == per_object_trips == 1
-    assert cluster_bytes < per_object_bytes  # no per-member provider refs
+    assert cluster_bytes == per_object_bytes  # a package names no per-member provider
+    assert (cluster_pairs, per_object_pairs) == (1, 30)
 
 
 def test_put_and_refresh_are_one_round_trip_each(traced):

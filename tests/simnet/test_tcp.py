@@ -2,6 +2,8 @@
 
 import os
 import resource
+import socket
+import struct
 import threading
 import time
 
@@ -269,6 +271,69 @@ class TestSubmit:
         net.close()
         with pytest.raises(TransportError, match="closed"):
             net.submit("a", "b", b"x").result(1.0)
+
+
+#: A frame header (kind, payload length) and its three string lengths.
+_HEADER = struct.Struct("!B I")
+_LENGTHS = struct.Struct("!HHH")
+
+
+def _frame(kind_code: int, rid: bytes = b"", src: bytes = b"", dst: bytes = b"") -> bytes:
+    return _HEADER.pack(kind_code, 0) + _LENGTHS.pack(len(rid), len(src), len(dst)) + rid + src + dst
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True once the peer closed ``sock`` (a close with unread bytes
+    arrives as a reset)."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestMalformedFrames:
+    def test_server_drops_a_malformed_frame_and_keeps_serving(self, net, monkeypatch):
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: crashed.append(args.exc_type))
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        for bad in (_frame(9), _frame(1, src=b"\xff\xfe")):  # unknown kind; not UTF-8
+            with socket.create_connection(("127.0.0.1", net.port_of("b")), timeout=5) as raw:
+                raw.sendall(bad)
+                assert _closed_by_peer(raw)
+        for thread in threading.enumerate():
+            if thread.name == "tcp-conn-b":
+                thread.join(5.0)
+                assert not thread.is_alive()
+        assert crashed == []
+        assert net.call("a", "b", b"still") == b"echo:still"
+
+    def test_client_gets_transport_error_and_discards_the_socket(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        rogue = socket.create_server(("127.0.0.1", 0))
+        peer_closed = threading.Event()
+
+        def answer_with_kind_9():
+            conn, _addr = rogue.accept()
+            with conn:
+                conn.recv(4096)  # the request
+                conn.sendall(_frame(9))
+                if _closed_by_peer(conn):
+                    peer_closed.set()
+
+        server = threading.Thread(target=answer_with_kind_9, daemon=True)
+        server.start()
+        net._ports["b"] = rogue.getsockname()[1]  # "b" now answers from the rogue
+        try:
+            with pytest.raises(TransportError, match="unknown kind code 9"):
+                net.call("a", "b", b"x")
+            server.join(5.0)
+            assert not server.is_alive()
+            assert peer_closed.is_set()  # the client closed the socket...
+            assert not net._pool.get(("a", "b"))  # ...and pooled nothing
+        finally:
+            rogue.close()
 
 
 #: Descriptors held open before the pool is exercised: enough to push
