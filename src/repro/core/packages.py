@@ -129,12 +129,10 @@ class FeedSubscribeReply:
     """The primary's answer to ``feed_subscribe``: the follower's join.
 
     Every serial up to ``latest_serial`` is covered by ``frames``, so the
-    follower moves its cursor there once they are applied.  A catch-up
-    replays the journal tail past ``last_serial`` (one frame per object,
-    at its event's serial).  When the journal no longer covers
-    ``last_serial`` (a retention gap), ``frames`` is a snapshot instead:
-    every mastered object's state, each frame with serial ``0`` (it is
-    not a journal event), encoded after ``latest_serial`` was captured.
+    follower moves its cursor there once they are applied.  ``frames``
+    holds one frame per object whose latest journal serial is past
+    ``last_serial``, at that serial, in serial order — from any cursor,
+    0 included.
     """
 
     epoch: int = 0

@@ -636,9 +636,8 @@ class Site:
     def feed_follow(self, primary_site_id: str):
         """Attach a ``FeedFollower`` tailing ``primary_site_id``'s feed.
 
-        Subscribes immediately — catching up incrementally when the
-        primary's journal still covers our cursor, bootstrapping from a
-        full snapshot otherwise — and returns the follower role.
+        Subscribes immediately — one reply carries every object changed
+        past our cursor — and returns the follower role.
         """
         from repro.feed.follower import FeedFollower
 

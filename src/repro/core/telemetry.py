@@ -154,12 +154,8 @@ class FeedStats(Counters):
     frames_applied: int = 0
     #: Frames rejected because they carried a stale epoch.
     stale_epoch_rejects: int = 0
-    #: Journal events replayed during reconnect catch-up.
+    #: Frames a join carried: served (primary side), received (follower side).
     catch_up_events: int = 0
-    #: Full snapshots served to bootstrapping followers (primary side).
-    snapshots_served: int = 0
-    #: Full-snapshot bootstraps performed (follower side).
-    snapshot_bootstraps: int = 0
     #: Times this site was promoted to primary.
     promotions: int = 0
     #: Writes proxied through to the primary (follower side).
@@ -238,7 +234,6 @@ class TelemetrySnapshot:
     feed_frames_applied: int
     feed_stale_epoch_rejects: int
     feed_catch_up_events: int
-    feed_snapshot_bootstraps: int
     feed_promotions: int
     feed_write_throughs: int
     feed_push_failures: int
@@ -269,8 +264,7 @@ class TelemetrySnapshot:
             f"  feed    : role {self.feed_role}, epoch {self.feed_epoch}, "
             f"lag {self.feed_lag_serials} serials, "
             f"{self.feed_frames_pushed} pushed / {self.feed_frames_applied} applied, "
-            f"{self.feed_catch_up_events} catch-up events, "
-            f"{self.feed_snapshot_bootstraps} snapshot bootstraps, "
+            f"{self.feed_catch_up_events} join frames, "
             f"{self.feed_stale_epoch_rejects} stale-epoch rejects, "
             f"{self.feed_promotions} promotions, "
             f"{self.feed_write_throughs} write-throughs, "
@@ -347,7 +341,6 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         feed_frames_applied=int(feed["frames_applied"]),
         feed_stale_epoch_rejects=int(feed["stale_epoch_rejects"]),
         feed_catch_up_events=int(feed["catch_up_events"]),
-        feed_snapshot_bootstraps=int(feed["snapshot_bootstraps"]),
         feed_promotions=int(feed["promotions"]),
         feed_write_throughs=int(feed["write_throughs"]),
         feed_push_failures=int(feed["push_failures"]),

@@ -2,19 +2,18 @@
 
 Every change a site applies to one of its masters — a ``put``, a
 ``touch``, a mirrored feed frame — is journaled in its
-:class:`ChangeLog` as a serial-numbered :class:`FeedEvent`.  The change
-feed (:mod:`repro.feed`) streams those events to followers and uses the
-serial as the catch-up cursor after a disconnection.
+:class:`ChangeLog` as a serial-numbered :class:`FeedEvent`.  The journal
+is compacted: it holds each oid's latest event only.  The change feed
+(:mod:`repro.feed`) streams events to followers and answers a join from
+any cursor with the events past it.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
-
-from repro.util.errors import RetentionGapError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Callable, Sequence
@@ -35,20 +34,19 @@ class FeedEvent:
 
 
 class ChangeLog:
-    """The site-wide journal of applied changes.
+    """The site-wide journal of applied changes, compacted per oid.
 
-    Every recorded change appends a serial-numbered :class:`FeedEvent`
-    (bounded retention), and every :meth:`record_many` batch notifies
-    subscribed observers once — the substrate of the change feed.  The
-    journal carries an *epoch* number that advances on failover promotion
-    so frames from a deposed primary are recognizably stale.
+    Every recorded change gets a serial-numbered :class:`FeedEvent` that
+    replaces its oid's previous one, and every :meth:`record_many` batch
+    notifies subscribed observers once — the substrate of the change
+    feed.  The journal carries an *epoch* number that advances on
+    failover promotion so frames from a deposed primary are recognizably
+    stale.
     """
 
-    def __init__(self, *, journal_retention: int = 512):
-        self._journal: deque[FeedEvent] = deque(maxlen=journal_retention)
-        #: Every oid ever journaled here (until dropped) — retention may
-        #: have rolled its events out, but it has been announced.
-        self._journaled: set[str] = set()
+    def __init__(self) -> None:
+        #: oid → that oid's latest event: the whole journal, compacted.
+        self._latest: dict[str, FeedEvent] = {}
         self._next_serial = 1
         self._epoch = 0
         self._observers: list[Callable[[list[FeedEvent]], None]] = []
@@ -74,8 +72,7 @@ class ChangeLog:
             for oid, version in changes:
                 event = FeedEvent(self._next_serial, oid, version)
                 self._next_serial += 1
-                self._journal.append(event)
-                self._journaled.add(oid)
+                self._latest[oid] = event
                 events.append(event)
             observers = list(self._observers)
         # Observers push on the network; never call them under the lock.
@@ -88,30 +85,35 @@ class ChangeLog:
 
         Followers mirror the primary's journal so that, on promotion, the
         new primary's serial numbering continues where the group left
-        off.  Does not notify observers — mirrored events are not local
-        writes.
+        off.  Feed frames may arrive out of serial order (a live push can
+        land before the join reply that precedes it), so an event only
+        replaces an oid's entry when its serial is higher.  Does not
+        notify observers — mirrored events are not local writes.
         """
         with self._lock:
-            self._journal.append(FeedEvent(serial, oid, version))
-            self._journaled.add(oid)
+            held = self._latest.get(oid)
+            if held is None or serial > held.serial:
+                self._latest[oid] = FeedEvent(serial, oid, version)
+            if serial >= self._next_serial:
+                self._next_serial = serial + 1
+
+    def advance(self, serial: int) -> None:
+        """Number the next local change past ``serial``: a follower's
+        join covers serials up to the reply's even where no event of
+        them survives (its master was dropped)."""
+        with self._lock:
             if serial >= self._next_serial:
                 self._next_serial = serial + 1
 
     def has_history(self, oid: str) -> bool:
         """Has ``oid`` ever been journaled here (and not dropped since)?"""
         with self._lock:
-            return oid in self._journaled
+            return oid in self._latest
 
     # -- serial / epoch surface -----------------------------------------
     @property
-    def earliest_serial(self) -> int:
-        """Oldest serial the journal still retains (0 when empty)."""
-        with self._lock:
-            return self._journal[0].serial if self._journal else 0
-
-    @property
     def latest_serial(self) -> int:
-        """Newest serial handed out (0 before the first record)."""
+        """Newest serial handed out or mirrored (0 before the first)."""
         with self._lock:
             return self._next_serial - 1
 
@@ -125,12 +127,6 @@ class ChangeLog:
         with self._lock:
             if epoch > self._epoch:
                 self._epoch = epoch
-            return self._epoch
-
-    def bump_epoch(self) -> int:
-        """Advance the epoch (failover promotion); returns the new one."""
-        with self._lock:
-            self._epoch += 1
             return self._epoch
 
     def subscribe(self, observer: "Callable[[list[FeedEvent]], None]") -> None:
@@ -148,28 +144,13 @@ class ChangeLog:
                 self._observers.remove(observer)
 
     def events_since(self, serial: int) -> list[FeedEvent]:
-        """Journal events with serials strictly greater than ``serial``.
-
-        Raises :class:`RetentionGapError` when the journal can no longer
-        prove it covers ``(serial, latest]`` — the caller must bootstrap
-        from a full snapshot instead.
-        """
+        """The latest event of every oid changed after ``serial``, in
+        serial order: exactly what a follower at that cursor lacks."""
         with self._lock:
-            latest = self._next_serial - 1
-            if serial >= latest:
-                return []
-            earliest = self._journal[0].serial if self._journal else latest + 1
-            if earliest > serial + 1:
-                raise RetentionGapError(
-                    f"journal retains serials [{earliest}, {latest}]; "
-                    f"cannot catch up from {serial}",
-                    requested=serial,
-                    earliest=earliest,
-                    latest=latest,
-                )
-            return [event for event in self._journal if event.serial > serial]
+            newer = [event for event in self._latest.values() if event.serial > serial]
+        return sorted(newer, key=attrgetter("serial"))
 
     def drop(self, oid: str) -> None:
-        """Forget that ``oid`` was journaled (its master is gone)."""
+        """Forget ``oid``'s journal entry (its master is gone)."""
         with self._lock:
-            self._journaled.discard(oid)
+            self._latest.pop(oid, None)

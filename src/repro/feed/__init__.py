@@ -8,19 +8,18 @@ journaled with a dense serial number and pushed to subscribed followers
 as a :class:`~repro.core.packages.FeedFrame`.  A
 :class:`~repro.feed.follower.FeedFollower` registers over RMI, tails the
 feed continuously, catches up from its last applied serial after a
-disconnection (answered with a full snapshot when the journal's
-retention window has gapped), proxies writes through to the primary, and
-can be promoted to primary when the primary dies — the group re-points
-via an epoch number stamped on every frame so a deposed primary's
-frames are recognizably stale.
+disconnection (the journal keeps each object's latest event, so the
+reply is the objects changed since), proxies writes through to the
+primary, and can be promoted to primary when the primary dies — the
+group re-points via an epoch number stamped on every frame so a deposed
+primary's frames are recognizably stale.
 
 Modelled on the devpi-server replication protocol (event serials,
 primary-URL followers, write-through, failover) and Oracle's
 add-a-site-without-quiescing multimaster scheme: a new follower joins a
-live group in one subscribe reply — it is registered first, the snapshot
+live group in one subscribe reply — it is registered first, the reply's
 serial is captured before encoding, concurrently with ongoing puts, and
-the feed tail replays over the snapshot under a version-monotonic apply
-guard.
+live pushes overlap the reply under a version-monotonic apply guard.
 
 See ``docs/HA.md`` for the role model and the failover runbook.
 """

@@ -4,7 +4,7 @@ A frame carries the primary's full state for one object as an instance
 frame (references travel as proxy-out descriptors, so they re-link to
 local mirrors when present and fault lazily otherwise).
 Application is **version-monotonic**: a frame older than the local
-mirror is dropped.  That guard is what lets a snapshot bootstrap run
+mirror is dropped.  That guard is what lets a join reply apply
 concurrently with live pushes — whichever lands second per object is a
 no-op or a strict improvement — so adding a follower never quiesces the
 group.

@@ -52,8 +52,9 @@ def fail_over(followers: "list[FeedFollower]", *, reason: str = "") -> PromoteRe
 
     Returns the :class:`~repro.core.packages.PromoteReply`; the winner's
     site now carries a :class:`~repro.feed.primary.FeedPrimary` role and
-    every other follower tails it from its own cursor (catch-up, not
-    bootstrap — their journals mirror the same serial history).
+    every other follower tails it from its own cursor: the winner's
+    mirrored journal holds each object's latest serial, so a survivor
+    receives exactly the objects changed since its cursor.
     """
     winner = elect_new_primary(followers)
     reply = winner.promote()

@@ -6,12 +6,12 @@ records, so on promotion the mirrors *are* the new masters.  The
 follower's cursor is its last applied journal serial:
 
 * **Join and reconnect** are one ``feed_subscribe`` round trip from the
-  cursor: the primary replays the journal tail (one frame per object,
-  collapsed) or, when its retention window has gapped, snapshots every
-  master at a serial captured before encoding.  Either reply is applied
+  cursor: the primary's journal holds each object's latest event, so
+  the reply is one frame per object changed since the cursor, whatever
+  the cursor's age (0 for a brand-new follower).  The reply is applied
   under the same epoch check and version-monotonic guard live pushes
-  use, so a brand-new follower joins a group under write load without
-  anyone quiescing.
+  use, so a follower joins a group under write load without anyone
+  quiescing.
 * **Write-through**: applications write at the follower by proxying the
   put to the primary's per-object proxy-in — exported under the object's
   oid, so ``(primary, oid, interface)`` names it — then waiting until the
@@ -76,11 +76,11 @@ class FeedFollower:
     def start(self, primary_site_id: str) -> None:
         """Subscribe (or re-subscribe) to ``primary_site_id``'s feed.
 
-        One round trip: the reply replays the journal tail past our
-        cursor or, after a retention gap, snapshots every master.  Either
-        way it is applied through :meth:`handle_events`, epoch guard
-        first, and the cursor then moves to the reply's serial.  Safe to
-        call again after a partition heals — that *is* the reconnect path.
+        One round trip: the reply carries one frame per object changed
+        past our cursor.  It is applied through :meth:`handle_events`,
+        epoch guard first, and the cursor then moves to the reply's
+        serial.  Safe to call again after a partition heals — that *is*
+        the reconnect path.
         """
         site = self.site
         self._primary_id = primary_site_id
@@ -105,14 +105,12 @@ class FeedFollower:
                 frame_epoch=reply.epoch,
                 current_epoch=ack.epoch,
             )
+        site.change_log.advance(reply.latest_serial)
         with self._applied:
             if reply.latest_serial > self._last_applied:
                 self._last_applied = reply.latest_serial
             self._applied.notify_all()
-        if any(frame.serial == 0 for frame in reply.frames):
-            site.feed_stats.add(snapshot_bootstraps=1)
-        elif reply.frames:
-            site.feed_stats.add(catch_up_events=len(reply.frames))
+        site.feed_stats.add(catch_up_events=len(reply.frames))
         site.feed_stats.set_gauges(role="follower", lag_serials=0)
 
     def _adopt_epoch(self, epoch: int) -> None:
@@ -144,8 +142,7 @@ class FeedFollower:
             for frame in batch.frames:
                 if apply_feed_frame(site, frame):
                     applied += 1
-                # A snapshot frame (serial 0) stands at the batch's serial.
-                self._note_applied(frame, serial=frame.serial or batch.latest_serial)
+                self._note_applied(frame)
         site.feed_stats.add(frames_applied=applied)
         with self._applied:
             applied_serial = self._last_applied
@@ -155,14 +152,14 @@ class FeedFollower:
         )
         return FeedAck(epoch=epoch, applied_serial=applied_serial, accepted=True)
 
-    def _note_applied(self, frame: "FeedFrame", *, serial: int) -> None:
-        # Mirror the event into our own journal so a
-        # promotion continues the group's serial numbering, then advance
-        # the cursor and wake write-through waiters.
-        self.site.change_log.record_mirror(serial, frame.oid, frame.version)
+    def _note_applied(self, frame: "FeedFrame") -> None:
+        # Mirror the event into our own journal so a promotion continues
+        # the group's serial numbering and serves rejoins from any
+        # cursor, then advance the cursor and wake write-through waiters.
+        self.site.change_log.record_mirror(frame.serial, frame.oid, frame.version)
         with self._applied:
-            if serial > self._last_applied:
-                self._last_applied = serial
+            if frame.serial > self._last_applied:
+                self._last_applied = frame.serial
             self._applied.notify_all()
 
     def handle_subscribe(self, request: FeedSubscribeRequest) -> "FeedSubscribeReply":

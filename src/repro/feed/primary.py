@@ -10,10 +10,10 @@ subscriber.
 
 Delivery discipline:
 
-* Every push is sent with ``invoke_async`` and its ack collected after
-  all pushes are started.  On both transports a push completes before
-  ``invoke_async`` returns, so followers are pushed one after the other;
-  a failed push stalls its follower without delaying the next.
+* Followers are pushed one after the other, each with a plain
+  ``invoke`` that returns its ack, so a put pays the sum of their round
+  trips.  A failed push stalls its follower and the loop moves on; on
+  TCP the socket timeout (30 s) bounds how long one push can take.
 * The subscriber list is copied under the role's lock and every invoke
   happens outside it (obiflow OBI202 checks this).
 
@@ -46,7 +46,6 @@ from repro.util.errors import (
     FeedError,
     ProtocolError,
     RemoteError,
-    RetentionGapError,
     StaleEpochError,
     TransportError,
 )
@@ -55,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import Site
     from repro.core.versions import FeedEvent
     from repro.rmi.refs import RemoteRef
-
-#: How long a push waits for one follower's ack before stalling it.
-PUSH_TIMEOUT_S = 30.0
 
 #: What a push to one follower may raise; each stalls that follower.
 #: ``ProtocolError`` is a site that exports no feed service.
@@ -150,14 +146,7 @@ class FeedPrimary:
         with site.tracer.span(
             "feed.push", events=len(events), serial=events[-1].serial
         ):
-            encoder = self._frame_encoder()
-            frames = []
-            for event in events:
-                master = site.master_object_for(event.oid)
-                if master is not None:  # else: dropped between record and push
-                    frames.append(
-                        self._frame_for(master, serial=event.serial, encoder=encoder)
-                    )
+            frames = self._frames_for(events)
             if not frames:
                 return
             batch = FeedBatch(
@@ -168,10 +157,18 @@ class FeedPrimary:
             )
             self._deliver(batch)
 
-    def _frame_encoder(self) -> OwnStateEncoder:
-        """An encoder to share across the frames of one batch (each
-        ``encode()`` call is an independent frame)."""
-        return OwnStateEncoder(self.site)
+    def _frames_for(self, events: "list[FeedEvent]") -> list[FeedFrame]:
+        """One frame per event, at its serial, from the master's current
+        state; a master dropped since it was journaled has no frame.  The
+        frames share one encoder (each ``encode()`` is independent)."""
+        site = self.site
+        encoder = OwnStateEncoder(site)
+        frames = []
+        for event in events:
+            master = site.master_object_for(event.oid)
+            if master is not None:
+                frames.append(self._frame_for(master, serial=event.serial, encoder=encoder))
+        return frames
 
     def _frame_for(
         self, master: object, *, serial: int, encoder: OwnStateEncoder
@@ -194,13 +191,9 @@ class FeedPrimary:
         site = self.site
         with self._lock:
             subscribers = [s for s in self._subscribers.values() if not s.stalled]
-        in_flight = [
-            (sub, site.endpoint.invoke_async(sub.ref, "feed_events", (batch,)))
-            for sub in subscribers
-        ]
-        for sub, future in in_flight:
+        for sub in subscribers:
             try:
-                ack = future.result(PUSH_TIMEOUT_S)
+                ack = site.endpoint.invoke(sub.ref, "feed_events", (batch,))
             except _PUSH_FAILURES as exc:
                 self._stall(sub, reason=str(exc))
                 continue
@@ -233,6 +226,9 @@ class FeedPrimary:
     # verb handlers (dispatched by FeedService)
     # ------------------------------------------------------------------
     def handle_subscribe(self, request: FeedSubscribeRequest) -> FeedSubscribeReply:
+        """Answer a join or rejoin from the follower's cursor: one frame
+        per oid whose latest journal serial is past it, in serial order,
+        each at the master's current state."""
         site = self.site
         if not self._active:
             raise StaleEpochError(
@@ -253,47 +249,9 @@ class FeedPrimary:
             # Captured before any frame is read or encoded: the reply
             # covers every serial up to it, and the feed brings the rest.
             latest = log.latest_serial
-            try:
-                events = log.events_since(request.last_serial)
-            except RetentionGapError:
-                frames = self._snapshot_frames()
-                site.feed_stats.add(snapshots_served=1)
-            else:
-                frames = self._catch_up_frames(events)
-                site.feed_stats.add(catch_up_events=len(events))
+            frames = self._frames_for(log.events_since(request.last_serial))
+            site.feed_stats.add(catch_up_events=len(frames))
             return FeedSubscribeReply(epoch=self.epoch, latest_serial=latest, frames=frames)
-
-    def _catch_up_frames(self, events: "list[FeedEvent]") -> list[FeedFrame]:
-        """One frame per distinct oid, at its highest event serial.
-
-        Catch-up re-encodes *current* state (the journal stores oids and
-        versions, not payloads), so replaying collapsed history is safe:
-        the frame's version is the current version and the follower's
-        monotonic guard handles any overlap with live pushes.
-        """
-        newest: dict[str, int] = {}
-        for event in events:
-            newest[event.oid] = max(event.serial, newest.get(event.oid, 0))
-        encoder = self._frame_encoder()
-        frames = []
-        for oid, serial in sorted(newest.items(), key=lambda pair: pair[1]):
-            master = self.site.master_object_for(oid)
-            if master is None:
-                continue  # dropped since; nothing to converge to
-            frames.append(self._frame_for(master, serial=serial, encoder=encoder))
-        return frames
-
-    def _snapshot_frames(self) -> list[FeedFrame]:
-        """Every master's current state, for a follower the journal no
-        longer covers.  Nothing pauses the write path: a newer state than
-        the reply's serial is deduped by the follower's version-monotonic
-        apply.  A snapshot frame is not a journal event, so its serial is
-        ``0``."""
-        encoder = self._frame_encoder()
-        return [
-            self._frame_for(record.obj, serial=0, encoder=encoder)
-            for _oid, record in self.site.iter_masters()
-        ]
 
     def handle_events(self, batch: FeedBatch) -> FeedAck:
         site = self.site

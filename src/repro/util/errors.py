@@ -117,24 +117,6 @@ class UnknownReplicaError(ReplicationError):
     """
 
 
-class RetentionGapError(ReplicationError):
-    """A serial range fell out of the change log's retention window.
-
-    Raised by :meth:`repro.core.versions.ChangeLog.events_since` when the
-    journal can no longer prove it covers every event after the requested
-    serial — the caller must fall
-    back to a full-snapshot bootstrap instead of an incremental catch-up.
-    :attr:`requested` is the serial the caller had, :attr:`earliest` /
-    :attr:`latest` bound what the log still retains.
-    """
-
-    def __init__(self, message: str, *, requested: int = 0, earliest: int = 0, latest: int = 0):
-        super().__init__(message)
-        self.requested = requested
-        self.earliest = earliest
-        self.latest = latest
-
-
 class FeedError(ReplicationError):
     """A change-feed operation failed (see :mod:`repro.feed`).
 

@@ -1,48 +1,36 @@
-"""ChangeLog journal hardening: serials, epoch, typed retention gaps.
+"""ChangeLog journal hardening: serials, compaction, epoch, observers.
 
 PR 10's feed layer sits on these primitives, but they are useful (and
 tested) on their own: dense journal serials, mirror-side numbering,
-observer discipline, and :class:`RetentionGapError` when the journal no
-longer covers a cursor.
+observer discipline, and a journal compacted to each oid's latest event,
+so a join from any cursor is exactly the oids changed since.
 """
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.versions import ChangeLog, FeedEvent
-from repro.util.errors import ReplicationError, RetentionGapError
 
 
 class TestJournalSerials:
     def test_serials_are_dense_from_one(self):
         log = ChangeLog()
-        assert log.earliest_serial == 0 and log.latest_serial == 0
+        assert log.latest_serial == 0
         assert log.record("oid:1", 1) == 1
         assert log.record("oid:2", 1) == 2
-        assert log.earliest_serial == 1
         assert log.latest_serial == 2
 
     def test_events_since_returns_strict_tail(self):
         log = ChangeLog()
-        for version in range(1, 6):
+        for version in range(1, 4):
             log.record("oid:1", version)
+        log.record("oid:2", 1)
+        log.record("oid:1", 4)
         tail = log.events_since(3)
-        assert [event.serial for event in tail] == [4, 5]
-        assert tail[-1] == FeedEvent(5, "oid:1", 5)
+        assert tail == [FeedEvent(4, "oid:2", 1), FeedEvent(5, "oid:1", 4)]
+        assert log.events_since(4) == [FeedEvent(5, "oid:1", 4)]
         assert log.events_since(5) == []
         assert log.events_since(99) == []  # ahead of the head: nothing to replay
-
-    def test_retention_gap_is_typed_and_carries_the_window(self):
-        log = ChangeLog(journal_retention=4)
-        for version in range(1, 11):
-            log.record("oid:1", version)
-        assert log.earliest_serial == 7
-        with pytest.raises(RetentionGapError) as excinfo:
-            log.events_since(2)
-        gap = excinfo.value
-        assert (gap.requested, gap.earliest, gap.latest) == (2, 7, 10)
-        assert isinstance(gap, ReplicationError)
-        # From the retention boundary the tail is still servable.
-        assert [event.serial for event in log.events_since(6)] == [7, 8, 9, 10]
 
     def test_record_mirror_continues_the_group_numbering(self):
         log = ChangeLog()
@@ -50,6 +38,14 @@ class TestJournalSerials:
         assert log.latest_serial == 7
         # A local write after promotion picks up where the group left off.
         assert log.record("oid:2", 1) == 8
+
+    def test_advance_numbers_past_a_covered_serial(self):
+        log = ChangeLog()
+        log.record_mirror(2, "oid:1", 1)
+        log.advance(5)  # a join reply covered serials 3-5 with no event
+        log.advance(4)  # never backwards
+        assert log.latest_serial == 5 and log.events_since(2) == []
+        assert log.record("oid:1", 2) == 6
 
     def test_record_mirror_marks_the_oid_journaled(self):
         log = ChangeLog()
@@ -59,11 +55,13 @@ class TestJournalSerials:
 
 
 class TestHistory:
-    def test_history_outlives_journal_retention(self):
-        log = ChangeLog(journal_retention=2)
+    def test_history_outlives_compaction(self):
+        log = ChangeLog()
         for index in range(5):
             log.record(f"oid:{index}", 1)
-        assert [event.oid for event in log.events_since(3)] == ["oid:3", "oid:4"]
+        for version in range(2, 600):
+            log.record("oid:0", version)
+        assert [event.oid for event in log.events_since(3)] == ["oid:3", "oid:4", "oid:0"]
         assert all(log.has_history(f"oid:{index}") for index in range(5))
 
     def test_drop_forgets_the_object(self):
@@ -71,7 +69,51 @@ class TestHistory:
         log.record("x", 2)
         log.drop("x")
         assert not log.has_history("x")
+        assert log.events_since(0) == []
         log.drop("never-journaled")  # dropping an unknown oid is a no-op
+
+
+OIDS = [f"oid:{index}" for index in range(4)]
+_local = st.tuples(
+    st.just("local"),
+    st.lists(st.tuples(st.sampled_from(OIDS), st.integers(1, 9)), min_size=1, max_size=3),
+)
+_mirror = st.tuples(
+    st.just("mirror"), st.integers(1, 40), st.sampled_from(OIDS), st.integers(1, 9)
+)
+
+
+@given(st.lists(st.one_of(_local, _mirror), max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_join_set_is_each_oids_highest_serial_past_the_cursor(operations):
+    """Whatever the mix of local records and (out-of-order, stale)
+    mirrors, a join from any cursor is one event per oid whose highest
+    recorded serial is past it, at that serial and its version, in
+    serial order."""
+    log = ChangeLog()
+    recorded: list[FeedEvent] = []  # every (serial, oid, version) recorded
+    for operation in operations:
+        if operation[0] == "local":
+            serials = log.record_many(operation[1])
+            recorded += [
+                FeedEvent(serial, oid, version)
+                for serial, (oid, version) in zip(serials, operation[1])
+            ]
+        else:
+            _kind, serial, oid, version = operation
+            log.record_mirror(serial, oid, version)
+            recorded.append(FeedEvent(serial, oid, version))
+    highest: dict[str, FeedEvent] = {}
+    for event in recorded:  # the first event to reach an oid's top serial wins
+        if event.oid not in highest or event.serial > highest[event.oid].serial:
+            highest[event.oid] = event
+    head = max((event.serial for event in recorded), default=0)
+    assert log.latest_serial == head
+    for cursor in range(head + 2):
+        joined = log.events_since(cursor)
+        expected = {event for event in highest.values() if event.serial > cursor}
+        assert set(joined) == expected and len(joined) == len(expected)
+        assert [event.serial for event in joined] == sorted(e.serial for e in joined)
 
 
 class TestObservers:
@@ -90,7 +132,8 @@ class TestObservers:
         assert log.latest_serial == 4
         assert [[event.serial for event in batch] for batch in seen] == [[1], [2, 3, 4]]
         assert seen[1][1] == FeedEvent(3, "oid:2", 5)
-        assert [event.serial for event in log.events_since(1)] == [2, 3, 4]
+        # The journal keeps each oid's latest event: oid:1's serial 2 is gone.
+        assert [event.serial for event in log.events_since(1)] == [3, 4]
 
     def test_an_empty_batch_is_silent(self):
         log, seen = ChangeLog(), []
@@ -119,8 +162,3 @@ class TestEpoch:
         assert log.adopt_epoch(3) == 3
         assert log.adopt_epoch(1) == 3  # never goes backwards
         assert log.epoch == 3
-
-    def test_bump_advances_by_one(self):
-        log = ChangeLog()
-        log.adopt_epoch(2)
-        assert log.bump_epoch() == 3

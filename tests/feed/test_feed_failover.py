@@ -10,7 +10,7 @@ no split-brain write is applied.
 import pytest
 
 from repro.core.meta import obi_id_of
-from repro.util.errors import FeedError, ProtocolError, RetentionGapError, StaleEpochError
+from repro.util.errors import FeedError, ProtocolError, StaleEpochError
 from repro.feed import elect_new_primary, fail_over, request_promotion
 from tests.feed.conftest import mirror_of
 from tests.models import Box
@@ -94,6 +94,71 @@ class TestPromotion:
         assert f1.site.change_log.latest_serial == head + 1
         assert f2.last_applied_serial == head + 1
 
+    def test_repoint_delivers_a_write_mirrored_ahead_of_the_join_reply(
+        self, feed_world, monkeypatch
+    ):
+        # F1's journal mirrors serial 11 (box 3) before serials 1-10 of
+        # its join reply.  Serial 11 is the only change to box 3 that F2,
+        # partitioned away at serial 10, missed; after failover F1 must
+        # still hand it to F2, however many writes to box 0 follow.
+        world = feed_world
+        world.create_site("NS")
+        primary_site = world.create_site("P")
+        boxes = [Box(index) for index in range(10)]
+        for index, box in enumerate(boxes):
+            primary_site.export(box, name=f"box{index}")
+        primary = primary_site.feed_primary()  # serials 1-10
+        f2 = world.create_site("F2").feed_follow("P")
+        world.network.partition({"P"}, {"F2"})
+        f1_site = world.create_site("F1")
+        invoke = f1_site.endpoint.invoke
+
+        def reply_then_write(ref, method, args=(), kwargs=None):
+            result = invoke(ref, method, args, kwargs)
+            if method == "feed_subscribe":  # returned, not yet applied
+                boxes[3].set(111)
+                primary_site.touch(boxes[3])  # serial 11 reaches F1 first
+            return result
+
+        monkeypatch.setattr(f1_site.endpoint, "invoke", reply_then_write)
+        f1 = f1_site.feed_follow("P")
+        monkeypatch.setattr(f1_site.endpoint, "invoke", invoke)
+        for value in range(505):
+            boxes[0].set(value)
+            primary_site.touch(boxes[0])
+        primary.detach()
+        world.network.connectivity.heal()
+        f1.promote()
+        f2.repoint("F1")
+        assert mirror_of(f1, boxes[3]).get() == 111
+        assert mirror_of(f2, boxes[3]).get() == mirror_of(f1, boxes[3]).get()
+        assert f2.last_applied_serial == f1.site.change_log.latest_serial
+
+    def test_promotion_numbers_past_a_join_cursor_whose_head_was_dropped(self, group):
+        # The head serial's master is dropped before a rejoin: the reply
+        # has no frame at that serial, yet the cursors stand on it.  A
+        # write at the promoted follower must get a serial past them.
+        world, primary, f1, f2, box = group
+        world.network.partition({"P"}, {"F1", "F2"})
+        extra = Box("extra")
+        primary.site.export(extra, name="extra")
+        primary.site.touch(extra)  # the head serial; no follower sees it
+        primary.site.drop_master(obi_id_of(extra))
+        world.network.connectivity.heal()
+        f1.start("P")
+        f2.start("P")
+        primary.detach()
+        f1.promote()
+        f2.repoint("F1")
+        world.network.partition({"F1"}, {"F2"})
+        new_master = f1.site.master_object_for(obi_id_of(box))
+        new_master.set(5)
+        f1.site.touch(new_master)
+        assert f1.site.change_log.latest_serial > f2.last_applied_serial
+        world.network.connectivity.heal()
+        f2.repoint("F1")
+        assert mirror_of(f2, box).get() == 5
+
     def test_request_promotion_over_rmi(self, group):
         _world, primary, f1, f2, _box = group
         primary.detach()
@@ -142,26 +207,22 @@ class TestEpochFencing:
         assert not primary.active
         assert primary.site.feed_stats.snapshot()["role"] == "demoted"
 
-    def test_stale_snapshot_is_rejected_before_any_apply(self, group, monkeypatch):
+    def test_stale_snapshot_is_rejected_before_any_apply(self, group):
         world, primary, f1, _f2, box = group
         world.network.partition({"P"}, {"F1"})
         box.set(2)
         primary.site.touch(box)  # F1 is stalled behind the partition
         world.network.connectivity.heal()
-
-        def gapped(serial):
-            raise RetentionGapError("journal rolled over", requested=serial)
-
-        # F1's cursor fell out of retention, so its subscribe reply is a
-        # snapshot — from an epoch the group has since left behind.
-        monkeypatch.setattr(primary.site.change_log, "events_since", gapped)
+        # F1's rejoin reply carries the box's frame — from an epoch the
+        # group has since left behind.
         f1._adopt_epoch(primary.epoch + 1)
         cursor = f1.last_applied_serial
+        joined = f1.site.feed_stats.snapshot()["catch_up_events"]
         with pytest.raises(StaleEpochError):
             f1.start("P")
         assert mirror_of(f1, box).get() == 1
         assert f1.last_applied_serial == cursor
-        assert f1.site.feed_stats.snapshot()["snapshot_bootstraps"] == 0
+        assert f1.site.feed_stats.snapshot()["catch_up_events"] == joined
 
 
 class TestPartitionConvergence:

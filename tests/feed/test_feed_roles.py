@@ -1,4 +1,4 @@
-"""Role mechanics: subscribe, push, catch-up, bootstrap, write-through.
+"""Role mechanics: subscribe, push, join, write-through.
 
 The group fixture is a primary ``P`` with followers ``F1``/``F2`` on the
 deterministic loopback world (``test_feed_tcp.py`` re-runs the
@@ -11,7 +11,6 @@ import pytest
 from repro.core.meta import obi_id_of
 from repro.core.packages import FeedSubscribeRequest
 from repro.core.telemetry import snapshot
-from repro.core.versions import ChangeLog
 from repro.util.errors import FeedError, ProtocolError
 from tests.feed.conftest import mirror_of
 from tests.models import Box
@@ -169,7 +168,7 @@ class TestOneBatchPerPut:
         assert [mirror_of(f1, box).get() for box in late] == ["late0", "late1", "late2"]
 
 
-class TestCatchUpAndBootstrap:
+class TestJoin:
     def test_reconnect_catches_up_from_cursor(self, group):
         world, primary, f1, _f2, box = group
         world.network.partition({"P"}, {"F1"})
@@ -181,9 +180,8 @@ class TestCatchUpAndBootstrap:
         assert mirror_of(f1, box).get() == 10
         assert f1.site.feed_stats.snapshot()["lag_serials"] == 0
 
-    def test_retention_gap_downgrades_to_snapshot_bootstrap(self, feed_world):
+    def test_late_join_ships_one_frame_per_object(self, feed_world):
         primary_site = feed_world.create_site("P")
-        primary_site.change_log = ChangeLog(journal_retention=4)
         box = Box(0)
         primary_site.export(box, name="box")
         primary = primary_site.feed_primary()
@@ -192,12 +190,11 @@ class TestCatchUpAndBootstrap:
             primary_site.touch(box)
         late = feed_world.create_site("F1").feed_follow("P")
         assert mirror_of(late, box).get() == 10
-        assert late.site.feed_stats.snapshot()["snapshot_bootstraps"] == 1
-        assert primary_site.feed_stats.snapshot()["snapshots_served"] == 1
+        assert late.site.feed_stats.snapshot()["catch_up_events"] == 1
+        assert primary.site.feed_stats.snapshot()["catch_up_events"] == 1
 
-    def test_retention_gap_join_is_one_round_trip(self, feed_world):
+    def test_late_join_is_one_round_trip(self, feed_world):
         primary_site = feed_world.create_site("P")
-        primary_site.change_log = ChangeLog(journal_retention=4)
         box = Box(0)
         primary_site.export(box, name="box")
         primary_site.feed_primary()
@@ -211,6 +208,33 @@ class TestCatchUpAndBootstrap:
         assert link("F1", "P").messages - before == 1  # the subscribe, nothing else
         assert mirror_of(late, box).get() == 10
         assert late.last_applied_serial == primary_site.change_log.latest_serial
+
+    def test_rejoin_ships_only_the_objects_written_since(self, feed_world):
+        # 513 writes to 3 of 256 one-kilobyte records while the follower
+        # was away: its rejoin carries those 3 records, not all 256.
+        primary_site = feed_world.create_site("P")
+        records = [Box(bytes(1024)) for _ in range(256)]
+        for index, record in enumerate(records):
+            primary_site.export(record, name=f"r{index}")
+        primary_site.feed_primary()
+        follower = feed_world.create_site("F1").feed_follow("P")
+        feed_world.network.partition({"P"}, {"F1"})
+        for write in range(513):
+            record = records[write % 3]
+            record.set(write.to_bytes(2, "big") * 512)
+            primary_site.touch(record)
+        feed_world.network.connectivity.heal()
+        link = feed_world.network.stats.link("P", "F1")
+        joined_before = follower.site.feed_stats.snapshot()["catch_up_events"]
+        messages, size = link.messages, link.bytes
+        follower.start("P")
+        assert follower.site.feed_stats.snapshot()["catch_up_events"] - joined_before == 3
+        assert link.messages - messages == 1  # the one subscribe reply
+        assert link.bytes - size < 4 * 1024  # three records' state, not 256
+        assert [mirror_of(follower, r).get() for r in records[:3]] == [
+            record.get() for record in records[:3]
+        ]
+        assert follower.last_applied_serial == primary_site.change_log.latest_serial
 
     def test_join_with_no_masters_left_moves_cursor_to_capture_serial(self, feed_world):
         primary_site = feed_world.create_site("P")
@@ -227,19 +251,17 @@ class TestCatchUpAndBootstrap:
         # capture: a rejoin asks for nothing older.
         assert head > 0 and late.last_applied_serial == head
 
-    def test_join_rejournals_nothing_rolled_out_of_retention(self, feed_world):
-        # Every master was journaled once, but the journal only retains the
-        # last four events: the two earliest oids are no longer in it.  They
-        # still have history, so a joining follower must not re-journal them.
+    def test_join_rejournals_nothing(self, feed_world):
+        # Every master was journaled once, long before the follower
+        # joins: the join re-encodes their state without new serials.
         primary_site = feed_world.create_site("P")
-        primary_site.change_log = ChangeLog(journal_retention=4)
         primary_site.feed_primary()
         boxes = [Box(index) for index in range(6)]
         for index, box in enumerate(boxes):
             primary_site.export(box, name=f"box{index}")
             primary_site.touch(box)
         head = primary_site.change_log.latest_serial
-        assert head == 6 and primary_site.change_log.earliest_serial == 3
+        assert head == 6
         late = feed_world.create_site("F1").feed_follow("P")
         assert primary_site.change_log.latest_serial == head
         assert [mirror_of(late, box).get() for box in boxes] == list(range(6))

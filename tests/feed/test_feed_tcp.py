@@ -32,7 +32,7 @@ class TestOneBatchPerPut(roles.TestOneBatchPerPut):
     pass
 
 
-class TestCatchUpAndBootstrap(roles.TestCatchUpAndBootstrap):
+class TestJoin(roles.TestJoin):
     pass
 
 
