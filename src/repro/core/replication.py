@@ -25,7 +25,9 @@ Consumer side — :func:`integrate_package`:
    asked, except a clustered fetch's non-root members, which name the
    root instead;
 2. objects that already have a local replica are updated *in place* so
-   every existing alias observes the refresh;
+   every existing alias observes the refresh — except under a demand,
+   which re-links to the local replica and keeps its state (a local edit
+   survives a demand that wraps onto it);
 3. every unresolved proxy-out records the objects holding it as
    demanders (the paper's ``setDemander``), enabling ``updateMember``
    splicing when the fault fires.
@@ -211,15 +213,22 @@ class SiteUnswizzler:
 
 
 def integrate_package(
-    site: "Site", package: ReplicaPackage, mode: ReplicationMode, provider_site: str
+    site: "Site",
+    package: ReplicaPackage,
+    mode: ReplicationMode,
+    provider_site: str,
+    *,
+    keep_local: bool = False,
 ) -> object:
     """Consumer-side materialization of a replica package.
 
     ``mode`` is the mode the consumer asked with: new replica records and
     frontier proxy-outs keep it.  ``provider_site`` is the site that was
     asked: it exports each member's proxy-in under the member's oid.
-    Returns the canonical local object for the package root — a fresh
-    replica, or the pre-existing one updated in place.
+    ``keep_local`` (a demand) treats a replica the site already holds the
+    way a local master always is: re-linked to, but neither updated nor
+    re-registered.  Returns the canonical local object for the package
+    root — a fresh replica, or the pre-existing one.
     """
     with site.tracer.span(
         "integrate",
@@ -227,11 +236,15 @@ def integrate_package(
         objects=package.object_count,
         bytes=len(package.payload),
     ):
-        return _integrate_package(site, package, mode, provider_site)
+        return _integrate_package(site, package, mode, provider_site, keep_local)
 
 
 def _integrate_package(
-    site: "Site", package: ReplicaPackage, mode: ReplicationMode, provider_site: str
+    site: "Site",
+    package: ReplicaPackage,
+    mode: ReplicationMode,
+    provider_site: str,
+    keep_local: bool,
 ) -> object:
     site.charge_serialization(len(package.payload))
     site.charge_replicas(package.object_count)
@@ -244,13 +257,15 @@ def _integrate_package(
     # Map freshly decoded copies onto pre-existing local objects.
     replacements: dict[int, object] = {}
     canonical: dict[str, object] = {}
-    kept: set[str] = set()  # local masters: they keep their own state
+    # Objects that keep their own state: local masters, and under a
+    # demand every local replica too.
+    kept: set[str] = set()
     for oid, fresh in arrivals.items():
         existing = site.local_object_for(oid)
         canonical[oid] = fresh if existing is None else existing
         if existing is None:
             continue
-        if site.is_master(oid):
+        if keep_local or site.is_master(oid):
             kept.add(oid)
         elif existing is not fresh:
             # Refresh in place so every alias of the old replica sees the

@@ -51,6 +51,9 @@ class ChangeLog:
         self._epoch = 0
         self._observers: list[Callable[[list[FeedEvent]], None]] = []
         self._lock = threading.Lock()
+        #: Held from a batch's serial assignment through its observer
+        #: calls, so batches publish in serial order; taken before _lock.
+        self._publish = threading.Lock()
 
     def record(self, oid: str, version: int) -> int:
         """Record a local change; returns the serial it was journaled at."""
@@ -59,25 +62,30 @@ class ChangeLog:
     def record_many(self, changes: "Sequence[tuple[str, int]]") -> list[int]:
         """Record several local changes — one multi-entry put — as a batch.
 
-        ``changes`` holds ``(oid, version)`` pairs.  The lock is taken
-        once, the events get dense consecutive serials, and each observer
-        is called **once with the whole list**, so a feed primary ships
-        one put as one batch and a follower never observes half of it.
-        Returns the serials, aligned with ``changes``.
+        ``changes`` holds ``(oid, version)`` pairs.  The events get dense
+        consecutive serials, and each observer is called **once with the
+        whole list**, so a feed primary ships one put as one batch and a
+        follower never observes half of it.  Batches publish in serial
+        order: a concurrent writer's batch waits until every observer
+        call of this one has returned, so no follower receives serial
+        *n + 1* while serial *n* is still undelivered.  Returns the
+        serials, aligned with ``changes``.
         """
         if not changes:
             return []
         events: list[FeedEvent] = []
-        with self._lock:
-            for oid, version in changes:
-                event = FeedEvent(self._next_serial, oid, version)
-                self._next_serial += 1
-                self._latest[oid] = event
-                events.append(event)
-            observers = list(self._observers)
-        # Observers push on the network; never call them under the lock.
-        for observer in observers:
-            observer(events)
+        with self._publish:
+            with self._lock:
+                for oid, version in changes:
+                    event = FeedEvent(self._next_serial, oid, version)
+                    self._next_serial += 1
+                    self._latest[oid] = event
+                    events.append(event)
+                observers = list(self._observers)
+            # Observers push on the network: outside the table lock, but
+            # inside the publication lock that orders the batches.
+            for observer in observers:
+                observer(events)
         return [event.serial for event in events]
 
     def record_mirror(self, serial: int, oid: str, version: int) -> None:
@@ -133,7 +141,9 @@ class ChangeLog:
         """Call ``observer(events)`` after every local :meth:`record_many`
         batch (a single :meth:`record` is a one-event batch).
 
-        Observers run outside the log's lock, on the recording thread.
+        Observers run on the recording thread, one batch at a time and in
+        serial order, outside the log's table lock; an observer must not
+        record into the same log.
         """
         with self._lock:
             self._observers.append(observer)

@@ -46,7 +46,8 @@ class MobileNode:
         return replica
 
     def prefetch(self, root: object) -> int:
-        """Resolve all pending faults under ``root`` while still online."""
+        """Bring in the missing closure under ``root`` while still online;
+        returns the number of demands (see :meth:`Hoard.prefetch`)."""
         return self.hoard_store.prefetch(root)
 
     # ------------------------------------------------------------------

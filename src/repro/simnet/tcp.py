@@ -54,6 +54,10 @@ _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 #: Idle connections kept per (src, dst) pair; extras are closed on release.
 POOL_SIZE_PER_PAIR = 8
 
+#: Largest payload a frame may declare; a larger one is malformed and
+#: dropped before any of it is read (the length field allows 4 GiB).
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+
 
 def _send_frame(sock: socket.socket, message: Message) -> None:
     rid = message.request_id.encode("utf-8")
@@ -83,6 +87,10 @@ def _recv_frame(sock: socket.socket) -> Message:
     kind = _CODE_KINDS.get(kind_code)
     if kind is None:
         raise ConnectionError(f"malformed frame: unknown kind code {kind_code}")
+    if payload_len > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"malformed frame: payload of {payload_len} bytes exceeds {MAX_FRAME_BYTES}"
+        )
     rid_len, src_len, dst_len = struct.unpack("!HHH", _recv_exact(sock, 6))
     try:
         rid = _recv_exact(sock, rid_len).decode("utf-8")

@@ -36,6 +36,10 @@ class TestJoin(roles.TestJoin):
     pass
 
 
+class TestPushOrder(roles.TestPushOrder):
+    pass
+
+
 class TestWriteThrough(roles.TestWriteThrough):
     pass
 

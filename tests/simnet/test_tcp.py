@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.simnet.tcp import TcpNetwork
+from repro.simnet.tcp import MAX_FRAME_BYTES, TcpNetwork
 from repro.util.clock import WallClock
 from repro.util.errors import DisconnectedError, TransportError
 
@@ -278,8 +278,12 @@ _HEADER = struct.Struct("!B I")
 _LENGTHS = struct.Struct("!HHH")
 
 
-def _frame(kind_code: int, rid: bytes = b"", src: bytes = b"", dst: bytes = b"") -> bytes:
-    return _HEADER.pack(kind_code, 0) + _LENGTHS.pack(len(rid), len(src), len(dst)) + rid + src + dst
+def _frame(
+    kind_code: int, rid: bytes = b"", src: bytes = b"", dst: bytes = b"", payload_len: int = 0
+) -> bytes:
+    """A frame's header and strings; ``payload_len`` is declared, not sent."""
+    header = _HEADER.pack(kind_code, payload_len)
+    return header + _LENGTHS.pack(len(rid), len(src), len(dst)) + rid + src + dst
 
 
 def _closed_by_peer(sock: socket.socket) -> bool:
@@ -306,6 +310,17 @@ class TestMalformedFrames:
                 thread.join(5.0)
                 assert not thread.is_alive()
         assert crashed == []
+        assert net.call("a", "b", b"still") == b"echo:still"
+
+    def test_server_drops_a_frame_declaring_an_oversized_payload(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        declared = 2**32 - 1  # 4 GiB: the largest length the header holds
+        assert declared > MAX_FRAME_BYTES
+        bad = _frame(1, rid=b"r1", src=b"a", dst=b"b", payload_len=declared)
+        with socket.create_connection(("127.0.0.1", net.port_of("b")), timeout=5) as raw:
+            raw.sendall(bad + b"x" * 64)
+            assert _closed_by_peer(raw)
         assert net.call("a", "b", b"still") == b"echo:still"
 
     def test_client_gets_transport_error_and_discards_the_socket(self, net):
