@@ -740,10 +740,12 @@ class Site:
         self.gc_stats.track_created()
         return proxy
 
-    def resolve_fault(self, proxy: ProxyOutBase) -> object:
+    def resolve_fault(
+        self, proxy: ProxyOutBase, *, scope: ReplicationMode | None = None
+    ) -> object:
         # fault_resolved publishes inside faults.resolve_fault, within the
         # fault span, so log subscribers see the trace context.
-        return faults.resolve_fault(self, proxy)
+        return faults.resolve_fault(self, proxy, scope=scope)
 
     def finish_fault(self, proxy: ProxyOutBase, replica: object) -> None:
         with self._lock:
