@@ -1,7 +1,7 @@
 """PR-5 bench smoke: obitrace must be free while it is off.
 
 Asserts the headline acceptance claim — with tracing disabled, the
-instrumented fault path costs < 2% on the fault-batching list walk — and
+instrumented fault path costs < 2% on the chunk-1 list walk — and
 sanity-checks the enabled path (spans actually recorded, no-op span under
 2 µs).  Records ``BENCH_pr5.json`` at the repo root when
 ``OBIWAN_BENCH_RECORD`` is set (the CI bench-smoke job does).

@@ -5,10 +5,8 @@ local use → ``updateMember`` (splice the replica into its demanders) →
 ``put`` (write back).  The analyzer recovers the protocol events a
 function performs from its RMI call sites:
 
-* ``endpoint.invoke(ref, "verb", args)`` / ``invoke_oneway`` with a
-  literal verb;
-* ``endpoint.invoke_batch(site, calls)`` where ``calls`` contains
-  literal ``(ref, "verb", args)`` triples;
+* ``endpoint.invoke(ref, "verb", args)`` / ``invoke_async`` /
+  ``invoke_oneway`` with a literal verb;
 * a call to a function named ``splice`` or ``updateMember`` counts as
   the updateMember step (with the replica argument noted).
 
@@ -20,8 +18,8 @@ Three checks consume the events:
   its functions through the call graph;
 * **demand-outside-fault-path** — ``demand`` is the object-fault
   protocol's verb; only the fault-resolution module may issue it, so a
-  stray ``demand`` elsewhere bypasses coalescing, batching, and the
-  stats the fault path maintains;
+  stray ``demand`` elsewhere bypasses coalescing and the stats the
+  fault path maintains;
 * **splice-escape** — inside a resolution function, the replica must
   not escape (be returned, or stored into an attribute) before the
   ``splice``/``updateMember`` call completes, or the application can
@@ -163,7 +161,6 @@ class ProtocolAnalysis:
 # event extraction
 # ----------------------------------------------------------------------
 def _extract_events(func: FunctionInfo):
-    uses_batch = False
     for node in ast.walk(func.node):
         if not isinstance(node, ast.Call):
             continue
@@ -172,21 +169,6 @@ def _extract_events(func: FunctionInfo):
             verb = _literal_str(node.args[1])
             if verb is not None:
                 yield VerbEvent(verb=verb, func=func, node=node)
-        elif attr == "invoke_batch":
-            uses_batch = True
-    if uses_batch:
-        # The batch's call list is usually built before the invoke_batch
-        # call (appends, comprehensions), so match every literal
-        # ``(ref, "verb", args)`` triple in the function.  Functions that
-        # never batch are exempt, which keeps acl-style string tables
-        # from reading as protocol traffic.
-        for triple in ast.walk(func.node):
-            if (
-                isinstance(triple, ast.Tuple)
-                and len(triple.elts) == 3
-                and (verb := _literal_str(triple.elts[1])) is not None
-            ):
-                yield VerbEvent(verb=verb, func=func, node=triple)
 
 
 def verb_events_of(func: FunctionInfo) -> list[VerbEvent]:

@@ -178,9 +178,9 @@ class DemandOutsideFaultPathRule(_FlowRule):
     description = "'demand' issued outside the object-fault path"
     rationale = (
         "demand is the fault path's verb: faults.py coalesces concurrent "
-        "demands, batches siblings, and counts stats.  A demand issued "
-        "elsewhere bypasses all three — duplicate round trips under "
-        "concurrency and stats that silently undercount."
+        "demands, integrates each package under the proxy's mode, and counts "
+        "stats.  A demand issued elsewhere bypasses all three — duplicate "
+        "round trips under concurrency and stats that silently undercount."
     )
 
     def check_flow(self, project: Project) -> Iterator[Finding]:
@@ -190,7 +190,7 @@ class DemandOutsideFaultPathRule(_FlowRule):
                 event.node,
                 f"'demand' issued from {event.func.qualname}() — outside the "
                 "fault path; route object faults through "
-                "repro.core.faults.resolve_fault so they coalesce and batch",
+                "repro.core.faults.resolve_fault so they coalesce",
             )
 
 

@@ -241,28 +241,6 @@ def cmd_strategy_study() -> None:
     )
 
 
-def cmd_fault_batching() -> None:
-    from repro.bench.fault_batching import fault_batching_report
-
-    print("P2 — batched demand & prefetching fault resolver")
-    report = fault_batching_report()
-    baseline, batched = report["baseline"], report["prefetch"]
-    print(
-        render_table(
-            ["walk", "fault round trips", "wall clock (ms)", "bytes sent"],
-            [
-                [r["label"], r["fault_round_trips"], f"{r['wall_clock_ms']:.1f}", r["bytes_sent"]]
-                for r in (baseline, batched)
-            ],
-        )
-    )
-    print(
-        f"  round trips cut {report['round_trip_reduction']:.1f}x, "
-        f"wall clock {report['wall_clock_speedup']:.2f}x"
-    )
-    save_json("fault_batching", report)
-
-
 def cmd_tracing_overhead() -> None:
     from repro.bench.tracing_overhead import tracing_overhead_report
 
@@ -315,7 +293,6 @@ COMMANDS = {
     "future-cpu": cmd_future_cpu,
     "strategy-study": cmd_strategy_study,
     "memory-study": cmd_memory_study,
-    "fault-batching": cmd_fault_batching,
     "tracing-overhead": cmd_tracing_overhead,
 }
 

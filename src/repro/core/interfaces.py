@@ -13,7 +13,7 @@ share a single proxy pair (a cluster) or get one pair each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.serial.registry import global_registry
 from repro.util.errors import ClusterError
@@ -57,50 +57,21 @@ class ReplicationMode:
         proxy pair; they cannot be individually updated (Section 4.3).
         ``False`` → every fetched object gets its own proxy-in so it can
         be individually ``put`` / refreshed (Section 4.2).
-    prefetch:
-        Read-ahead budget for the object-fault fast path.  ``0`` (the
-        default) keeps the paper's one-round-trip-per-fault protocol.
-        ``k > 0`` lets one fault fetch up to ``k`` objects of the
-        incremental chunk in a single round trip (the consumer demands
-        :meth:`demand_scope`) and piggyback up to ``k`` sibling faults
-        pending on the same provider site onto that round trip.  Prefetch
-        is purely consumer-side transfer scheduling and never travels:
-        per-object-pair mode still gives every prefetched member its own
-        proxy-in, and clustered fetches never widen (cluster membership
-        is a semantic boundary).
+
+    A fault demands exactly the faulting proxy's mode: the chunk is the
+    only read-ahead, and the application picks it at run time.
     """
 
     chunk: int = 1
     depth: int = UNBOUNDED
     clustered: bool = False
-    prefetch: int = 0
 
     def __post_init__(self) -> None:
-        if self.chunk < 0 or self.depth < 0:
-            raise ClusterError("mode bounds must be >= 0 (0 means unbounded)")
-        if self.prefetch < 0:
-            raise ClusterError("prefetch must be >= 0 (0 disables read-ahead)")
+        _check_mode(self.chunk, self.depth, self.clustered)
 
     @property
     def unbounded(self) -> bool:
         return self.chunk == UNBOUNDED and self.depth == UNBOUNDED
-
-    def demand_scope(self) -> "ReplicationMode":
-        """The traversal bound a *fault-time* demand asks for.
-
-        With prefetch set on a chunk-bounded per-object mode, the consumer
-        demands ``max(chunk, prefetch)`` objects so one round trip carries
-        the faulting target plus its read-ahead frontier.  Explicit
-        ``get``/``replicate`` calls, clustered fetches and unbounded or
-        depth-only modes keep their exact scope.
-        """
-        if (
-            self.prefetch <= self.chunk
-            or self.clustered
-            or self.chunk == UNBOUNDED
-        ):
-            return self
-        return replace(self, chunk=self.prefetch)
 
     def describe(self) -> str:
         scope_parts = []
@@ -110,21 +81,26 @@ class ReplicationMode:
             scope_parts.append(f"depth {self.depth}")
         scope = " and ".join(scope_parts) if scope_parts else "whole graph"
         style = "clustered" if self.clustered else "per-object pairs"
-        if self.prefetch:
-            style += f", prefetch {self.prefetch}"
         return f"{scope}, {style}"
 
 
-def Incremental(
-    chunk: int = 1, *, depth: int = UNBOUNDED, prefetch: int = 0
-) -> ReplicationMode:
+def _check_mode(chunk: object, depth: object, clustered: object) -> None:
+    """Refuse a mode no traversal can honour, built or decoded."""
+    for bound in (chunk, depth):
+        if type(bound) is not int:
+            raise ClusterError(f"mode bounds must be ints, not {type(bound).__name__}")
+        if bound < 0:
+            raise ClusterError("mode bounds must be >= 0 (0 means unbounded)")
+    if type(clustered) is not bool:
+        raise ClusterError(f"mode clustered must be a bool, not {type(clustered).__name__}")
+
+
+def Incremental(chunk: int = 1, *, depth: int = UNBOUNDED) -> ReplicationMode:
     """Per-object incremental replication: ``chunk`` objects per fault,
-    each with its own proxy pair (paper Section 4.2).  ``prefetch=k``
-    turns on the batched-demand fast path: one fault round trip carries
-    up to ``k`` objects of read-ahead."""
+    each with its own proxy pair (paper Section 4.2)."""
     if chunk == UNBOUNDED and depth == UNBOUNDED:
         raise ClusterError("Incremental() needs a chunk or depth bound; use Transitive()")
-    return ReplicationMode(chunk=chunk, depth=depth, clustered=False, prefetch=prefetch)
+    return ReplicationMode(chunk=chunk, depth=depth, clustered=False)
 
 
 def Transitive() -> ReplicationMode:
@@ -141,18 +117,18 @@ def Cluster(size: int = UNBOUNDED, *, depth: int = UNBOUNDED) -> ReplicationMode
 
 
 def _mode_state(mode: object) -> object:
-    # ``prefetch`` is the consumer's own scheduling and stays local: a
-    # demand already carries the widened scope it asks for.
     assert isinstance(mode, ReplicationMode)
     return (mode.chunk, mode.depth, mode.clustered)
 
 
 def _mode_set_state(mode: object, state: object) -> None:
+    # Decoding bypasses ``__post_init__``: a mode from the wire is checked
+    # here, before a provider traverses anything with it.
     chunk, depth, clustered = state  # type: ignore[misc]
+    _check_mode(chunk, depth, clustered)
     object.__setattr__(mode, "chunk", chunk)
     object.__setattr__(mode, "depth", depth)
     object.__setattr__(mode, "clustered", clustered)
-    object.__setattr__(mode, "prefetch", 0)
 
 
 global_registry.register(

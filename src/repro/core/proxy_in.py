@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.interfaces import Incremental, ReplicationMode
+from repro.util.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packages import PutPackage, ReplicaPackage
@@ -49,9 +50,11 @@ class ProxyIn:
         """Build a replica package rooted at the master (paper: ``A.get``)."""
         from repro.core.replication import build_package
 
-        return build_package(
-            self._obi_site, self._obi_master, mode if mode is not None else Incremental(1)
-        )
+        if mode is None:
+            mode = Incremental(1)
+        elif not isinstance(mode, ReplicationMode):
+            raise ProtocolError(f"a scope must be a ReplicationMode, not {type(mode).__name__}")
+        return build_package(self._obi_site, self._obi_master, mode)
 
     def put(self, package: "PutPackage") -> dict[str, int]:
         """Apply a consumer's state back onto masters; returns new versions."""
@@ -63,8 +66,8 @@ class ProxyIn:
     # IDemandeeRemote
     # ------------------------------------------------------------------
     #: Resolve an object fault: operationally the same as ``get``.  The
-    #: consumer sends the scope it wants (a prefetching fault asks for its
-    #: widened ``mode.demand_scope()``), so the provider widens nothing.
+    #: consumer sends the scope it wants (its proxy's mode, or a hoard's
+    #: closure), so the provider widens nothing.
     demand = get
 
     # ------------------------------------------------------------------
@@ -79,6 +82,8 @@ class ProxyIn:
         """
         if oids is None:
             return self._obi_site.master_version(self._obi_master)
+        if not isinstance(oids, list) or not all(isinstance(oid, str) for oid in oids):
+            raise ProtocolError("a version probe takes a list of oid strings")
         return self._obi_site.probe_versions(oids)
 
     # ------------------------------------------------------------------

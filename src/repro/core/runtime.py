@@ -753,7 +753,7 @@ class Site:
         self.gc_stats.track_resolved(proxy)
 
     # ------------------------------------------------------------------
-    # batched-demand fast path (used by repro.core.faults)
+    # in-flight demands (used by repro.core.faults)
     # ------------------------------------------------------------------
     def begin_demand(self, target_id: str) -> tuple[bool, _InflightDemand]:
         """Claim the in-flight demand slot for ``target_id``.
@@ -785,35 +785,6 @@ class Site:
         handle.result = result
         handle.error = error
         handle.event.set()
-
-    def pending_siblings(self, proxy: ProxyOutBase, *, limit: int) -> list[ProxyOutBase]:
-        """Read-ahead candidates for a fault on ``proxy``.
-
-        Unresolved pending proxies that share at least one demander with
-        ``proxy`` (the same application object is holding both — the
-        paper's frontier of one partial replica) and whose provider lives
-        on the same site, so their demands can share the round trip.
-        Ordered by target id for determinism; capped at ``limit``.
-        """
-        if limit <= 0:
-            return []
-        demander_ids = proxy._obi_demander_ids
-        if not demander_ids:
-            return []
-        provider_site = proxy._obi_provider.site_id
-        with self._lock:
-            pending = sorted(self._pending_proxies.items())
-        siblings: list[ProxyOutBase] = []
-        for _target_id, candidate in pending:
-            if candidate is proxy or candidate._obi_resolved is not None:
-                continue
-            if candidate._obi_provider.site_id != provider_site:
-                continue
-            if demander_ids & candidate._obi_demander_ids:
-                siblings.append(candidate)
-                if len(siblings) >= limit:
-                    break
-        return siblings
 
     # ------------------------------------------------------------------
     # cost charging

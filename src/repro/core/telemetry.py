@@ -74,19 +74,12 @@ def _counter_names(cls: type[Counters]) -> frozenset[str]:
 
 @dataclass
 class FaultPathStats(Counters):
-    """Counters for the batched/prefetching fault fast path.
+    """Counters for the fault path.
 
     Faulting threads race on these (coalesced faults exist precisely
     because resolution is concurrent).
     """
 
-    #: Demand round trips that went through the batched fast path
-    #: (widened scope and/or piggybacked sibling demands).
-    demands_batched: int = 0
-    #: Objects replicated ahead of need: read-ahead members beyond the
-    #: mode's own chunk, plus sibling proxies resolved without a round
-    #: trip of their own.
-    prefetch_hits: int = 0
     #: Faults that waited on another thread's in-flight demand instead of
     #: issuing a duplicate round trip.
     coalesced_faults: int = 0
@@ -199,9 +192,7 @@ class TelemetrySnapshot:
     bytes_received: int
     messages_sent: int
     messages_received: int
-    #: Fault fast-path counters (see :class:`FaultPathStats`).
-    demands_batched: int
-    prefetch_hits: int
+    #: Fault-path counters (see :class:`FaultPathStats`).
     coalesced_faults: int
     #: Pooled-TCP reuse attributed to this site as caller; 0 on transports
     #: without a connection pool.
@@ -248,9 +239,7 @@ class TelemetrySnapshot:
             f"  faults  : {self.faults_resolved} resolved of "
             f"{self.proxies_created} proxies created; "
             f"{self.proxies_collected} collected\n"
-            f"  fastpath: {self.demands_batched} batched demands, "
-            f"{self.prefetch_hits} prefetch hits, "
-            f"{self.coalesced_faults} coalesced faults, "
+            f"  fastpath: {self.coalesced_faults} coalesced faults, "
             f"{self.connections_reused} connections reused\n"
             f"  sync    : {self.puts_full} puts, "
             f"{self.refreshes_full} refreshes\n"
@@ -317,8 +306,6 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         bytes_received=traffic["bytes_received"],
         messages_sent=traffic["messages_sent"],
         messages_received=traffic["messages_received"],
-        demands_batched=fault["demands_batched"],
-        prefetch_hits=fault["prefetch_hits"],
         coalesced_faults=fault["coalesced_faults"],
         connections_reused=connections_reused,
         puts_full=sync["puts_full"],

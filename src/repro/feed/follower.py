@@ -44,7 +44,6 @@ from repro.core.packages import (
 from repro.core.replication import build_put
 from repro.feed.apply import apply_feed_frame
 from repro.feed.service import ensure_feed_service, feed_ref
-from repro.rmi.refs import RemoteRef
 from repro.util.errors import FeedError, StaleEpochError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -263,18 +262,14 @@ class FeedFollower:
         """Rebind every name bound to one of the old primary's objects
         that this site mirrors: its proxy-in here has the same oid.
 
-        Every lookup travels in one batch to the name-server site; a name
-        unbound since the listing comes back as an error and is skipped.
+        The whole directory comes back in one ``bindings()`` call to the
+        name-server site; only the names this site takes over cost a
+        ``rebind`` each.
         """
         site = self.site
         naming = site.naming
-        names = naming.list_names()
-        server = naming.remote_ref
-        bound = site.endpoint.invoke_batch(
-            server.site_id, [(server, "lookup", (name,)) for name in names]
-        )
-        for name, ref in zip(names, bound):
-            if not isinstance(ref, RemoteRef) or ref.site_id != self._primary_id:
+        for name, ref in naming.bindings().items():
+            if ref.site_id != self._primary_id:
                 continue
             master = site.master_object_for(ref.object_id)
             if master is not None:

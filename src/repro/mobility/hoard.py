@@ -13,11 +13,10 @@ entirely).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.core import graphwalk
-from repro.core.interfaces import UNBOUNDED, ReplicationMode, Transitive
+from repro.core.interfaces import ReplicationMode, Transitive
 from repro.core.proxy_out import ProxyOutBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,9 +108,7 @@ class Hoard:
 
 def _closure_scope(mode: ReplicationMode) -> ReplicationMode:
     """A per-object mode's whole closure; a cluster keeps its own scope."""
-    if mode.clustered:
-        return mode
-    return replace(mode, chunk=UNBOUNDED, depth=UNBOUNDED, prefetch=0)
+    return mode if mode.clustered else Transitive()
 
 
 def _pending_proxies(root: object, seen: dict[int, object]) -> list[ProxyOutBase]:

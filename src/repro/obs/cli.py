@@ -3,7 +3,7 @@
 ::
 
     obitrace record                         # trace a 3-site fault cascade
-    obitrace record --prefetch 16 --format chrome --out cascade.json
+    obitrace record --chunk 16 --format chrome --out cascade.json
     obitrace analyze cascade.jsonl          # re-render an earlier export
 
 ``record`` runs the canonical mobility workload — S1 masters the paper's
@@ -12,7 +12,7 @@ cascade), then re-exports its replica so S3 replicates *through* S2 —
 with tracing enabled on every site, and renders the assembled cross-site
 trace: indented timeline, critical path, per-kind time attribution, and
 the frame/span reconciliation (every request frame on the wire must be
-some recorded ``rmi.invoke``/``rmi.invoke_batch`` span).
+some recorded ``rmi.invoke`` span).
 
 ``analyze`` re-loads a ``--format jsonl`` export and renders the same
 analysis offline.  Exit codes: 0 ok, 1 reconciliation or workload
@@ -37,7 +37,7 @@ from repro.simnet.message import MessageKind
 from repro.simnet.trace import TraceRecorder
 
 #: Span kinds that correspond one-to-one with REQUEST frames on the wire.
-REQUEST_SPAN_KINDS = ("rmi.invoke", "rmi.invoke_batch")
+REQUEST_SPAN_KINDS = ("rmi.invoke",)
 
 
 @dataclass
@@ -80,12 +80,11 @@ def record_cascade(
     length: int = 32,
     object_size: int = 64,
     chunk: int = 1,
-    prefetch: int = 0,
 ) -> CascadeRecording:
     """Run the 3-site incremental-replication workload with tracing on.
 
     S1 masters the list and hosts the name server; S2 replicates under
-    ``Incremental(chunk, prefetch=prefetch)`` and walks it — one fault
+    ``Incremental(chunk)`` and walks it — one fault
     cascade against S1 — then exports its replica as ``relay``; S3
     replicates ``relay`` and walks, faulting against S2.  The whole run
     sits under one ``workload`` root span, so assembly yields a single
@@ -98,11 +97,11 @@ def record_cascade(
     collectors = {site.name: site.enable_tracing() for site in (s1, s2, s3)}
     s1.export(make_linked_list(ListSpec(length, object_size)), name="list")
 
-    mode = Incremental(chunk, prefetch=prefetch)
+    mode = Incremental(chunk)
     sums: dict[str, int] = {}
     with TraceRecorder(world.network) as recorder:
         with s2.tracer.span(
-            "workload", name=f"cascade length={length} chunk={chunk} prefetch={prefetch}"
+            "workload", name=f"cascade length={length} chunk={chunk}"
         ) as root:
             head2 = s2.replicate("list", mode=mode)
             sums["S2"] = _walk(s2, head2)
@@ -168,7 +167,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         length=args.length,
         object_size=args.object_size,
         chunk=args.chunk,
-        prefetch=args.prefetch,
     )
     if args.format == "chrome":
         text = to_chrome_json(recording.spans)
@@ -226,9 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         "--object-size", type=int, default=64, help="bytes per list object"
     )
     record.add_argument("--chunk", type=int, default=1, help="incremental chunk size")
-    record.add_argument(
-        "--prefetch", type=int, default=0, help="read-ahead objects per demand"
-    )
     record.add_argument(
         "--format",
         choices=("timeline", "chrome", "jsonl"),

@@ -4,7 +4,9 @@ The endpoint is where the layers meet:
 
 * inbound transport frames decode into
   :class:`~repro.rmi.protocol.InvokeRequest` and dispatch through the
-  site's :class:`~repro.rmi.skeleton.ObjectTable`;
+  site's :class:`~repro.rmi.skeleton.ObjectTable`; a frame refused while
+  decoding is answered with an :class:`~repro.rmi.protocol.InvokeFailure`,
+  as a failed dispatch is;
 * outbound :meth:`invoke` calls encode, travel, and re-raise remote
   failures locally;
 * swizzle hooks are pluggable so the replication layer above can intercept
@@ -22,13 +24,7 @@ from repro.rmi.nameserver import (
     NAMESERVER_OBJECT_ID,
     NameServer,
 )
-from repro.rmi.protocol import (
-    InvokeBatchRequest,
-    InvokeBatchResponse,
-    InvokeFailure,
-    InvokeRequest,
-    InvokeSuccess,
-)
+from repro.rmi.protocol import InvokeFailure, InvokeRequest, InvokeSuccess
 from repro.rmi.refs import RemoteRef
 from repro.rmi.skeleton import ObjectTable
 from repro.rmi.stub import Stub, make_stub
@@ -38,7 +34,7 @@ from repro.serial.registry import TypeRegistry, global_registry
 from repro.serial.swizzle import Swizzler, Unswizzler
 from repro.simnet.message import Message
 from repro.simnet.network import Network
-from repro.util.errors import ProtocolError
+from repro.util.errors import ObiwanError, ProtocolError
 
 
 class RmiEndpoint:
@@ -93,18 +89,17 @@ class RmiEndpoint:
         return getattr(self._caller, "site", None)
 
     def _handle_frame(self, message: Message) -> bytes | None:
-        body = self._decoder.decode(message.payload)
+        try:
+            body = self._decoder.decode(message.payload)
+        except ObiwanError as exc:
+            # A request refused while decoding (say, an ill-formed mode)
+            # fails like one refused in dispatch: typed at the caller on
+            # every transport, not as the transport's handler error.
+            return self._encoder.encode(InvokeFailure.from_exception(exc))
         self._caller.site = message.src
         try:
             if isinstance(body, InvokeRequest):
-                result: object = self._dispatch_traced(body, caller=message.src)
-            elif isinstance(body, InvokeBatchRequest):
-                result = InvokeBatchResponse(
-                    results=[
-                        self._dispatch_traced(request, caller=message.src)
-                        for request in body.requests
-                    ]
-                )
+                result = self._dispatch_traced(body, caller=message.src)
             else:
                 raise ProtocolError(
                     f"site {self.site_id!r} received unexpected frame body "
@@ -193,61 +188,6 @@ class RmiEndpoint:
             payload = self._encoder.encode(request)
             pending = self._endpoint.submit(ref.site_id, payload)
         return InvokeFuture(self, pending, method, ref)
-
-    def invoke_batch(
-        self, site_id: str, calls: Sequence[tuple[RemoteRef, str, tuple]]
-    ) -> list[object]:
-        """Run several invocations against ``site_id`` in one round trip.
-
-        ``calls`` is a sequence of ``(ref, method, args)`` triples whose
-        refs must all live on ``site_id``.  Returns a list aligned with
-        ``calls``: the return value for calls that succeeded, the
-        reconstructed exception *instance* for calls that failed — batched
-        calls fail independently, so one bad entry never poisons the rest.
-        Local refs short-circuit through the object table like
-        :meth:`invoke`.  The batch travels as one ``InvokeBatchRequest``
-        frame.
-        """
-        if not calls:
-            return []
-        requests = []
-        for ref, method, args in calls:
-            if ref.site_id != site_id:
-                raise ProtocolError(
-                    f"batched call targets {ref.site_id!r}, expected {site_id!r}; "
-                    "a batch shares one destination site"
-                )
-            requests.append(InvokeRequest(object_id=ref.object_id, method=method, args=args))
-        if site_id == self.site_id:
-            results: list = [self.objects.dispatch(request) for request in requests]
-        else:
-            with self.tracer.span(
-                "rmi.invoke_batch", dst=site_id, calls=len(requests)
-            ):
-                context = current()
-                if context is not None:
-                    for request in requests:
-                        request.trace = context
-                payload = self._encoder.encode(InvokeBatchRequest(requests=requests))
-                response_payload = self._endpoint.call(site_id, payload)
-                decoded = self._decoder.decode(response_payload)
-            if not isinstance(decoded, InvokeBatchResponse) or len(decoded.results) != len(requests):
-                raise ProtocolError(
-                    f"batched invocation on {site_id!r} returned unexpected body "
-                    f"{type(decoded).__name__}"
-                )
-            results = decoded.results
-        outcomes: list[object] = []
-        for result in results:
-            if isinstance(result, InvokeSuccess):
-                outcomes.append(result.value)
-            elif isinstance(result, InvokeFailure):
-                outcomes.append(result.to_exception())
-            else:
-                raise ProtocolError(
-                    f"batched invocation returned unexpected entry {type(result).__name__}"
-                )
-        return outcomes
 
     def invoke_oneway(self, ref: RemoteRef, method: str, args: tuple = (), kwargs: dict | None = None) -> None:
         """Fire-and-forget invocation (update dissemination, invalidations).

@@ -16,7 +16,7 @@ from repro.util.errors import NameNotFoundError, ProtocolError
 NAMESERVER_OBJECT_ID = "obj:nameserver"
 
 #: Interface methods a name-server stub exposes.
-NAMESERVER_METHODS = ("bind", "rebind", "unbind", "lookup", "list_names")
+NAMESERVER_METHODS = ("bind", "rebind", "unbind", "lookup", "bindings")
 
 
 class NameServer:
@@ -46,5 +46,6 @@ class NameServer:
         except KeyError:
             raise NameNotFoundError(f"name {name!r} is not bound") from None
 
-    def list_names(self) -> list[str]:
-        return sorted(self._bindings)
+    def bindings(self) -> dict[str, RemoteRef]:
+        """Every binding, sorted by name: the whole directory in one call."""
+        return dict(sorted(self._bindings.items()))

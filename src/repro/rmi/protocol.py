@@ -1,15 +1,11 @@
 """The invocation protocol: what travels inside transport payloads.
 
-Five frame bodies, each a slots dataclass whose declared fields are its
+Three frame bodies, each a slots dataclass whose declared fields are its
 positional wire schema (:mod:`repro.serial.compiled`):
 
 * :class:`InvokeRequest` — target object id, method name, arguments;
 * :class:`InvokeSuccess` — the return value;
-* :class:`InvokeFailure` — a structured description of a remote exception;
-* :class:`InvokeBatchRequest` / :class:`InvokeBatchResponse` — several
-  invocations on one destination site sharing a single network round
-  trip (the batched-demand fast path of the fault resolver).  Each
-  batched call succeeds or fails independently.
+* :class:`InvokeFailure` — a structured description of a remote exception.
 
 Failures carry the exception's wire name so well-known middleware
 exceptions (``NameNotFoundError``, ``DisconnectedError``, …) re-raise as
@@ -86,22 +82,6 @@ class InvokeFailure:
         raise self.to_exception()
 
 
-@dataclass(slots=True)
-class InvokeBatchRequest:
-    """Several invocations for one destination site, one round trip."""
-
-    requests: list[InvokeRequest] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class InvokeBatchResponse:
-    """Positional results for an :class:`InvokeBatchRequest` — each an
-    :class:`InvokeSuccess` or :class:`InvokeFailure`, aligned with the
-    request list."""
-
-    results: list = field(default_factory=list)
-
-
 #: Middleware exception types that cross the wire losslessly.
 _WELL_KNOWN: dict[str, type[BaseException]] = {
     name: obj
@@ -116,7 +96,5 @@ for _protocol_cls, _wire_name in (
     (InvokeRequest, "rmi.InvokeRequest"),
     (InvokeSuccess, "rmi.InvokeSuccess"),
     (InvokeFailure, "rmi.InvokeFailure"),
-    (InvokeBatchRequest, "rmi.InvokeBatchRequest"),
-    (InvokeBatchResponse, "rmi.InvokeBatchResponse"),
 ):
     global_registry.register(_protocol_cls, name=_wire_name)

@@ -313,17 +313,6 @@ class TestOBI205DemandOutsideFaultPath:
         )
         assert rules_of(findings) == {"OBI205"}
 
-    def test_batched_demand_elsewhere_flagged(self, lint):
-        findings = lint(
-            """
-            def eager_batch(site, proxies):
-                calls = [(p.provider, "demand", (p.mode,)) for p in proxies]
-                return site.endpoint.invoke_batch(proxies[0].provider.site_id, calls)
-            """,
-            rule="OBI205",
-        )
-        assert rules_of(findings) == {"OBI205"}
-
     def test_other_verbs_clean(self, lint):
         findings = lint(
             """

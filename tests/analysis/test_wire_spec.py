@@ -57,8 +57,6 @@ class TestExtraction:
             "rmi.InvokeRequest",
             "rmi.InvokeSuccess",
             "rmi.InvokeFailure",
-            "rmi.InvokeBatchRequest",
-            "rmi.InvokeBatchResponse",
             "rmi.RemoteRef",
             "consistency.VersionVector",
         }
@@ -72,7 +70,7 @@ class TestExtraction:
         assert entry.state == "struct"  # the declared fields are the frame
 
     def test_replication_mode_is_a_fixed_three_tuple(self, tree_spec):
-        # prefetch is consumer-local: the mode travels as one fixed shape.
+        # The mode travels as one fixed shape.
         mode = tree_spec.classes["core.ReplicationMode"]
         assert mode.custom_state and mode.state == "tuple"
         assert [f.name for f in mode.fields] == ["chunk", "depth", "clustered"]

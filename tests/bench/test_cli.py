@@ -26,7 +26,6 @@ def test_all_commands_registered():
         "future-cpu",
         "strategy-study",
         "memory-study",
-        "fault-batching",
         "tracing-overhead",
     }
     assert set(COMMANDS) == expected

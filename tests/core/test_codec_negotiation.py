@@ -8,7 +8,7 @@ ships instance frames, and a rejected put is an error, not a retry.
 import pytest
 
 from repro import obiwan
-from repro.core.interfaces import Incremental, ReplicationMode, _mode_state
+from repro.core.interfaces import Incremental, _mode_state
 from repro.core.meta import obi_id_of
 from tests.models import Box, Counter
 
@@ -51,10 +51,6 @@ def _serial(site) -> dict:
 class TestModeWire:
     def test_default_mode_stays_a_3_tuple(self):
         assert _mode_state(Incremental(1)) == (1, 0, False)
-
-    def test_prefetch_mode_is_the_same_3_tuple(self):
-        assert _mode_state(ReplicationMode(chunk=2, prefetch=8)) == (2, 0, False)
-        assert not hasattr(ReplicationMode(), "codec")
 
 
 # ----------------------------------------------------------------------

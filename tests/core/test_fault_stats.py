@@ -1,4 +1,5 @@
-"""FaultPathStats and PoolStats counter semantics under concurrency.
+"""FaultPathStats, SyncPathStats and PoolStats counter semantics under
+concurrency.
 
 The fault path exists because resolution is concurrent, so its own
 bookkeeping must be exact under the same concurrency: N threads adding
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.telemetry import FaultPathStats
+from repro.core.telemetry import FaultPathStats, SyncPathStats
 from repro.simnet.tcp import PoolStats
 
 THREADS = 8
@@ -35,18 +36,12 @@ class TestFaultPathStats:
     def test_add_defaults_to_zero(self):
         stats = FaultPathStats()
         stats.add()
-        assert stats.snapshot() == {
-            "demands_batched": 0,
-            "prefetch_hits": 0,
-            "coalesced_faults": 0,
-        }
+        assert stats.snapshot() == {"coalesced_faults": 0}
 
     def test_add_bumps_selected_counters(self):
         stats = FaultPathStats()
-        stats.add(demands_batched=1, prefetch_hits=3)
         stats.add(coalesced_faults=2)
-        assert stats.demands_batched == 1
-        assert stats.prefetch_hits == 3
+        stats.add()
         assert stats.coalesced_faults == 2
 
     def test_concurrent_adds_are_exact(self):
@@ -54,29 +49,16 @@ class TestFaultPathStats:
 
         def worker():
             for _ in range(PER_THREAD):
-                stats.add(demands_batched=1, prefetch_hits=2, coalesced_faults=1)
+                stats.add(coalesced_faults=1)
 
         _hammer(worker)
-        assert stats.snapshot() == {
-            "demands_batched": THREADS * PER_THREAD,
-            "prefetch_hits": 2 * THREADS * PER_THREAD,
-            "coalesced_faults": THREADS * PER_THREAD,
-        }
+        assert stats.snapshot() == {"coalesced_faults": THREADS * PER_THREAD}
 
     def test_reset_returns_prior_values_and_zeroes(self):
         stats = FaultPathStats()
-        stats.add(demands_batched=5, prefetch_hits=7)
-        before = stats.reset()
-        assert before == {
-            "demands_batched": 5,
-            "prefetch_hits": 7,
-            "coalesced_faults": 0,
-        }
-        assert stats.snapshot() == {
-            "demands_batched": 0,
-            "prefetch_hits": 0,
-            "coalesced_faults": 0,
-        }
+        stats.add(coalesced_faults=5)
+        assert stats.reset() == {"coalesced_faults": 5}
+        assert stats.snapshot() == {"coalesced_faults": 0}
 
     def test_no_increment_lost_across_concurrent_resets(self):
         """adders + resetters in parallel: every add lands either in a
@@ -88,13 +70,13 @@ class TestFaultPathStats:
 
         def adder():
             for _ in range(PER_THREAD):
-                stats.add(demands_batched=1)
+                stats.add(coalesced_faults=1)
 
         def resetter():
             for _ in range(PER_THREAD // 3):
                 before = stats.reset()
                 with harvested_lock:
-                    harvested.append(before["demands_batched"])
+                    harvested.append(before["coalesced_faults"])
 
         barrier = threading.Barrier(THREADS + 2)
         threads = [
@@ -106,24 +88,26 @@ class TestFaultPathStats:
         for thread in threads:
             thread.join()
 
-        total = sum(harvested) + stats.snapshot()["demands_batched"]
+        total = sum(harvested) + stats.snapshot()["coalesced_faults"]
         assert total == THREADS * PER_THREAD
 
+
+class TestSyncPathStats:
     def test_snapshot_is_mutually_consistent(self):
         """add() bumps two counters atomically; a snapshot must never see
         one moved without the other."""
-        stats = FaultPathStats()
+        stats = SyncPathStats()
         stop = threading.Event()
         torn = []
 
         def adder():
             while not stop.is_set():
-                stats.add(demands_batched=1, prefetch_hits=1)
+                stats.add(puts_full=1, refreshes_full=1)
 
         def reader():
             for _ in range(2000):
                 snap = stats.snapshot()
-                if snap["demands_batched"] != snap["prefetch_hits"]:
+                if snap["puts_full"] != snap["refreshes_full"]:
                     torn.append(snap)
             stop.set()
 

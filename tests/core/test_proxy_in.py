@@ -8,6 +8,7 @@ from repro.core.packages import ReplicaPackage
 from repro.core.proxy_in import PROXY_IN_CONTROL_METHODS, ProxyIn
 from repro.rmi.acl import AccessPolicy
 from repro.rmi.refs import RemoteRef
+from repro.util.errors import ProtocolError
 from tests.models import Counter, make_chain
 
 
@@ -57,6 +58,31 @@ class TestControlInterface:
         assert proxy_in.get_version() == 1
         provider.touch(master)
         assert proxy_in.get_version() == 2
+
+
+class TestIllTypedArguments:
+    """A control verb given the wrong type fails typed and changes nothing."""
+
+    @staticmethod
+    def _state(provider, master):
+        return provider.master_version(master), provider.change_log.latest_serial
+
+    @pytest.mark.parametrize("verb", ["get", "demand"])
+    @pytest.mark.parametrize("scope", [1, "Incremental(1)", (1, 0, False)])
+    def test_a_scope_that_is_not_a_mode_is_a_protocol_error(self, exported, verb, scope):
+        provider, consumer, master, ref, _proxy_in = exported
+        before = self._state(provider, master)
+        with pytest.raises(ProtocolError, match="ReplicationMode"):
+            consumer.endpoint.invoke(ref, verb, (scope,))
+        assert self._state(provider, master) == before
+
+    @pytest.mark.parametrize("oids", [7, [["obj:1"]], [{"oid": "obj:1"}]])
+    def test_a_version_probe_of_non_strings_is_a_protocol_error(self, exported, oids):
+        provider, consumer, master, ref, _proxy_in = exported
+        before = self._state(provider, master)
+        with pytest.raises(ProtocolError, match="list of oid strings"):
+            consumer.endpoint.invoke(ref, "get_version", (oids,))
+        assert self._state(provider, master) == before
 
 
 class TestForwarding:

@@ -154,7 +154,7 @@ class TestRefresh:
         provider, consumer = zsites
         head = Chain(0, Chain(1))
         provider.export(head, name="a")
-        mode = Incremental(1, prefetch=4)
+        mode = Incremental(1, depth=3)
         replica = consumer.replicate("a", mode=mode)
         head.set_next(Chain(2))  # re-point a.next on the master
         provider.touch(head)

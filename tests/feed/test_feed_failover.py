@@ -81,6 +81,18 @@ class TestPromotion:
         assert ref.site_id == "F1"
         assert f2.site.replicate(ref).get() == "late"
 
+    def test_promotion_reads_every_binding_in_one_request(self, group):
+        world, primary, f1, f2, _box = group
+        f2.site.export(Box("elsewhere"), name="other")  # not the primary's
+        primary.detach()
+        before = world.network.stats.link("F1", "NS").messages
+        fail_over([f1, f2])
+        # One bindings() read, then one rebind: "box" is the only name
+        # bound to the deposed primary.
+        assert world.network.stats.link("F1", "NS").messages - before == 2
+        assert f2.site.naming.lookup("box").site_id == "F1"
+        assert f2.site.naming.lookup("other").site_id == "F2"
+
     def test_promotion_continues_the_serial_numbering(self, group):
         _world, primary, f1, f2, box = group
         box.set(2)

@@ -74,11 +74,7 @@ def test_to_spans_reconciles_with_invoke_spans(world):
     collector = consumer.enable_tracing()
     recorder = _run_walk(world, provider, consumer)
 
-    invoke_spans = [
-        s
-        for s in collector.spans()
-        if s.kind in ("rmi.invoke", "rmi.invoke_batch")
-    ]
+    invoke_spans = [s for s in collector.spans() if s.kind == "rmi.invoke"]
     net_spans = recorder.to_spans()
     assert len(net_spans) == len(invoke_spans)
     assert all(s.kind == "net.round_trip" for s in net_spans)

@@ -47,10 +47,15 @@ class TestDirect:
         with pytest.raises(NameNotFoundError):
             server.unbind("ghost")
 
-    def test_list_names_sorted(self, server):
+    def test_bindings_sorted_by_name(self, server):
         server.bind("zeta", REF)
         server.bind("alpha", REF2)
-        assert server.list_names() == ["alpha", "zeta"]
+        assert list(server.bindings().items()) == [("alpha", REF2), ("zeta", REF)]
+
+    def test_bindings_is_a_copy(self, server):
+        server.bind("a", REF)
+        server.bindings()["b"] = REF2
+        assert server.bindings() == {"a": REF}
 
 
 class TestOverRmi:
@@ -63,7 +68,7 @@ class TestOverRmi:
         client.naming.bind("service", REF)
         assert client.naming.lookup("service") == REF
         assert host.naming.lookup("service") == REF  # host sees it too
-        assert client.naming.list_names() == ["service"]
+        assert client.naming.bindings() == {"service": REF}
 
         with pytest.raises(NameNotFoundError):
             client.naming.lookup("ghost")
