@@ -16,7 +16,6 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import Analyzer
 from repro.analysis.report import (
     render_json,
@@ -40,16 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="fail only on findings beyond this baseline (see --write-baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as accepted debt and exit 0",
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help="warnings fail the run and suppressions must carry a justification",
@@ -67,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="RULES",
         help="comma-separated rule ids/names to skip",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse and run per-module rules over N worker threads (default: 1)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -124,40 +106,17 @@ def _run(argv: Sequence[str] | None) -> int:
         )
         return 2
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-
     analyzer = Analyzer(
         rules,
         select=_split(args.select) or None,
         ignore=_split(args.ignore) or None,
         strict=args.strict,
-        jobs=args.jobs,
     )
     try:
         report = analyzer.run(args.paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        recorded = write_baseline(args.write_baseline, report)
-        print(f"obilint: baseline of {recorded} finding(s) written to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            report = apply_baseline(report, load_baseline(args.baseline))
-        except FileNotFoundError:
-            print(
-                f"error: baseline file not found: {args.baseline} "
-                "(generate it with --write-baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     if args.format == "json":
         print(render_json(report, strict=args.strict))

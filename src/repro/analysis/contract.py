@@ -66,29 +66,6 @@ def schema_codec_names() -> frozenset[str]:
 
     return registered_codec_names()
 
-#: Dotted callables whose results can never cross a site boundary: OS
-#: handles and scheduler state.  Keys are fully-qualified call names as
-#: they appear after import resolution; values say why.
-UNSERIALIZABLE_FACTORIES: dict[str, str] = {
-    "threading.Lock": "a lock is scheduler state on one machine",
-    "threading.RLock": "a lock is scheduler state on one machine",
-    "threading.Condition": "a condition variable is scheduler state",
-    "threading.Semaphore": "a semaphore is scheduler state",
-    "threading.BoundedSemaphore": "a semaphore is scheduler state",
-    "threading.Event": "an event is scheduler state",
-    "threading.Thread": "a thread handle is process-local",
-    "threading.Timer": "a timer thread is process-local",
-    "socket.socket": "a socket is an OS handle",
-    "socket.create_connection": "a socket is an OS handle",
-    "subprocess.Popen": "a process handle is machine-local",
-    "open": "a file handle is an OS handle",
-    "io.open": "a file handle is an OS handle",
-    "queue.Queue": "a queue wraps locks and condition variables",
-    "queue.LifoQueue": "a queue wraps locks and condition variables",
-    "queue.PriorityQueue": "a queue wraps locks and condition variables",
-    "queue.SimpleQueue": "a queue wraps locks and condition variables",
-}
-
 #: Exception class names in the OBIWAN hierarchy that must never be
 #: silently swallowed — a dropped replication failure corrupts the
 #: consumer's view of the object graph.
@@ -98,26 +75,6 @@ REPLICATION_ERROR_NAMES: frozenset[str] = frozenset(
     if isinstance(obj, type)
     and issubclass(obj, _errors.ObiwanError)
 )
-
-#: Concrete consistency protocols (``ConsistencyProtocol`` subclasses).
-#: Subclassing one of these and overriding a verb without delegating to
-#: ``super()`` silently drops the parent protocol's bookkeeping.
-def concrete_protocol_names() -> frozenset[str]:
-    from repro.consistency.base import ConsistencyProtocol
-
-    # Importing the package registers every shipped protocol subclass.
-    import repro.consistency  # noqa: F401
-
-    names = set()
-    pending = list(ConsistencyProtocol.__subclasses__())
-    while pending:
-        cls = pending.pop()
-        names.add(cls.__name__)
-        pending.extend(cls.__subclasses__())
-    return frozenset(names)
-
-#: Verbs whose overrides must delegate (see rule OBI105).
-PROTOCOL_VERBS: frozenset[str] = frozenset({"get", "put", "read", "write_back"})
 
 #: Module-level callables that read ambient time or entropy.  Outside
 #: :mod:`repro.util.clock` they break deterministic simnet replays.

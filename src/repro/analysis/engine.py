@@ -1,32 +1,26 @@
 """The obilint engine: file collection, parsing, rule running.
 
-The engine is deliberately simple — parse each module once, hand the
-parsed :class:`ModuleSource` to every selected rule, filter the findings
-through the module's suppression comments, and collate a report.  All
-policy (which severities fail the run) lives in the report so the CLI
-and CI can share it.
-
-With ``jobs > 1`` the per-file unit (parse + module rules) fans out over
-a thread pool; results are collated in input order, so the report is
-byte-identical to a serial run.  Module rules hold no mutable state
-during :meth:`~repro.analysis.findings.Rule.check` (configuration is
-frozen in ``__init__``), which is what makes sharing the catalog across
-workers sound.  Project rules need every module at once and stay serial.
+The engine is deliberately simple — :func:`load_modules` parses each file
+once, every selected rule sees the parsed :class:`ModuleSource` list,
+findings are filtered through each module's suppression comments, and a
+report is collated.  All policy (which severities fail the run) lives in
+the report so the CLI and CI can share it.  obiwire loads its modules
+through the same :func:`load_modules`.
 """
 
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.findings import Finding, ProjectRule, Rule, Severity
+from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.suppressions import SuppressionIndex, parse_suppressions
 from repro.analysis.visitor import import_map
 
-#: Directory names never descended into.
-_SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", ".venv", "node_modules"})
+#: Directory names a walk never descends into.  ``fixtures`` holds
+#: seeded-defect corpora: they are analysed only when named explicitly.
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", ".venv", "node_modules", "fixtures"})
 
 
 @dataclass
@@ -54,6 +48,59 @@ class ModuleSource:
         )
 
 
+def _collect_files(paths: list[str | Path]) -> list[Path]:
+    """Every ``.py`` file under ``paths``, in order, without duplicates.
+
+    A named file or directory is always taken; a walk below it skips
+    :data:`_SKIP_DIRS`.
+    """
+    files: list[Path] = []
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            for candidate in sorted(path.rglob("*.py")):
+                if not _SKIP_DIRS & set(candidate.relative_to(path).parts[:-1]):
+                    files.append(candidate)
+        elif path.is_file():
+            files.append(path)
+        else:
+            raise FileNotFoundError(f"no such file or directory: {path}")
+    seen: set[Path] = set()
+    unique = []
+    for path in files:
+        resolved = path.resolve()
+        if resolved not in seen:
+            seen.add(resolved)
+            unique.append(path)
+    return unique
+
+
+def load_modules(paths: list[str | Path]) -> tuple[list[ModuleSource], list[Finding]]:
+    """Collect and parse ``paths``: the parsed modules, and one OBI001
+    finding per file that does not parse.
+
+    Raises :class:`FileNotFoundError` for a path that does not exist.
+    """
+    modules: list[ModuleSource] = []
+    failures: list[Finding] = []
+    for path in _collect_files(paths):
+        try:
+            modules.append(ModuleSource.parse(path))
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            failures.append(
+                Finding(
+                    rule="OBI001",
+                    name="parse-error",
+                    severity=Severity.ERROR,
+                    path=str(path),
+                    line=getattr(exc, "lineno", 1) or 1,
+                    col=1,
+                    message=f"cannot parse: {exc.msg if isinstance(exc, SyntaxError) else exc}",
+                )
+            )
+    return modules, failures
+
+
 @dataclass
 class AnalysisReport:
     """Everything one run produced."""
@@ -62,9 +109,6 @@ class AnalysisReport:
     suppressed: list[Finding]
     files_analyzed: int
     parse_failures: list[Finding]
-    #: Findings matched by a ``--baseline`` file: accepted debt.  They
-    #: are reported but never fail the run (see repro.analysis.baseline).
-    baselined: list[Finding] = field(default_factory=list)
 
     def counts(self) -> dict[str, int]:
         counts = {"error": 0, "warning": 0}
@@ -94,7 +138,6 @@ class Analyzer:
         select: set[str] | None = None,
         ignore: set[str] | None = None,
         strict: bool = False,
-        jobs: int = 1,
     ):
         chosen = rules
         if select:
@@ -105,134 +148,53 @@ class Analyzer:
             chosen = [r for r in chosen if r.id not in keys and r.name not in keys]
         self.rules = chosen
         self.strict = strict
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
 
-    # ------------------------------------------------------------------
-    # file collection
-    # ------------------------------------------------------------------
-    @staticmethod
-    def collect_files(paths: list[str | Path]) -> list[Path]:
-        files: list[Path] = []
-        for raw in paths:
-            path = Path(raw)
-            if path.is_dir():
-                for candidate in sorted(path.rglob("*.py")):
-                    if not _SKIP_DIRS & set(candidate.parts):
-                        files.append(candidate)
-            elif path.is_file():
-                files.append(path)
-            else:
-                raise FileNotFoundError(f"no such file or directory: {path}")
-        # De-duplicate while preserving order (overlapping path arguments).
-        seen: set[Path] = set()
-        unique = []
-        for path in files:
-            resolved = path.resolve()
-            if resolved not in seen:
-                seen.add(resolved)
-                unique.append(path)
-        return unique
-
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
     def run(self, paths: list[str | Path]) -> AnalysisReport:
-        files = self.collect_files(paths)
+        modules, parse_failures = load_modules(paths)
         findings: list[Finding] = []
         suppressed: list[Finding] = []
-        parse_failures: list[Finding] = []
-        modules: list[ModuleSource] = []
-        module_rules = [r for r in self.rules if not isinstance(r, ProjectRule)]
-        project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
-        if self.jobs > 1 and len(files) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                # pool.map preserves input order, so collation below is
-                # deterministic no matter how the workers interleave.
-                results = list(
-                    pool.map(lambda path: self._analyze_file(path, module_rules), files)
-                )
-        else:
-            results = [self._analyze_file(path, module_rules) for path in files]
-        for module, failure, file_findings, file_suppressed in results:
-            if failure is not None:
-                parse_failures.append(failure)
-                continue
-            modules.append(module)
-            findings.extend(file_findings)
-            suppressed.extend(file_suppressed)
-        if project_rules and modules:
-            by_path = {module.display_path: module for module in modules}
-            cache: dict = {}
-            for rule in project_rules:
-                for finding in rule.check_project(modules, cache):
-                    owner = by_path.get(finding.path)
-                    if owner is not None and owner.suppressions.matches(
-                        finding.rule, finding.name, finding.line
-                    ):
-                        suppressed.append(finding)
-                    else:
-                        findings.append(finding)
-        report = AnalysisReport(
-            findings=findings,
-            suppressed=suppressed,
-            files_analyzed=len(files),
-            parse_failures=parse_failures,
-        )
-        return report
-
-    def _analyze_file(
-        self, path: Path, module_rules: list[Rule]
-    ) -> tuple[ModuleSource | None, Finding | None, list[Finding], list[Finding]]:
-        """The per-file unit a ``--jobs`` worker runs: parse + module rules."""
-        try:
-            module = ModuleSource.parse(path)
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            line = getattr(exc, "lineno", 1) or 1
-            failure = Finding(
-                rule="OBI001",
-                name="parse-error",
-                severity=Severity.ERROR,
-                path=str(path),
-                line=line,
-                col=1,
-                message=f"cannot parse: {exc.msg if isinstance(exc, SyntaxError) else exc}",
-            )
-            return None, failure, [], []
-        findings: list[Finding] = []
-        suppressed: list[Finding] = []
-        for rule in module_rules:
-            for finding in rule.check(module):
-                if module.suppressions.matches(finding.rule, finding.name, finding.line):
+        by_path = {module.display_path: module for module in modules}
+        # Project rules share expensive artifacts (the flow Project)
+        # through this per-run cache.
+        cache: dict = {}
+        for rule in self.rules:
+            for finding in rule.check_project(modules, cache):
+                owner = by_path.get(finding.path)
+                if owner is not None and owner.suppressions.matches(
+                    finding.rule, finding.name, finding.line
+                ):
                     suppressed.append(finding)
                 else:
                     findings.append(finding)
         if self.strict:
-            findings.extend(self._bare_suppressions(module))
-        return module, None, findings, suppressed
+            for module in modules:
+                findings.extend(_bare_suppressions(module))
+        return AnalysisReport(
+            findings=findings,
+            suppressed=suppressed,
+            files_analyzed=len(modules) + len(parse_failures),
+            parse_failures=parse_failures,
+        )
 
-    @staticmethod
-    def _bare_suppressions(module: ModuleSource) -> list[Finding]:
-        """In strict mode a suppression must say *why* (after ``--``)."""
-        out = []
-        for suppression in module.suppressions.all():
-            if not suppression.justification:
-                out.append(
-                    Finding(
-                        rule="OBI002",
-                        name="bare-suppression",
-                        severity=Severity.ERROR,
-                        path=module.display_path,
-                        line=suppression.line,
-                        col=1,
-                        message=(
-                            "suppression without justification; append "
-                            "'-- <reason>' explaining why the hazard is acceptable"
-                        ),
-                    )
-                )
-        return out
+
+def _bare_suppressions(module: ModuleSource) -> list[Finding]:
+    """In strict mode a suppression must say *why* (after ``--``)."""
+    return [
+        Finding(
+            rule="OBI002",
+            name="bare-suppression",
+            severity=Severity.ERROR,
+            path=module.display_path,
+            line=suppression.line,
+            col=1,
+            message=(
+                "suppression without justification; append "
+                "'-- <reason>' explaining why the hazard is acceptable"
+            ),
+        )
+        for suppression in module.suppressions.all()
+        if not suppression.justification
+    ]
 
 
 def analyze_paths(
@@ -242,7 +204,6 @@ def analyze_paths(
     select: set[str] | None = None,
     ignore: set[str] | None = None,
     strict: bool = False,
-    jobs: int = 1,
 ) -> AnalysisReport:
     """Convenience wrapper: run the default catalog over ``paths``."""
     from repro.analysis.rules import build_rules
@@ -252,6 +213,5 @@ def analyze_paths(
         select=select,
         ignore=ignore,
         strict=strict,
-        jobs=jobs,
     )
     return analyzer.run(paths)

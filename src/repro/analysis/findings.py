@@ -30,8 +30,8 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation at one source location."""
 
-    rule: str  # e.g. "OBI101"
-    name: str  # e.g. "unserializable-state"
+    rule: str  # e.g. "OBI102"
+    name: str  # e.g. "interface-shadowing"
     severity: Severity
     path: str
     line: int
@@ -59,7 +59,8 @@ class Rule:
     Subclasses set the class attributes and implement :meth:`check`,
     yielding findings for one parsed module.  Rules must be pure functions
     of the module source: no filesystem access, no global state — the
-    engine may run them in any order.
+    engine may run them in any order.  A whole-program rule overrides
+    :meth:`check_project` instead, to follow calls across files.
     """
 
     id: str = "OBI000"
@@ -71,43 +72,32 @@ class Rule:
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         raise NotImplementedError
 
+    def check_project(
+        self, modules: list["ModuleSource"], cache: dict
+    ) -> Iterator[Finding]:
+        """What the engine calls, once per run with every parsed module.
+
+        The default runs :meth:`check` over each module.  ``cache`` is
+        shared by all rules of one run, so whole-program rules can share
+        expensive artifacts (the symbol table, the call graph) without
+        global state leaking between runs.
+        """
+        for module in modules:
+            yield from self.check(module)
+
     def finding(
         self,
         module: "ModuleSource",
         node: ast.AST,
         message: str,
-        *,
-        severity: Severity | None = None,
     ) -> Finding:
         """Build a finding anchored at ``node``."""
         return Finding(
             rule=self.id,
             name=self.name,
-            severity=severity if severity is not None else self.severity,
+            severity=self.severity,
             path=module.display_path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
         )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Where a :class:`Rule` sees one module at a time, a project rule runs
-    once per analysis with *every* parsed module, so it can follow calls
-    across file boundaries (lock-order graphs, protocol state machines).
-    The ``cache`` dict is shared by all project rules of one run — rules
-    use it to share expensive artifacts (the symbol table, the call
-    graph) without global state leaking between runs.
-    """
-
-    def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        # Project rules run through check_project; the per-module pass
-        # skips them.
-        return iter(())
-
-    def check_project(
-        self, modules: list["ModuleSource"], cache: dict
-    ) -> Iterator[Finding]:
-        raise NotImplementedError

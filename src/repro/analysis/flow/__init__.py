@@ -1,7 +1,7 @@
 """obiflow: whole-program interprocedural analysis under obilint.
 
-The per-module rules (OBI101–108) see one file at a time; the flow layer
-sees the project.  It is built in three stages, each consuming the one
+The per-module rules (OBI102, OBI107, OBI108, OBI306) see one file at
+a time; the flow layer sees the project.  It is built in three stages, each consuming the one
 before:
 
 1. :mod:`~repro.analysis.flow.symbols` — a project-wide symbol table:
@@ -13,13 +13,13 @@ before:
    calls, typed-attribute dispatch (``self.endpoint.invoke`` →
    ``RmiEndpoint.invoke``) and, for names unique in the project,
    bound-method dispatch by name;
-3. the analyses — :mod:`~repro.analysis.flow.locks` (lock-order graph,
-   blocking-call propagation), :mod:`~repro.analysis.flow.guarded`
+3. the analyses — :mod:`~repro.analysis.flow.locks` (held-lock
+   summaries, blocking-call propagation), :mod:`~repro.analysis.flow.guarded`
    (which ``self.`` fields each lock owns) and
-   :mod:`~repro.analysis.flow.protocol` (the paper's
-   get/demand/updateMember/put replica lifecycle).
+   :mod:`~repro.analysis.flow.protocol` (the paper's get/demand/put
+   replica lifecycle).
 
-The rules themselves (OBI201–206, OBI209, OBI210) live in
+The rules themselves (OBI202–205, OBI209, OBI210) live in
 :mod:`~repro.analysis.flow.rules` and register through the ordinary
 ``rules/`` catalog; they share one :class:`~repro.analysis.flow.project.Project`
 per engine run through the project-rule cache.

@@ -30,7 +30,7 @@ from repro.analysis.flow.symbols import (
     SymbolTable,
     parameter_types,
 )
-from repro.analysis.visitor import dotted_name, resolve_call_name
+from repro.analysis.visitor import resolve_call_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engine import ModuleSource
@@ -89,12 +89,6 @@ class CallGraph:
 
     def callers_of(self, func: FunctionInfo) -> list[CallSite]:
         return self.callers.get(func.key, [])
-
-    def resolve_call(self, func: FunctionInfo, node: ast.Call) -> tuple[FunctionInfo, ...]:
-        for site in self.sites.get(func.key, []):
-            if site.node is node:
-                return site.callees
-        return ()
 
 
 class _Resolver:

@@ -1,9 +1,8 @@
-"""Lock analysis: per-function summaries, the lock-order graph, and
-interprocedural blocking-call propagation.
+"""Lock analysis: per-function summaries and interprocedural
+blocking-call propagation.
 
 Every function gets one :class:`FunctionSummary` from a single walk that
-tracks the set of locks held at each point (the same discipline as the
-intra-module OBI104 walk, but recording events instead of judging them):
+tracks the set of locks held at each point, recording events:
 
 * **acquires** — each ``with <lock>:`` entry, with the locks already
   held there;
@@ -15,9 +14,6 @@ intra-module OBI104 walk, but recording events instead of judging them):
 
 :class:`LockAnalysis` then propagates across the call graph:
 
-* ``may_entry_held`` — locks that *may* be held when a function starts
-  (union over call sites), feeding the lock-order graph and the
-  blocking-under-lock check;
 * ``must_entry_held`` — locks *provably* held on every analyzed call
   path into a private function (intersection; public functions get the
   empty set — anything may call them), feeding guarded-state inference;
@@ -285,9 +281,6 @@ def _self_arg(func: FunctionInfo) -> str | None:
     return ordered[0].arg if ordered else None
 
 
-_MODULE_LOCKS_CACHE_KEY = "flow-module-locks"
-
-
 def _module_lock_names(symtab: SymbolTable, module: "ModuleSource") -> set[str]:
     cache: dict[str, set[str]] = getattr(symtab, "_module_lock_cache", None) or {}
     if not hasattr(symtab, "_module_lock_cache"):
@@ -315,18 +308,8 @@ def _module_stem(module: "ModuleSource") -> str:
 # ----------------------------------------------------------------------
 # interprocedural propagation
 # ----------------------------------------------------------------------
-@dataclass
-class OrderEdge:
-    """``held`` was held while ``acquired`` was taken at ``node``."""
-
-    held: str
-    acquired: str
-    func: FunctionInfo
-    node: ast.AST
-
-
 class LockAnalysis:
-    """Summaries plus the three propagated facts (see module docstring)."""
+    """Summaries plus the two propagated facts (see module docstring)."""
 
     def __init__(self, symtab: SymbolTable, graph: CallGraph):
         self.symtab = symtab
@@ -334,39 +317,10 @@ class LockAnalysis:
         self.summaries: dict[tuple[str, str], FunctionSummary] = {}
         for func in symtab.functions:
             self.summaries[func.key] = _Walker(symtab, func).walk()
-        self.may_entry_held: dict[tuple[str, str], frozenset[str]] = {}
         self.must_entry_held: dict[tuple[str, str], frozenset[str]] = {}
         self.blocking_chain: dict[tuple[str, str], tuple[str, ...] | None] = {}
-        self._propagate_may()
         self._propagate_must()
         self._propagate_blocking()
-
-    # ------------------------------------------------------------------
-    def _held_at_site(self, site_func: FunctionInfo, held: tuple[str, ...]) -> frozenset[str]:
-        return self.may_entry_held.get(site_func.key, frozenset()) | frozenset(held)
-
-    def _propagate_may(self) -> None:
-        for func in self.symtab.functions:
-            self.may_entry_held[func.key] = frozenset()
-        changed = True
-        while changed:
-            changed = False
-            for func in self.symtab.functions:
-                summary = self.summaries[func.key]
-                base = self.may_entry_held[func.key]
-                for site in self.graph.sites_of(func):
-                    local = next(
-                        (c.held for c in summary.calls if c.node is site.node), ()
-                    )
-                    outgoing = base | frozenset(local)
-                    if not outgoing:
-                        continue
-                    for callee in site.callees:
-                        current = self.may_entry_held.get(callee.key, frozenset())
-                        merged = current | outgoing
-                        if merged != current:
-                            self.may_entry_held[callee.key] = merged
-                            changed = True
 
     def _propagate_must(self) -> None:
         universe = frozenset(
@@ -435,26 +389,6 @@ class LockAnalysis:
     # ------------------------------------------------------------------
     # consumers
     # ------------------------------------------------------------------
-    def order_edges(self) -> list[OrderEdge]:
-        """Every (held → acquired) pair, with interprocedural context."""
-        edges: list[OrderEdge] = []
-        for func in self.symtab.functions:
-            summary = self.summaries[func.key]
-            entry = self.may_entry_held.get(func.key, frozenset())
-            for acquire in summary.acquires:
-                context = entry | frozenset(acquire.held)
-                for held in sorted(context):
-                    if held != acquire.lock:
-                        edges.append(
-                            OrderEdge(
-                                held=held,
-                                acquired=acquire.lock,
-                                func=func,
-                                node=acquire.node,
-                            )
-                        )
-        return edges
-
     def effective_held(self, func: FunctionInfo, held: tuple[str, ...]) -> frozenset[str]:
         """Locks provably held at a point: local ``with`` nesting plus the
         must-entry context (private functions only)."""

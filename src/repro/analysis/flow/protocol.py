@@ -1,16 +1,12 @@
 """Replication-protocol state machine over the call graph.
 
 The paper's replica lifecycle is ``get``/``demand`` (acquire state) →
-local use → ``updateMember`` (splice the replica into its demanders) →
-``put`` (write back).  The analyzer recovers the protocol events a
-function performs from its RMI call sites:
+local use → ``put`` (write back).  The analyzer recovers the protocol
+events a function performs from its RMI call sites:
+``endpoint.invoke(ref, "verb", args)`` / ``invoke_async`` /
+``invoke_oneway`` with a literal verb.
 
-* ``endpoint.invoke(ref, "verb", args)`` / ``invoke_async`` /
-  ``invoke_oneway`` with a literal verb;
-* a call to a function named ``splice`` or ``updateMember`` counts as
-  the updateMember step (with the replica argument noted).
-
-Three checks consume the events:
+Two checks consume the events:
 
 * **put-without-source** — a component (class, or module for free
   functions) that writes back with ``put`` but has no way to have
@@ -19,11 +15,7 @@ Three checks consume the events:
 * **demand-outside-fault-path** — ``demand`` is the object-fault
   protocol's verb; only the fault-resolution module may issue it, so a
   stray ``demand`` elsewhere bypasses coalescing and the stats the
-  fault path maintains;
-* **splice-escape** — inside a resolution function, the replica must
-  not escape (be returned, or stored into an attribute) before the
-  ``splice``/``updateMember`` call completes, or the application can
-  observe a replica whose demanders still point at the proxy.
+  fault path maintains.
 """
 
 from __future__ import annotations
@@ -55,35 +47,15 @@ class VerbEvent:
     node: ast.AST
 
 
-@dataclass
-class SpliceCall:
-    """One ``splice(proxy, replica)`` / ``updateMember`` call site."""
-
-    func: FunctionInfo
-    node: ast.Call
-    replica_name: str | None
-
-
-@dataclass
-class EscapeBeforeSplice:
-    """The replica escaped before its splice completed."""
-
-    splice: SpliceCall
-    node: ast.AST
-    how: str  # "returned" | "stored"
-
-
 class ProtocolAnalysis:
-    """Verb events, reachable-verb sets, and the three protocol checks."""
+    """Verb events, reachable-verb sets, and the two protocol checks."""
 
     def __init__(self, symtab: SymbolTable, graph: CallGraph):
         self.symtab = symtab
         self.graph = graph
-        self.events: dict[tuple[str, str], list[VerbEvent]] = {}
-        self.splices: dict[tuple[str, str], list[SpliceCall]] = {}
-        for func in symtab.functions:
-            self.events[func.key] = list(_extract_events(func))
-            self.splices[func.key] = list(_extract_splices(func))
+        self.events: dict[tuple[str, str], list[VerbEvent]] = {
+            func.key: verb_events_of(func) for func in symtab.functions
+        }
         self.reachable_verbs = self._propagate_verbs()
 
     def _propagate_verbs(self) -> dict[tuple[str, str], frozenset[str]]:
@@ -133,15 +105,6 @@ class ProtocolAnalysis:
                     out.append(event)
         return out
 
-    def escapes_before_splice(self) -> list[EscapeBeforeSplice]:
-        out: list[EscapeBeforeSplice] = []
-        for func in self.symtab.functions:
-            for splice in self.splices[func.key]:
-                if splice.replica_name is None:
-                    continue
-                out.extend(_find_escapes(func, splice))
-        return out
-
     # ------------------------------------------------------------------
     def _component_functions(self, func: FunctionInfo) -> list[FunctionInfo]:
         """The functions sharing ``func``'s protocol component: its class's
@@ -160,7 +123,10 @@ class ProtocolAnalysis:
 # ----------------------------------------------------------------------
 # event extraction
 # ----------------------------------------------------------------------
-def _extract_events(func: FunctionInfo):
+def verb_events_of(func: FunctionInfo) -> list[VerbEvent]:
+    """The protocol verbs ``func`` issues, as the analyzer sees them
+    (also the wire layer's verb list)."""
+    events = []
     for node in ast.walk(func.node):
         if not isinstance(node, ast.Call):
             continue
@@ -168,54 +134,8 @@ def _extract_events(func: FunctionInfo):
         if attr in _INVOKE_METHODS and len(node.args) >= 2:
             verb = _literal_str(node.args[1])
             if verb is not None:
-                yield VerbEvent(verb=verb, func=func, node=node)
-
-
-def verb_events_of(func: FunctionInfo) -> list[VerbEvent]:
-    """The protocol verbs ``func`` issues, as the analyzer sees them.
-
-    Public wrapper over event extraction for consumers outside the flow
-    rules (the wire layer's spec extractor)."""
-    return list(_extract_events(func))
-
-
-def _extract_splices(func: FunctionInfo):
-    for node in ast.walk(func.node):
-        if not isinstance(node, ast.Call):
-            continue
-        name = (
-            node.func.id
-            if isinstance(node.func, ast.Name)
-            else node.func.attr
-            if isinstance(node.func, ast.Attribute)
-            else None
-        )
-        if name not in {"splice", "updateMember", "update_member"}:
-            continue
-        replica: str | None = None
-        if len(node.args) >= 2 and isinstance(node.args[1], ast.Name):
-            replica = node.args[1].id
-        yield SpliceCall(func=func, node=node, replica_name=replica)
-
-
-def _find_escapes(func: FunctionInfo, splice: SpliceCall):
-    """Returns / attribute stores of the replica before the splice line."""
-    line = splice.node.lineno
-    name = splice.replica_name
-    for node in ast.walk(func.node):
-        if node is splice.node or getattr(node, "lineno", line) >= line:
-            continue
-        if (
-            isinstance(node, ast.Return)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == name
-        ):
-            yield EscapeBeforeSplice(splice=splice, node=node, how="returned")
-        elif isinstance(node, ast.Assign) and (
-            isinstance(node.value, ast.Name) and node.value.id == name
-        ):
-            if any(isinstance(target, ast.Attribute) for target in node.targets):
-                yield EscapeBeforeSplice(splice=splice, node=node, how="stored")
+                events.append(VerbEvent(verb=verb, func=func, node=node))
+    return events
 
 
 def _literal_str(node: ast.expr) -> str | None:

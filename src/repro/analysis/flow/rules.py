@@ -1,4 +1,4 @@
-"""The flow rules: OBI201–OBI206, OBI209 and OBI210.
+"""The flow rules: OBI202–OBI205, OBI209 and OBI210.
 
 Each rule is a thin adapter from one flow analysis to findings — the
 heavy lifting lives in :mod:`~repro.analysis.flow.locks`,
@@ -6,7 +6,7 @@ heavy lifting lives in :mod:`~repro.analysis.flow.locks`,
 :mod:`~repro.analysis.flow.protocol`, shared through the per-run
 :class:`~repro.analysis.flow.project.Project`.
 
-All eight are warnings: interprocedural facts rest on a conservative call
+All six are warnings: interprocedural facts rest on a conservative call
 graph, so a finding is a strong signal but not a proof the way the
 per-module errors are.  CI runs ``--strict``, where warnings fail too;
 a deliberate exception carries a justified suppression.
@@ -19,15 +19,14 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.analysis.contract import FEED_APPLY_CALLEES
-from repro.analysis.findings import Finding, ProjectRule, Severity
-from repro.analysis.flow.locks import OrderEdge
+from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.flow.project import Project
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engine import ModuleSource
 
 
-class _FlowRule(ProjectRule):
+class _FlowRule(Rule):
     severity = Severity.WARNING
 
     def check_project(
@@ -38,48 +37,6 @@ class _FlowRule(ProjectRule):
     def check_flow(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def flow_finding(self, func_module: "ModuleSource", node: ast.AST, message: str) -> Finding:
-        return self.finding(func_module, node, message)
-
-
-class LockOrderCycleRule(_FlowRule):
-    """OBI201: two locks acquired in opposite orders on different paths."""
-
-    id = "OBI201"
-    name = "lock-order-cycle"
-    description = "locks are acquired in conflicting orders across the project"
-    rationale = (
-        "If one thread takes A then B while another takes B then A, each can "
-        "hold the lock the other needs — a deadlock that only strikes under "
-        "concurrent faults or put-backs, exactly when it is hardest to debug."
-    )
-
-    def check_flow(self, project: Project) -> Iterator[Finding]:
-        edges = [
-            edge
-            for edge in project.locks.order_edges()
-            if not edge.held.startswith("?") and not edge.acquired.startswith("?")
-        ]
-        adjacency: dict[str, dict[str, OrderEdge]] = {}
-        for edge in edges:
-            adjacency.setdefault(edge.held, {}).setdefault(edge.acquired, edge)
-        for cycle in _cycles(adjacency):
-            witnesses = [
-                adjacency[cycle[i]][cycle[(i + 1) % len(cycle)]]
-                for i in range(len(cycle))
-            ]
-            anchor = witnesses[0]
-            steps = "; ".join(
-                f"{edge.acquired} taken under {edge.held} in {edge.func.qualname} "
-                f"({edge.func.module.display_path}:{edge.node.lineno})"
-                for edge in witnesses
-            )
-            yield self.flow_finding(
-                anchor.func.module,
-                anchor.node,
-                f"lock-order cycle between {', '.join(cycle)}: {steps}",
-            )
-
 
 class BlockingUnderLockRule(_FlowRule):
     """OBI202: a call made under a lock transitively reaches a blocking op."""
@@ -88,9 +45,7 @@ class BlockingUnderLockRule(_FlowRule):
     name = "blocking-under-lock"
     description = "a function called while holding a lock can block on the network"
     rationale = (
-        "OBI104 sees a send under a lock in one function; this is the "
-        "interprocedural version — the lock is held here, the sendall is "
-        "three calls away.  Holding a lock across a network round trip "
+        "The lock is held here, the sendall is three calls away.  Holding a lock across a network round trip "
         "stalls every thread that needs the lock for the round-trip time."
     )
 
@@ -109,7 +64,7 @@ class BlockingUnderLockRule(_FlowRule):
                     if chain is None:
                         continue
                     path = " -> ".join(chain)
-                    yield self.flow_finding(
+                    yield self.finding(
                         func.module,
                         site.node,
                         f"call to {callee.qualname}() while holding "
@@ -133,7 +88,7 @@ class UnguardedStateRule(_FlowRule):
     def check_flow(self, project: Project) -> Iterator[Finding]:
         for violation in project.guarded.violations:
             verb = "written" if violation.kind == "write" else "read"
-            yield self.flow_finding(
+            yield self.finding(
                 violation.func.module,
                 violation.node,
                 f"{violation.cls.name}.{violation.attr} is guarded by "
@@ -161,7 +116,7 @@ class PutWithoutSourceRule(_FlowRule):
                 if event.func.class_name is not None
                 else f"module {event.func.module.display_path}"
             )
-            yield self.flow_finding(
+            yield self.finding(
                 event.func.module,
                 event.node,
                 f"'put' in {event.func.qualname}() but no 'get' or 'demand' "
@@ -185,35 +140,12 @@ class DemandOutsideFaultPathRule(_FlowRule):
 
     def check_flow(self, project: Project) -> Iterator[Finding]:
         for event in project.protocol.demands_outside_fault_path():
-            yield self.flow_finding(
+            yield self.finding(
                 event.func.module,
                 event.node,
                 f"'demand' issued from {event.func.qualname}() — outside the "
                 "fault path; route object faults through "
                 "repro.core.faults.resolve_fault so they coalesce",
-            )
-
-
-class SpliceEscapeRule(_FlowRule):
-    """OBI206: a replica escapes before its splice (updateMember) completes."""
-
-    id = "OBI206"
-    name = "splice-escape"
-    description = "replica returned or stored before splice/updateMember ran"
-    rationale = (
-        "Until splice rewrites every demander, aliases still point at the "
-        "proxy-out; handing the replica out early lets the application "
-        "mutate state the next fault on an alias will silently refetch."
-    )
-
-    def check_flow(self, project: Project) -> Iterator[Finding]:
-        for escape in project.protocol.escapes_before_splice():
-            yield self.flow_finding(
-                escape.splice.func.module,
-                escape.node,
-                f"replica '{escape.splice.replica_name}' {escape.how} before "
-                f"splice at line {escape.splice.node.lineno} completed — "
-                "demanders may still reference the proxy",
             )
 
 
@@ -233,7 +165,7 @@ class SnapshotReadMutationRule(_FlowRule):
     def check_flow(self, project: Project) -> Iterator[Finding]:
         for mutation in project.snapshot_mutations:
             path = " -> ".join(mutation.chain)
-            yield self.flow_finding(
+            yield self.finding(
                 mutation.writer.module,
                 mutation.node,
                 f"{mutation.attr} is written on a path out of snapshot read "
@@ -273,7 +205,7 @@ class FeedApplyEpochGuardRule(_FlowRule):
             for call in applies:
                 if any(line <= call.lineno for line in guard_lines):
                     continue
-                yield self.flow_finding(
+                yield self.finding(
                     func.module,
                     call,
                     f"{_callee_tail(call.func)}() in {func.qualname}() applies "
@@ -300,27 +232,3 @@ def _compares_epoch(compare: ast.Compare) -> bool:
         if isinstance(node, ast.Attribute) and node.attr.lower().endswith("epoch"):
             return True
     return False
-
-
-def _cycles(adjacency: dict[str, dict[str, OrderEdge]]) -> list[list[str]]:
-    """Elementary cycles, one canonical representative per lock set."""
-    seen: set[frozenset[str]] = set()
-    cycles: list[list[str]] = []
-
-    def dfs(start: str, node: str, path: list[str], visited: set[str]) -> None:
-        for nxt in sorted(adjacency.get(node, {})):
-            if nxt == start and len(path) > 1:
-                key = frozenset(path)
-                if key not in seen:
-                    seen.add(key)
-                    cycles.append(list(path))
-            elif nxt not in visited and nxt > start:
-                # Only walk nodes ordered after start: each cycle is then
-                # discovered exactly once, from its smallest lock.
-                visited.add(nxt)
-                dfs(start, nxt, path + [nxt], visited)
-                visited.discard(nxt)
-
-    for start in sorted(adjacency):
-        dfs(start, start, [start], {start})
-    return cycles

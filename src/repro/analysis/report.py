@@ -17,9 +17,6 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 def render_text(report: AnalysisReport, *, strict: bool = False, verbose: bool = False) -> str:
     lines = [finding.format() for finding in report.all_findings()]
-    if verbose and report.baselined:
-        for finding in sorted(report.baselined, key=lambda f: (f.path, f.line)):
-            lines.append(f"{finding.format()} [baselined]")
     if verbose and report.suppressed:
         for finding in sorted(report.suppressed, key=lambda f: (f.path, f.line)):
             lines.append(f"{finding.format()} [suppressed]")
@@ -29,8 +26,6 @@ def render_text(report: AnalysisReport, *, strict: bool = False, verbose: bool =
         f"{counts['error']} errors, {counts['warning']} warnings, "
         f"{len(report.suppressed)} suppressed"
     )
-    if report.baselined:
-        summary += f", {len(report.baselined)} baselined"
     if report.failed(strict=strict):
         summary += " — FAIL"
     else:
@@ -53,7 +48,6 @@ def render_json(report: AnalysisReport, *, strict: bool = False) -> str:
         },
         "findings": [finding.to_json() for finding in report.all_findings()],
         "suppressed": [finding.to_json() for finding in report.suppressed],
-        "baselined": [finding.to_json() for finding in report.baselined],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -64,9 +58,7 @@ def render_sarif(
     """SARIF 2.1.0, the interchange format code-scanning UIs ingest.
 
     One run, one ``tool.driver`` carrying the whole rule catalog, one
-    ``result`` per finding.  Baselined findings are included with
-    ``baselineState: "unchanged"`` so viewers can fold them; new findings
-    carry ``baselineState: "new"`` only when a baseline was applied.
+    ``result`` per finding.
     """
     catalog = [
         {
@@ -78,14 +70,7 @@ def render_sarif(
         }
         for rule in rules
     ]
-    results = [
-        _sarif_result(finding, baseline_state="new" if report.baselined else None)
-        for finding in report.all_findings()
-    ]
-    results.extend(
-        _sarif_result(finding, baseline_state="unchanged")
-        for finding in sorted(report.baselined, key=lambda f: (f.path, f.line))
-    )
+    results = [_sarif_result(finding) for finding in report.all_findings()]
     payload = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -105,8 +90,8 @@ def render_sarif(
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _sarif_result(finding: Finding, *, baseline_state: str | None) -> dict:
-    result = {
+def _sarif_result(finding: Finding) -> dict:
+    return {
         "ruleId": finding.rule,
         "level": str(finding.severity),
         "message": {"text": finding.message},
@@ -124,13 +109,10 @@ def _sarif_result(finding: Finding, *, baseline_state: str | None) -> dict:
             }
         ],
     }
-    if baseline_state is not None:
-        result["baselineState"] = baseline_state
-    return result
 
 
 def _sarif_rule_name(name: str) -> str:
-    """SARIF wants PascalCase rule names: ``lock-order-cycle`` → ``LockOrderCycle``."""
+    """SARIF wants PascalCase rule names: ``unguarded-state`` → ``UnguardedState``."""
     return "".join(part.capitalize() for part in name.split("-"))
 
 

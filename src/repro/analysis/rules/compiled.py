@@ -1,8 +1,8 @@
-"""Rules about obicomp-compiled classes (OBI101, OBI102, OBI106).
+"""Rules about obicomp-compiled classes (OBI102, OBI306).
 
-These mirror, statically, what the runtime either enforces at decoration
-time (``__slots__``) or cannot see at all (unserializable fields, control
--name shadowing, shared mutable class defaults).
+These see what the runtime cannot check when a class is decorated:
+control-name shadowing, and schema fields an ``__init__`` assigns only
+on some paths.
 """
 
 from __future__ import annotations
@@ -11,88 +11,17 @@ import ast
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.analysis.contract import RESERVED_CONTROL_METHODS, UNSERIALIZABLE_FACTORIES
+from repro.analysis.contract import RESERVED_CONTROL_METHODS
 from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.visitor import (
     is_compiled_classdef,
-    is_mutable_value,
     iter_classes,
     public_methods,
-    resolve_call_name,
     self_attr_target,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engine import ModuleSource
-
-
-def _assign_targets(node: ast.stmt) -> list[ast.expr]:
-    if isinstance(node, ast.Assign):
-        return list(node.targets)
-    if isinstance(node, ast.AnnAssign) and node.value is not None:
-        return [node.target]
-    return []
-
-
-def _assign_value(node: ast.stmt) -> ast.expr | None:
-    if isinstance(node, ast.Assign | ast.AnnAssign):
-        return node.value
-    return None
-
-
-class UnserializableStateRule(Rule):
-    """OBI101: compiled classes must hold only wire-safe state.
-
-    ``__slots__`` removes the instance ``__dict__`` replication relies
-    on; locks, sockets, threads, file handles and queues are OS/process
-    state that cannot be rebuilt on the receiving site.
-    """
-
-    id = "OBI101"
-    name = "unserializable-state"
-    severity = Severity.ERROR
-    description = (
-        "compiled class declares __slots__ or assigns a field of a known-"
-        "unserializable type (lock, socket, thread, file handle, queue)"
-    )
-    rationale = (
-        "replica state must live in the instance __dict__ and survive "
-        "encode/decode; OS handles and scheduler state cannot"
-    )
-
-    def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        for classdef in iter_classes(module.tree):
-            if not is_compiled_classdef(classdef):
-                continue
-            for stmt in classdef.body:
-                for target in _assign_targets(stmt):
-                    if isinstance(target, ast.Name) and target.id == "__slots__":
-                        yield self.finding(
-                            module,
-                            stmt,
-                            f"compiled class {classdef.name!r} declares __slots__; "
-                            "OBIWAN-managed state must live in the instance __dict__",
-                        )
-            for method in ast.walk(classdef):
-                if not isinstance(method, ast.Assign | ast.AnnAssign):
-                    continue
-                value = _assign_value(method)
-                if not isinstance(value, ast.Call):
-                    continue
-                call_name = resolve_call_name(value.func, module.imports)
-                reason = UNSERIALIZABLE_FACTORIES.get(call_name or "")
-                if reason is None:
-                    continue
-                for target in _assign_targets(method):
-                    attr = self_attr_target(target)
-                    if attr is not None:
-                        yield self.finding(
-                            module,
-                            method,
-                            f"compiled class {classdef.name!r} stores "
-                            f"{call_name}() in self.{attr}: {reason}, so the "
-                            "field cannot cross a site boundary",
-                        )
 
 
 class InterfaceShadowingRule(Rule):
@@ -129,40 +58,87 @@ class InterfaceShadowingRule(Rule):
                     )
 
 
-class MutableClassDefaultRule(Rule):
-    """OBI106: no mutable class-level defaults on compiled classes.
+class SchemaInputDriftRule(Rule):
+    """OBI306: a compiled class's schema reads a field the instance may lack."""
 
-    A class-level list/dict/set is one object shared by the master and
-    every replica decoded on this site — writes through one replica leak
-    into all of them without any ``put``/``get`` having happened.
-    """
-
-    id = "OBI106"
-    name = "mutable-class-default"
-    severity = Severity.ERROR
-    description = "compiled class has a mutable class-level default attribute"
+    id = "OBI306"
+    name = "schema-input-drift"
+    severity = Severity.WARNING
+    description = "a compiled class assigns a schema-visible field only conditionally"
     rationale = (
-        "class attributes are not per-instance state: replicas on one site "
-        "would silently share them"
+        "obicodec derives the wire schema by walking every self.X "
+        "assignment in __init__ — including ones inside if/for/try blocks.  "
+        "An instance that skipped the branch has no such attribute, so it "
+        "never matches the schema its class compiled: every such instance "
+        "drops to the generic OBJECT frame (field names on the wire, a "
+        "reflective walk per value) and the schema hash covers a field "
+        "half the instances lack.  Assign every schema field "
+        "unconditionally (a sentinel default), then narrow inside the "
+        "branch."
     )
 
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         for classdef in iter_classes(module.tree):
-            if not is_compiled_classdef(classdef):
+            if is_compiled_classdef(classdef):
+                yield from self._check_class(module, classdef)
+
+    def _check_class(
+        self, module: "ModuleSource", classdef: ast.ClassDef
+    ) -> Iterator[Finding]:
+        init = next(
+            (
+                stmt
+                for stmt in classdef.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+            ),
+            None,
+        )
+        if init is None:
+            return
+        unconditional: set[str] = set()
+        for stmt in init.body:
+            for attr, _value, _node in _self_assigns(stmt, recurse=False):
+                unconditional.add(attr)
+        for stmt in init.body:
+            if not isinstance(stmt, ast.If | ast.For | ast.While | ast.Try):
                 continue
-            for stmt in classdef.body:
-                value = _assign_value(stmt)
-                if value is None or not is_mutable_value(value, module.imports):
+            for attr, value, assign_node in _self_assigns(stmt, recurse=True):
+                if attr in unconditional or attr.startswith("_"):
                     continue
-                for target in _assign_targets(stmt):
-                    if (
-                        isinstance(target, ast.Name)
-                        and not target.id.startswith("__")
-                    ):
-                        yield self.finding(
-                            module,
-                            stmt,
-                            f"compiled class {classdef.name!r} defines mutable "
-                            f"class-level default {target.id!r}; initialise it "
-                            "per instance in __init__ instead",
-                        )
+                if _is_scalar_value(value):
+                    yield self.finding(
+                        module,
+                        assign_node,
+                        f"{classdef.name}.{attr} enters the compiled wire "
+                        "schema (derive_schema walks the whole __init__) but "
+                        "is only assigned on one branch; instances that skip "
+                        "it fall off the compiled codec — assign a default "
+                        "unconditionally first",
+                    )
+
+
+def _self_assigns(stmt: ast.stmt, *, recurse: bool):
+    """``(attr, value, node)`` for ``self.X = ...`` under ``stmt``."""
+    nodes = ast.walk(stmt) if recurse else [stmt]
+    for node in nodes:
+        targets: list[ast.expr] = []
+        value: ast.expr | None = None
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        if value is None:
+            continue
+        for target in targets:
+            attr = self_attr_target(target)
+            if attr is not None:
+                yield attr, value, node
+
+
+def _is_scalar_value(value: ast.expr) -> bool:
+    """Would this assignment give the field a scalar schema kind?"""
+    if isinstance(value, ast.Constant):
+        return isinstance(value.value, int | float | bool | str | bytes)
+    if isinstance(value, ast.UnaryOp) and isinstance(value.operand, ast.Constant):
+        return isinstance(value.operand.value, int | float)
+    return False

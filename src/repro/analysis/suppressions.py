@@ -2,12 +2,12 @@
 
 Two forms, pylint-style:
 
-* same-line: ``self.x = open(p)  # obilint: disable=OBI101 -- why``
+* same-line: ``def get(self):  # obilint: disable=OBI102 -- why``
   suppresses the listed rules on that physical line only;
 * file-level: a comment line ``# obilint: disable-file=OBI108 -- why``
   suppresses the listed rules for the whole module.
 
-Rules may be named by id (``OBI101``) or slug (``unserializable-state``).
+Rules may be named by id (``OBI102``) or slug (``interface-shadowing``).
 Text after ``--`` is the justification; ``--strict`` requires one, so a
 suppression in CI always says *why* the hazard is acceptable.
 """

@@ -23,12 +23,6 @@ COMPILE_DECORATORS: frozenset[str] = frozenset(
     }
 )
 
-#: Containers whose literals / constructors mark state as mutable.
-MUTABLE_CONSTRUCTORS: frozenset[str] = frozenset(
-    {"list", "dict", "set", "bytearray", "collections.defaultdict", "collections.deque"}
-)
-
-
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     if isinstance(node, ast.Name):
@@ -113,16 +107,6 @@ def public_methods(classdef: ast.ClassDef) -> Iterator[ast.FunctionDef | ast.Asy
             yield method
 
 
-def is_mutable_value(node: ast.expr, imports: dict[str, str]) -> bool:
-    """True for list/dict/set displays and mutable-constructor calls."""
-    if isinstance(node, ast.List | ast.Dict | ast.Set | ast.ListComp | ast.DictComp | ast.SetComp):
-        return True
-    if isinstance(node, ast.Call):
-        name = resolve_call_name(node.func, imports)
-        return name in MUTABLE_CONSTRUCTORS
-    return False
-
-
 def self_attr_target(node: ast.expr) -> str | None:
     """``x`` when ``node`` is the assignment target ``self.x``."""
     if (
@@ -132,18 +116,3 @@ def self_attr_target(node: ast.expr) -> str | None:
     ):
         return node.attr
     return None
-
-
-def calls_super_method(func: ast.FunctionDef | ast.AsyncFunctionDef, name: str) -> bool:
-    """True if ``func`` contains ``super().name(...)`` anywhere."""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == name
-            and isinstance(node.func.value, ast.Call)
-            and isinstance(node.func.value.func, ast.Name)
-            and node.func.value.func.id == "super"
-        ):
-            return True
-    return False

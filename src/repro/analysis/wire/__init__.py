@@ -9,27 +9,24 @@ the runtime actually issues.  Every class has one shape, and a change to
 any surface is a *deployment* event: every site runs the same build.
 
 This package extracts all four into one canonical, fingerprinted spec
-(:mod:`~repro.analysis.wire.spec`), diffs two specs for breaking changes
-(:mod:`~repro.analysis.wire.diff`), and enforces rules OBI301–OBI303
-and OBI306 through the ordinary obilint engine
-(:mod:`~repro.analysis.wire.rules`).  The ``obiwire`` CLI
+(:mod:`~repro.analysis.wire.spec`) and diffs two specs for breaking
+changes (:mod:`~repro.analysis.wire.diff`).  The ``obiwire`` CLI
 (:mod:`~repro.analysis.wire.cli`) generates the spec, compares it
-against the committed ``.github/wire-baseline.json``, and reports
-breaking changes between any two spec files.
+against the committed ``.github/wire-baseline.json`` — ``obiwire check``
+is the one wire gate, and it fails on any drift — and reports breaking
+changes between any two spec files.
 """
 
 from repro.analysis.wire.diff import Change, diff_specs, render_diff
-from repro.analysis.wire.extract import Extraction, extract_modules, spec_of
+from repro.analysis.wire.extract import extract_modules
 from repro.analysis.wire.spec import WireClass, WireField, WireSpec
 
 __all__ = [
     "Change",
-    "Extraction",
     "WireClass",
     "WireField",
     "WireSpec",
     "diff_specs",
     "extract_modules",
     "render_diff",
-    "spec_of",
 ]

@@ -17,10 +17,9 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.analysis.engine import Analyzer, ModuleSource
+from repro.analysis.engine import load_modules
 from repro.analysis.wire.diff import diff_specs, has_breaking, render_diff
 from repro.analysis.wire.extract import extract_modules
 from repro.analysis.wire.spec import WireSpec
@@ -36,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     spec = commands.add_parser("spec", help="extract the wire spec from source")
     spec.add_argument("paths", nargs="+", help="files or directories to extract from")
     spec.add_argument("--out", metavar="FILE", help="write the spec here instead of stdout")
-    spec.add_argument("--jobs", type=int, default=1, metavar="N", help="parse over N threads")
 
     diff = commands.add_parser("diff", help="compare two spec files for breaking changes")
     diff.add_argument("old", help="baseline spec JSON")
@@ -58,36 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rewrite the baseline from the current source and exit 0",
     )
-    check.add_argument("--jobs", type=int, default=1, metavar="N", help="parse over N threads")
     return parser
-
-
-def _parse_modules(paths: list[str], jobs: int) -> tuple[list[ModuleSource], list[str]]:
-    """Parse every collected file; returns (modules, parse-failure messages)."""
-    files = Analyzer.collect_files(list(paths))
-
-    def parse_one(path: Path) -> ModuleSource | str:
-        try:
-            return ModuleSource.parse(path)
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            return f"{path}: cannot parse: {exc}"
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(parse_one, files))
-    else:
-        results = [parse_one(path) for path in files]
-    modules = [r for r in results if isinstance(r, ModuleSource)]
-    failures = [r for r in results if isinstance(r, str)]
-    return modules, failures
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
     try:
         if args.command == "spec":
             return _cmd_spec(args)
@@ -100,9 +74,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _extract(args) -> WireSpec | None:
-    modules, failures = _parse_modules(args.paths, args.jobs)
+    modules, failures = load_modules(args.paths)
     for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
+        print(f"error: {failure.format()}", file=sys.stderr)
     if failures:
         return None
     return extract_modules(modules)

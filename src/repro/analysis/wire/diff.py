@@ -7,8 +7,7 @@ peer may still issue it.  New tags, classes and verbs are additions.
 ``diff_specs`` classifies every difference between OLD and NEW against
 those rules — ``breaking`` means a build of OLD and a build of NEW can
 misparse each other's frames or dead-end an RPC; ``compatible`` is an
-addition neither side can misread.  OBI302 reports the breaking ones
-in the source.
+addition neither side can misread.  ``obiwire check`` fails on both.
 """
 
 from __future__ import annotations

@@ -19,14 +19,13 @@ alike):
 * **verbs** — every literal RMI verb the flow layer sees
   (:func:`repro.analysis.flow.protocol.verb_events_of`).
 
-The located intermediate (:class:`Extraction`) feeds the OBI30x rules;
-:func:`spec_of` collapses it into the canonical :class:`WireSpec`.
+:func:`extract_modules` assembles the four into the canonical
+:class:`WireSpec`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.flow.protocol import verb_events_of
@@ -44,89 +43,14 @@ _CANONICAL_TAG_NAMES = frozenset(
 )
 _TAG_MODULE_THRESHOLD = 3
 
-#: Engine cache key (same sharing discipline as the flow Project).
-_CACHE_KEY = "wire-extraction"
-
-
-# ----------------------------------------------------------------------
-# located intermediates
-# ----------------------------------------------------------------------
-@dataclass
-class TagAssign:
-    name: str
-    value: int
-    node: ast.Assign
-
-
-@dataclass
-class TagTable:
-    module: "ModuleSource"
-    assigns: list[TagAssign]
-
-
-@dataclass
-class FieldShape:
-    name: str
-    node: ast.AST  # the tuple element introducing the field
-
-
-@dataclass
-class RegisteredClass:
-    wire_name: str
-    class_name: str
-    module: "ModuleSource"
-    node: ast.Call  # the register(...) call
-    classdef: ast.ClassDef | None
-    state: str  # "struct" | "tuple" | "passthrough" | "dict"
-    custom_state: bool
-    fields: list[FieldShape] = field(default_factory=list)
-    getter: ast.FunctionDef | None = None
-
-
-@dataclass
-class Extraction:
-    """Everything the wire passes found, with source locations."""
-
-    modules: list["ModuleSource"]
-    tag_tables: list[TagTable]
-    classes: list[RegisteredClass]
-    verbs: frozenset[str]
-
-    @classmethod
-    def build(
-        cls, modules: list["ModuleSource"], symtab: SymbolTable | None = None
-    ) -> "Extraction":
-        if symtab is None:
-            symtab = SymbolTable.build(modules)
-        tables = [t for m in modules if (t := _tag_table_of(m)) is not None]
-        registered: list[RegisteredClass] = []
-        for module in modules:
-            registered.extend(_registrations_of(module))
-        return cls(
-            modules=modules,
-            tag_tables=tables,
-            classes=registered,
-            verbs=_verbs_of(symtab),
-        )
-
-    @classmethod
-    def of(cls, modules: list["ModuleSource"], cache: dict) -> "Extraction":
-        """The per-run shared instance (see ``ProjectRule``'s cache)."""
-        extraction = cache.get(_CACHE_KEY)
-        if extraction is None or extraction.modules is not modules:
-            # Share the symbol table with the flow rules when possible.
-            from repro.analysis.flow.project import Project
-
-            extraction = cls.build(modules, Project.of(modules, cache).symtab)
-            cache[_CACHE_KEY] = extraction
-        return extraction
 
 
 # ----------------------------------------------------------------------
 # tags
 # ----------------------------------------------------------------------
-def _tag_table_of(module: "ModuleSource") -> TagTable | None:
-    assigns: list[TagAssign] = []
+def _tags_of(module: "ModuleSource") -> dict[str, int]:
+    """The module's tag assignments, or nothing if it is no tag table."""
+    tags: dict[str, int] = {}
     for stmt in module.tree.body:
         if (
             isinstance(stmt, ast.Assign)
@@ -136,14 +60,11 @@ def _tag_table_of(module: "ModuleSource") -> TagTable | None:
             and isinstance(stmt.value, ast.Constant)
             and type(stmt.value.value) is int
         ):
-            assigns.append(TagAssign(stmt.targets[0].id, stmt.value.value, stmt))
-    if not assigns:
-        return None
+            tags.setdefault(stmt.targets[0].id, stmt.value.value)
     stem = module.display_path.replace("\\", "/").rsplit("/", 1)[-1]
-    names = {a.name for a in assigns}
-    if stem != "tags.py" and len(names & _CANONICAL_TAG_NAMES) < _TAG_MODULE_THRESHOLD:
-        return None
-    return TagTable(module=module, assigns=assigns)
+    if stem != "tags.py" and len(tags.keys() & _CANONICAL_TAG_NAMES) < _TAG_MODULE_THRESHOLD:
+        return {}
+    return tags
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +105,7 @@ def _loop_pairs(
     return pairs
 
 
-def _registrations_of(module: "ModuleSource") -> list[RegisteredClass]:
+def _registrations_of(module: "ModuleSource") -> list[tuple[str, WireClass]]:
     loops = [n for n in ast.walk(module.tree) if isinstance(n, ast.For)]
     classdefs = {
         n.name: n for n in module.tree.body if isinstance(n, ast.ClassDef)
@@ -192,7 +113,7 @@ def _registrations_of(module: "ModuleSource") -> list[RegisteredClass]:
     functions = {
         n.name: n for n in module.tree.body if isinstance(n, ast.FunctionDef)
     }
-    out: list[RegisteredClass] = []
+    out: list[tuple[str, WireClass]] = []
     for call in ast.walk(module.tree):
         if not _is_register_call(call) or not call.args:
             continue
@@ -226,19 +147,19 @@ def _registrations_of(module: "ModuleSource") -> list[RegisteredClass]:
             # decorator helpers) outside the static contract.
             continue
         for class_name, wire_name in pairs:
-            classdef = classdefs.get(class_name)
-            shape = _state_shape(module, classdef, functions, getter_name, setter_name)
+            state, fields = _state_shape(
+                classdefs.get(class_name), functions, getter_name, setter_name
+            )
             out.append(
-                RegisteredClass(
-                    wire_name=wire_name,
-                    class_name=class_name,
-                    module=module,
-                    node=call,
-                    classdef=classdef,
-                    state=shape.state,
-                    custom_state=custom_state,
-                    fields=shape.fields,
-                    getter=shape.getter,
+                (
+                    wire_name,
+                    WireClass(
+                        cls=class_name,
+                        module=module.display_path.replace("\\", "/"),
+                        state=state,
+                        custom_state=custom_state,
+                        fields=tuple(WireField(name=name) for name in fields),
+                    ),
                 )
             )
     return out
@@ -247,13 +168,6 @@ def _registrations_of(module: "ModuleSource") -> list[RegisteredClass]:
 # ----------------------------------------------------------------------
 # state shapes
 # ----------------------------------------------------------------------
-@dataclass
-class _Shape:
-    state: str
-    fields: list[FieldShape]
-    getter: ast.FunctionDef | None
-
-
 def _method(classdef: ast.ClassDef | None, name: str) -> ast.FunctionDef | None:
     if classdef is None:
         return None
@@ -264,12 +178,12 @@ def _method(classdef: ast.ClassDef | None, name: str) -> ast.FunctionDef | None:
 
 
 def _state_shape(
-    module: "ModuleSource",
     classdef: ast.ClassDef | None,
     functions: dict[str, ast.FunctionDef],
     getter_name: str | None,
     setter_name: str | None,
-) -> _Shape:
+) -> tuple[str, list[str]]:
+    """A registered class's state kind and its field names in wire order."""
     getter = (
         functions.get(getter_name)
         if getter_name is not None
@@ -283,10 +197,10 @@ def _state_shape(
     if getter is None:
         if setter is None and _is_slots_dataclass(classdef):
             # The declaration is the schema: one positional slot per field.
-            return _Shape("struct", _declared_fields(classdef), None)
+            return "struct", _declared_fields(classdef)
         # Default state: the instance dict (its schema, if any, is read
         # off __init__ at run time and guarded by a hash on the wire).
-        return _Shape("dict", [], None)
+        return "dict", []
     base = _first_param(getter)
     returns = [
         r for r in ast.walk(getter) if isinstance(r, ast.Return) and r.value is not None
@@ -294,13 +208,10 @@ def _state_shape(
     tuple_returns = [r for r in returns if isinstance(r.value, ast.Tuple)]
     if not tuple_returns:
         if not returns:
-            return _Shape("dict", [], getter)
-        value = returns[0].value
-        fields = [FieldShape(name=_field_name(value, base), node=value)]
-        return _Shape("passthrough", fields, getter)
+            return "dict", []
+        return "passthrough", [_field_name(returns[0].value, base)]
     longest = max(tuple_returns, key=lambda r: len(r.value.elts))
-    fields = [FieldShape(name=_field_name(elt, base), node=elt) for elt in longest.value.elts]
-    return _Shape("tuple", fields, getter)
+    return "tuple", [_field_name(elt, base) for elt in longest.value.elts]
 
 
 def _callee_tail(node: ast.expr) -> str | None:
@@ -326,9 +237,9 @@ def _is_slots_dataclass(classdef: ast.ClassDef | None) -> bool:
     return False
 
 
-def _declared_fields(classdef: ast.ClassDef) -> list[FieldShape]:
+def _declared_fields(classdef: ast.ClassDef) -> list[str]:
     return [
-        FieldShape(name=stmt.target.id, node=stmt)
+        stmt.target.id
         for stmt in classdef.body
         if isinstance(stmt, ast.AnnAssign)
         and isinstance(stmt.target, ast.Name)
@@ -370,27 +281,14 @@ def _verbs_of(symtab: SymbolTable) -> frozenset[str]:
 # ----------------------------------------------------------------------
 # spec assembly
 # ----------------------------------------------------------------------
-def spec_of(extraction: Extraction) -> WireSpec:
-    """Collapse a located extraction into the canonical spec."""
-    tags: dict[str, int] = {}
-    for table in extraction.tag_tables:
-        for assign in table.assigns:
-            tags.setdefault(assign.name, assign.value)
-    classes: dict[str, WireClass] = {}
-    for reg in extraction.classes:
-        classes.setdefault(
-            reg.wire_name,
-            WireClass(
-                cls=reg.class_name,
-                module=reg.module.display_path.replace("\\", "/"),
-                state=reg.state,
-                custom_state=reg.custom_state,
-                fields=tuple(WireField(name=f.name) for f in reg.fields),
-            ),
-        )
-    return WireSpec(tags=tags, classes=classes, verbs=extraction.verbs)
-
-
 def extract_modules(modules: list["ModuleSource"]) -> WireSpec:
-    """One-shot: parsed modules → canonical spec (CLI entry point)."""
-    return spec_of(Extraction.build(modules))
+    """Parsed modules → the canonical spec.  On a duplicate tag or wire
+    name the first module in load order wins."""
+    tags: dict[str, int] = {}
+    classes: dict[str, WireClass] = {}
+    for module in modules:
+        for name, value in _tags_of(module).items():
+            tags.setdefault(name, value)
+        for wire_name, wire_class in _registrations_of(module):
+            classes.setdefault(wire_name, wire_class)
+    return WireSpec(tags=tags, classes=classes, verbs=_verbs_of(SymbolTable.build(modules)))

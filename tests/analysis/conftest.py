@@ -13,7 +13,7 @@ from repro.analysis import analyze_paths
 def lint(tmp_path):
     """Analyze a source snippet; returns the list of (non-suppressed) findings.
 
-    ``lint(source)`` runs every rule; ``lint(source, rule="OBI101")``
+    ``lint(source)`` runs every rule; ``lint(source, rule="OBI102")``
     narrows to one rule so positive/negative cases stay focused.
     """
 

@@ -2,7 +2,7 @@
 (OBI202).
 
 ``flush`` itself contains no send — the hazard is one call away, in
-``_push``, which is why the intra-function OBI104 cannot see it.
+``_push``, which only the interprocedural pass can see.
 """
 
 import threading

@@ -8,7 +8,6 @@ contract fails here instead of silently rotting.
 from repro.analysis import contract
 from repro.core.proxy_in import PROXY_IN_CONTROL_METHODS
 from repro.serial import tags
-from repro.serial.registry import global_registry
 from repro.util.errors import ObiwanError, ReplicationError, TransportError
 
 
@@ -59,26 +58,6 @@ class TestWireCrossCheck:
 
         assert names == registered_codec_names()
 
-    def test_unserializable_factories_are_not_registered(self):
-        # No "unserializable" type may quietly gain a registry entry:
-        # if one does, the rule must be updated, not bypassed.
-        import queue
-        import threading
-
-        for cls in (
-            type(threading.Lock()),
-            type(threading.RLock()),
-            threading.Thread,
-            threading.Event,
-            queue.Queue,
-        ):
-            assert not global_registry.is_registered(cls), cls
-
-    def test_factories_cover_threading_and_sockets(self):
-        assert "threading.Lock" in contract.UNSERIALIZABLE_FACTORIES
-        assert "socket.socket" in contract.UNSERIALIZABLE_FACTORIES
-        assert "open" in contract.UNSERIALIZABLE_FACTORIES
-
 
 class TestErrorHierarchy:
     def test_replication_errors_discovered(self):
@@ -90,17 +69,3 @@ class TestErrorHierarchy:
     def test_foreign_errors_not_included(self):
         assert "ValueError" not in contract.REPLICATION_ERROR_NAMES
         assert "KeyError" not in contract.REPLICATION_ERROR_NAMES
-
-
-class TestProtocolDiscovery:
-    def test_all_shipped_protocols_found(self):
-        names = contract.concrete_protocol_names()
-        assert {
-            "LeaseConsistency",
-            "ManualConsistency",
-            "InvalidationConsumer",
-            "UpdateSubscriber",
-            "LwwReplica",
-            "VectorReplica",
-        } <= names
-        assert "ConsistencyProtocol" not in names

@@ -16,12 +16,10 @@ from repro.analysis import analyze_paths
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 
 CASES = [
-    ("obi201_lock_cycle.py", "OBI201"),
     ("obi202_blocking_under_lock.py", "OBI202"),
     ("obi203_unguarded_state.py", "OBI203"),
     ("obi204_put_without_source.py", "OBI204"),
     ("obi205_demand_outside_fault.py", "OBI205"),
-    ("obi206_splice_escape.py", "OBI206"),
     ("obi209_snapshot_read_mutation.py", "OBI209"),
     ("obi210_feed_apply_epoch.py", "OBI210"),
 ]

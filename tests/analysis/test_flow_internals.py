@@ -296,49 +296,6 @@ class TestLockAnalysis:
         store = _func(project, "Table.store")
         assert project.locks.must_entry_held[store.key] == frozenset()
 
-    def test_may_entry_held_propagates_through_calls(self, flow_project):
-        project = flow_project(
-            mod="""
-            import threading
-
-            class Chain:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def outer(self):
-                    with self._lock:
-                        self.middle()
-
-                def middle(self):
-                    self.inner()
-
-                def inner(self):
-                    pass
-            """
-        )
-        inner = _func(project, "Chain.inner")
-        assert "Chain._lock" in project.locks.may_entry_held[inner.key]
-
-    def test_order_edges_record_nesting(self, flow_project):
-        project = flow_project(
-            mod="""
-            import threading
-
-            class Two:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def both(self):
-                    with self._a:
-                        with self._b:
-                            pass
-            """
-        )
-        edges = {(e.held, e.acquired) for e in project.locks.order_edges()}
-        assert ("Two._a", "Two._b") in edges
-        assert ("Two._b", "Two._a") not in edges
-
     def test_guarded_fields_inferred(self, flow_project):
         project = flow_project(
             mod="""

@@ -1,93 +1,10 @@
-"""Positive and negative cases for the flow rules OBI201–OBI206 and OBI209."""
+"""Positive and negative cases for the flow rules OBI202–OBI205 and OBI209."""
 
 from __future__ import annotations
 
 
 def rules_of(findings):
     return {finding.rule for finding in findings}
-
-
-class TestOBI201LockOrderCycle:
-    def test_opposite_order_flagged(self, lint):
-        findings = lint(
-            """
-            import threading
-
-            class Ledger:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def forward(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def backward(self):
-                    with self._b:
-                        with self._a:
-                            pass
-            """,
-            rule="OBI201",
-        )
-        assert rules_of(findings) == {"OBI201"}
-        assert "lock-order cycle" in findings[0].message
-
-    def test_consistent_order_clean(self, lint):
-        findings = lint(
-            """
-            import threading
-
-            class Ledger:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def forward(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def also_forward(self):
-                    with self._a:
-                        with self._b:
-                            pass
-            """,
-            rule="OBI201",
-        )
-        assert findings == []
-
-    def test_cycle_through_call_graph(self, lint):
-        """The cycle needs interprocedural context: each function takes
-        only one lock directly."""
-        findings = lint(
-            """
-            import threading
-
-            class Ledger:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def forward(self):
-                    with self._a:
-                        self._take_b()
-
-                def _take_b(self):
-                    with self._b:
-                        pass
-
-                def backward(self):
-                    with self._b:
-                        self._take_a()
-
-                def _take_a(self):
-                    with self._a:
-                        pass
-            """,
-            rule="OBI201",
-        )
-        assert rules_of(findings) == {"OBI201"}
 
 
 class TestOBI202BlockingUnderLock:
@@ -320,55 +237,6 @@ class TestOBI205DemandOutsideFaultPath:
                 return site.endpoint.invoke(ref, "get", (mode,))
             """,
             rule="OBI205",
-        )
-        assert findings == []
-
-
-class TestOBI206SpliceEscape:
-    def test_store_before_splice_flagged(self, lint):
-        findings = lint(
-            """
-            def splice(proxy, replica):
-                proxy.resolved = replica
-
-            class Handler:
-                def __init__(self):
-                    self.last = None
-
-                def resolve(self, proxy, package):
-                    local = integrate(package)
-                    self.last = local
-                    splice(proxy, local)
-                    return local
-
-            def integrate(package):
-                return package
-            """,
-            rule="OBI206",
-        )
-        assert rules_of(findings) == {"OBI206"}
-        assert "stored" in findings[0].message
-
-    def test_escape_after_splice_clean(self, lint):
-        findings = lint(
-            """
-            def splice(proxy, replica):
-                proxy.resolved = replica
-
-            class Handler:
-                def __init__(self):
-                    self.last = None
-
-                def resolve(self, proxy, package):
-                    local = integrate(package)
-                    splice(proxy, local)
-                    self.last = local
-                    return local
-
-            def integrate(package):
-                return package
-            """,
-            rule="OBI206",
         )
         assert findings == []
 

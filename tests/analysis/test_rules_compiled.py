@@ -1,110 +1,5 @@
-"""Positive/negative cases for the compiled-class rules (OBI101/102/106)."""
-
-
-class TestUnserializableState:
-    def test_slots_flagged(self, lint):
-        findings = lint(
-            """
-            from repro import obiwan
-
-            @obiwan.compile
-            class Bad:
-                __slots__ = ("x",)
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI101",
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "OBI101"
-        assert "__slots__" in findings[0].message
-
-    def test_lock_field_flagged(self, lint):
-        findings = lint(
-            """
-            import threading
-            from repro.core.obicomp import compile_class
-
-            @compile_class
-            class Bad:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI101",
-        )
-        assert len(findings) == 1
-        assert "threading.Lock" in findings[0].message
-
-    def test_from_import_lock_resolved(self, lint):
-        findings = lint(
-            """
-            from threading import Lock
-            from repro import obiwan
-
-            @obiwan.compile
-            class Bad:
-                def __init__(self):
-                    self.guard = Lock()
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI101",
-        )
-        assert len(findings) == 1
-
-    def test_open_and_socket_flagged(self, lint):
-        findings = lint(
-            """
-            import socket
-            from repro import obiwan
-
-            @obiwan.compile
-            class Bad:
-                def __init__(self, path):
-                    self.fh = open(path)
-                    self.sock = socket.socket()
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI101",
-        )
-        assert len(findings) == 2
-
-    def test_clean_compiled_class_passes(self, lint):
-        findings = lint(
-            """
-            from repro import obiwan
-
-            @obiwan.compile
-            class Good:
-                def __init__(self):
-                    self.entries = []
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI101",
-        )
-        assert findings == []
-
-    def test_uncompiled_class_with_lock_passes(self, lint):
-        findings = lint(
-            """
-            import threading
-
-            class PlainHelper:
-                def __init__(self):
-                    self._lock = threading.Lock()
-            """,
-            rule="OBI101",
-        )
-        assert findings == []
+"""Positive/negative cases for the compiled-class rule OBI102 (OBI306 has
+its own fixture in ``test_wire_fixtures.py``)."""
 
 
 class TestInterfaceShadowing:
@@ -177,76 +72,5 @@ class TestInterfaceShadowing:
                     pass
             """,
             rule="OBI102",
-        )
-        assert findings == []
-
-
-class TestMutableClassDefault:
-    def test_list_default_flagged(self, lint):
-        findings = lint(
-            """
-            from repro import obiwan
-
-            @obiwan.compile
-            class Bad:
-                cache = []
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI106",
-        )
-        assert len(findings) == 1
-        assert "cache" in findings[0].message
-
-    def test_dict_call_and_annotated_flagged(self, lint):
-        findings = lint(
-            """
-            from repro import obiwan
-
-            @obiwan.compile
-            class Bad:
-                index: dict = dict()
-                tags = set()
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI106",
-        )
-        assert len(findings) == 2
-
-    def test_immutable_defaults_pass(self, lint):
-        findings = lint(
-            """
-            from repro import obiwan
-
-            @obiwan.compile
-            class Good:
-                LIMIT = 10
-                NAME = "good"
-                SHAPE = (1, 2)
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI106",
-        )
-        assert findings == []
-
-    def test_instance_level_container_passes(self, lint):
-        findings = lint(
-            """
-            from repro import obiwan
-
-            @obiwan.compile
-            class Good:
-                def __init__(self):
-                    self.cache = []
-
-                def act(self):
-                    pass
-            """,
-            rule="OBI106",
         )
         assert findings == []

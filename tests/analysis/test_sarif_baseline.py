@@ -1,4 +1,4 @@
-"""SARIF output and baseline workflows."""
+"""SARIF output."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ import textwrap
 import pytest
 
 from repro.analysis import analyze_paths
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cli import main
 from repro.analysis.report import render_sarif
 from repro.analysis.rules import build_rules
@@ -26,12 +21,6 @@ DIRTY = """
     def stamp_again():
         return time.time()
 """
-
-CLEAN = """
-    def fine():
-        return 1
-"""
-
 
 @pytest.fixture
 def dirty_file(tmp_path):
@@ -50,7 +39,7 @@ class TestSarif:
         driver = run["tool"]["driver"]
         assert driver["name"] == "obilint"
         rule_ids = {rule["id"] for rule in driver["rules"]}
-        assert {"OBI101", "OBI108", "OBI201", "OBI206"} <= rule_ids
+        assert {"OBI102", "OBI108", "OBI203", "OBI306"} <= rule_ids
         for rule in driver["rules"]:
             assert rule["shortDescription"]["text"]
             assert rule["defaultConfiguration"]["level"] in {"warning", "error"}
@@ -68,100 +57,3 @@ class TestSarif:
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         assert exit_code == 0  # OBI108 is a warning; not strict
-
-    def test_baselined_results_marked(self, dirty_file, tmp_path):
-        baseline = tmp_path / "base.json"
-        write_baseline(baseline, analyze_paths([dirty_file]))
-        report = apply_baseline(
-            analyze_paths([dirty_file]), load_baseline(baseline)
-        )
-        payload = json.loads(render_sarif(report, build_rules()))
-        states = [r.get("baselineState") for r in payload["runs"][0]["results"]]
-        assert states.count("unchanged") == 2
-
-
-class TestBaseline:
-    def test_roundtrip_suppresses_known_findings(self, dirty_file, tmp_path):
-        baseline = tmp_path / "base.json"
-        first = analyze_paths([dirty_file], strict=True)
-        assert len(first.findings) == 2
-        write_baseline(baseline, first)
-
-        second = apply_baseline(
-            analyze_paths([dirty_file], strict=True), load_baseline(baseline)
-        )
-        assert second.findings == []
-        assert len(second.baselined) == 2
-        assert not second.failed(strict=True)
-
-    def test_new_finding_beyond_baseline_fails(self, dirty_file, tmp_path):
-        baseline = tmp_path / "base.json"
-        write_baseline(baseline, analyze_paths([dirty_file], strict=True))
-
-        grown = dirty_file.read_text(encoding="utf-8") + (
-            "\n\ndef third():\n    return time.time()\n"
-        )
-        dirty_file.write_text(grown, encoding="utf-8")
-        report = apply_baseline(
-            analyze_paths([dirty_file], strict=True), load_baseline(baseline)
-        )
-        assert len(report.findings) == 1  # only the third stamp is new
-        assert len(report.baselined) == 2
-        assert report.failed(strict=True)
-
-    def test_fixed_finding_never_unmasks_another(self, dirty_file, tmp_path):
-        baseline = tmp_path / "base.json"
-        write_baseline(baseline, analyze_paths([dirty_file], strict=True))
-
-        # Fix one of the two findings; the other stays baselined.
-        source = dirty_file.read_text(encoding="utf-8").replace(
-            "def stamp_again():\n    return time.time()", "def stamp_again():\n    return 2"
-        )
-        dirty_file.write_text(source, encoding="utf-8")
-        report = apply_baseline(
-            analyze_paths([dirty_file], strict=True), load_baseline(baseline)
-        )
-        assert report.findings == []
-        assert len(report.baselined) == 1
-
-    def test_parse_failures_are_never_baselined(self, tmp_path):
-        path = tmp_path / "broken.py"
-        path.write_text("def broken(:\n", encoding="utf-8")
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps({"version": 1, "entries": {f"{path}::OBI001": 5}}),
-            encoding="utf-8",
-        )
-        report = apply_baseline(analyze_paths([path]), load_baseline(baseline))
-        assert report.failed()
-
-    def test_cli_write_then_check(self, dirty_file, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        assert main([str(dirty_file), "--write-baseline", str(baseline)]) == 0
-        assert "baseline of 2 finding(s)" in capsys.readouterr().out
-
-        exit_code = main([str(dirty_file), "--strict", "--baseline", str(baseline)])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "2 baselined" in out
-
-    def test_cli_missing_baseline_is_usage_error(self, dirty_file, tmp_path, capsys):
-        exit_code = main(
-            [str(dirty_file), "--baseline", str(tmp_path / "nope.json")]
-        )
-        assert exit_code == 2
-        assert "baseline file not found" in capsys.readouterr().err
-
-    def test_version_mismatch_rejected(self, dirty_file, tmp_path):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"version": 99, "entries": {}}), encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(baseline)
-
-    def test_clean_tree_writes_empty_baseline(self, tmp_path):
-        path = tmp_path / "clean.py"
-        path.write_text(textwrap.dedent(CLEAN), encoding="utf-8")
-        baseline = tmp_path / "base.json"
-        recorded = write_baseline(baseline, analyze_paths([path], strict=True))
-        assert recorded == 0
-        assert load_baseline(baseline) == {}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import ModuleSource
+from repro.analysis.engine import load_modules
 from repro.analysis.wire.cli import main as obiwire_main
 from repro.analysis.wire.diff import diff_specs, has_breaking
 from repro.analysis.wire.extract import extract_modules
@@ -24,10 +24,9 @@ SRC = REPO / "src" / "repro"
 
 @pytest.fixture(scope="module")
 def tree_spec() -> WireSpec:
-    from repro.analysis.engine import Analyzer
-
-    files = Analyzer.collect_files([SRC])
-    return extract_modules([ModuleSource.parse(path) for path in files])
+    modules, failures = load_modules([SRC])
+    assert failures == []
+    return extract_modules(modules)
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +109,7 @@ class TestExtraction:
         assert json.loads(tree_spec.to_json())["verbs"] == sorted(tree_spec.verbs)
 
     def test_extraction_is_deterministic(self, tree_spec):
-        from repro.analysis.engine import Analyzer
-
-        files = Analyzer.collect_files([SRC])
-        again = extract_modules([ModuleSource.parse(path) for path in files])
+        again = extract_modules(load_modules([SRC])[0])
         assert again.to_json() == tree_spec.to_json()
         assert again.fingerprint() == tree_spec.fingerprint()
 
@@ -218,7 +214,7 @@ class TestDiff:
 class TestCli:
     def test_spec_writes_fingerprinted_json(self, tmp_path, capsys):
         out = tmp_path / "spec.json"
-        assert obiwire_main(["spec", str(SRC), "--out", str(out), "--jobs", "4"]) == 0
+        assert obiwire_main(["spec", str(SRC), "--out", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["version"] == 1
         assert payload["fingerprint"] == WireSpec.from_dict(payload).fingerprint()
@@ -269,9 +265,3 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["breaking"] is False
         assert payload["changes"][0]["category"] == "tag-added"
-
-    def test_jobs_parallel_spec_is_identical(self, tmp_path):
-        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        assert obiwire_main(["spec", str(SRC), "--out", str(serial)]) == 0
-        assert obiwire_main(["spec", str(SRC), "--out", str(parallel), "--jobs", "8"]) == 0
-        assert serial.read_text() == parallel.read_text()

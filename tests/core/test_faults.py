@@ -317,8 +317,8 @@ class TestModeWireFormat:
             mode = Incremental(1)
             object.__setattr__(mode, "depth", -1)
             with pytest.raises(ClusterError, match=">= 0"):
-                consumer.endpoint.invoke(ref, "demand", (mode,))
-            assert consumer.endpoint.invoke(ref, "demand", (Incremental(1),)).object_count == 1
+                consumer.endpoint.invoke(ref, "demand", (mode,))  # obilint: disable=OBI205 -- sends an ill-formed mode straight to the verb on purpose
+            assert consumer.endpoint.invoke(ref, "demand", (Incremental(1),)).object_count == 1  # obilint: disable=OBI205 -- the well-formed twin of the raw demand above
 
 
 class TestSerializerReuse:

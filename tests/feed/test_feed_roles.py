@@ -14,6 +14,7 @@ import pytest
 from repro.core.meta import obi_id_of
 from repro.core.packages import FeedSubscribeRequest
 from repro.core.telemetry import snapshot
+from repro.util.clock import WallClock
 from repro.util.errors import FeedError, ProtocolError
 from tests.feed.conftest import mirror_of
 from tests.models import Box
@@ -316,8 +317,9 @@ class TestPushOrder:
         assert held.wait(5.0)
         writers.append(threading.Thread(target=write, args=(second, 2)))
         writers[1].start()
-        deadline = time.monotonic() + 0.5
-        while follower.last_applied_serial == joined and time.monotonic() < deadline:
+        clock = WallClock()
+        deadline = clock.now() + 0.5
+        while follower.last_applied_serial == joined and clock.now() < deadline:
             time.sleep(0.01)
         overtaken = follower.last_applied_serial != joined
         feed_world.network.partition({"P"}, {"F1"})
@@ -361,9 +363,10 @@ class TestPushOrder:
         ahead = threading.Thread(target=write, args=(first, 1))
         ahead.start()
         assert pushing.wait(5.0)
-        started = time.monotonic()
+        clock = WallClock()
+        started = clock.now()
         write(second, 2)
-        waited = time.monotonic() - started
+        waited = clock.elapsed_since(started)
         ahead.join(5.0)
         assert not ahead.is_alive()
         assert waited >= slow_s / 2

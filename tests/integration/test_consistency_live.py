@@ -19,13 +19,15 @@ from repro.consistency import (
     UpdateSubscriber,
 )
 from repro.core.runtime import World
+from repro.util.clock import WallClock
 from tests.models import Counter
 
 
 def _await(predicate, timeout=5.0):
     """Poll until a cross-thread effect lands (live transports only)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
+    clock = WallClock()
+    deadline = clock.now() + timeout
+    while clock.now() < deadline:
         if predicate():
             return True
         time.sleep(0.01)
